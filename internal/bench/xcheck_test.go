@@ -14,9 +14,9 @@ import (
 // exact (eps = 0) rows must reproduce dense island potentials bitwise,
 // and a natively sparse build (RCM + sparse Cholesky, eps = 1e-14, no
 // dense inverse formed) must agree to 1e-12 V. Benchmarks above c432
-// cost minutes each to build densely, so by default the check covers
-// the twelve suite entries up to c432; set SEMSIM_FULL_XCHECK=1 to run
-// all fifteen.
+// hold tens to hundreds of MB of dense C^-1 rows, so by default the
+// check covers the twelve suite entries up to c432; set
+// SEMSIM_FULL_XCHECK=1 to run all fifteen.
 func TestSparseVsDensePotentialsSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-suite builds in -short mode")
@@ -61,8 +61,8 @@ func TestSparseVsDensePotentialsSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if exN.Circuit.CMatrix() != nil {
-				t.Fatal("native sparse build formed the dense matrix")
+			if _, err := exN.Circuit.PotentialEngine(false, 0); err == nil {
+				t.Fatal("native sparse build formed the dense inverse")
 			}
 			vn := exN.Circuit.IslandPotentials(nil, ns, SettleTime/2)
 			for i := range vd {
@@ -70,6 +70,50 @@ func TestSparseVsDensePotentialsSuite(t *testing.T) {
 					t.Fatalf("island %d: native sparse potential %v vs dense %v (|diff| %g > 1e-12)", i, vn[i], vd[i], d)
 				}
 			}
+		})
+	}
+}
+
+// TestExactCinvSuite checks the exact (eps = 0) C^-1 that every default
+// build factors sparsely and solves row by row, on the suite circuits up
+// to c432: the inverse must be bitwise symmetric, and C·C^-1 must be
+// the identity to ‖C·C^-1 − I‖∞ ≤ 1e-12 (largest absolute row sum).
+func TestExactCinvSuite(t *testing.T) {
+	p := logicnet.DefaultParams()
+	for _, b := range Suite() {
+		if b.PublishedJunctions > 2072 {
+			continue
+		}
+		t.Run(b.Name, func(t *testing.T) {
+			ex, err := BuildWorkload(b, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := ex.Circuit
+			ni := c.NumIslands()
+			resid := make([]float64, ni) // row sums of |C·C^-1 − I|
+			prod := make([]float64, ni)
+			for j := 0; j < ni; j++ {
+				col := c.CinvRow(j) // column j, by symmetry
+				for i := 0; i < j; i++ {
+					if math.Float64bits(col[i]) != math.Float64bits(c.CinvRow(i)[j]) {
+						t.Fatalf("C^-1(%d,%d) = %v but C^-1(%d,%d) = %v", j, i, col[i], i, j, c.CinvRow(i)[j])
+					}
+				}
+				c.CSR().MulVec(prod, col)
+				prod[j]--
+				for i, v := range prod {
+					resid[i] += math.Abs(v)
+				}
+			}
+			worst := 0.0
+			for _, r := range resid {
+				worst = math.Max(worst, r)
+			}
+			if worst > 1e-12 {
+				t.Fatalf("‖C·C^-1 − I‖∞ = %g > 1e-12", worst)
+			}
+			t.Logf("%d islands: ‖C·C^-1 − I‖∞ = %.3g", ni, worst)
 		})
 	}
 }

@@ -170,7 +170,6 @@ type Circuit struct {
 	extIdx     []int       // node id -> external column, -1 for islands
 	ccsr       *matrix.CSR // assembled C in CSR form (always)
 	csigma     []float64   // diagonal of C: per-island total capacitance
-	cmat       *matrix.Sym // dense C; nil when built with CinvTruncation > 0
 	cinv       *matrix.Sym // dense C^-1; nil when built with CinvTruncation > 0
 	cie        [][]float64 // islands x externals coupling capacitances
 	mext       [][]float64 // Cinv * CIE: islands x externals; nil when cinv is
@@ -377,49 +376,11 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 		c.csigma[i] = c.ccsr.At(i, i)
 	}
 
-	if bo.SparsePotentials && bo.CinvTruncation > 0 {
-		// Native sparse build: factor C sparsely, never form the dense
-		// inverse.
-		pot, err := newSparseNative(c, bo.CinvTruncation)
-		if err != nil {
-			return fmt.Errorf("circuit: capacitance matrix is singular (floating island with no capacitance?): %w", err)
-		}
-		c.pot = pot
-	} else {
-		c.cmat = matrix.NewSym(ni)
-		for i := 0; i < ni; i++ {
-			cols, vals := c.ccsr.Row(i)
-			for k, col := range cols {
-				c.cmat.SetSym(i, int(col), vals[k])
-			}
-		}
-		inv, err := matrix.InvertSPD(c.cmat)
-		if err != nil {
-			return fmt.Errorf("circuit: capacitance matrix is singular (floating island with no capacitance?): %w", err)
-		}
-		c.cinv = inv
-
-		// The island charge balance is q_e = C_II*v_I - C_IE*v_E (the C_IE
-		// column holds the positive coupling capacitances), so
-		// v_I = Cinv*q_e + (Cinv*C_IE)*v_E. Precompute mext = Cinv*C_IE.
-		c.mext = make([][]float64, ni)
-		for i := 0; i < ni; i++ {
-			c.mext[i] = make([]float64, ne)
-			row := c.cinv.Row(i)
-			for s := 0; s < ne; s++ {
-				acc := 0.0
-				for k := 0; k < ni; k++ {
-					acc += row[k] * c.cie[k][s]
-				}
-				c.mext[i][s] = acc
-			}
-		}
-		if bo.SparsePotentials {
-			c.pot = newSparseFromDense(c, 0)
-		} else {
-			c.pot = newDensePotentials(c)
-		}
+	pot, err := buildPotentials(c, bo)
+	if err != nil {
+		return fmt.Errorf("circuit: capacitance matrix is singular (floating island with no capacitance?): %w", err)
 	}
+	c.pot = pot
 
 	c.buildAdjacency()
 
@@ -562,11 +523,6 @@ func (c *Circuit) CinvRow(islandRow int) []float64 {
 // CSR returns the assembled island capacitance matrix in CSR form
 // (read-only), mainly for tests and diagnostics.
 func (c *Circuit) CSR() *matrix.CSR { return c.ccsr }
-
-// CMatrix returns the dense assembled island capacitance matrix
-// (read-only), mainly for tests and diagnostics; nil on circuits built
-// with CinvTruncation > 0 (use CSR instead).
-func (c *Circuit) CMatrix() *matrix.Sym { return c.cmat }
 
 // SumCapacitance returns the total capacitance C_sigma attached to an
 // island — the diagonal of the capacitance matrix — which sets the

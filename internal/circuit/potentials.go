@@ -8,8 +8,8 @@ package circuit
 //
 // Two backends share the interface:
 //
-//   - dense: the explicit inverse from the Cholesky factorization, full
-//     rows, O(n) per event. The reference implementation.
+//   - dense: the explicit exact inverse, full rows, O(n) per event. The
+//     reference implementation.
 //   - sparse: ε-truncated C^-1 rows in CSR form. Each row keeps only
 //     entries with |v| >= ε·‖row‖∞; per-event shifts and refresh solves
 //     walk stored nonzeros only, O(k) per row. With ε = 0 the stored
@@ -38,13 +38,12 @@ import (
 // BuildOptions selects the potential backend assembled by BuildWith.
 type BuildOptions struct {
 	// SparsePotentials builds the sparse locality-aware potential
-	// engine instead of the dense inverse. With CinvTruncation = 0 the
-	// dense inverse is still computed once and compressed (bit-identical
-	// trajectories, no memory saving); with CinvTruncation > 0 the
-	// dense inverse is never formed: C is factored sparsely under an
-	// RCM ordering and C^-1 rows are computed by sparse solves, which
-	// on multi-thousand-island circuits is orders of magnitude faster
-	// than dense inversion.
+	// engine instead of the dense inverse. Every build factors C
+	// sparsely under an RCM ordering and computes the C^-1 rows by
+	// sparse solves. With CinvTruncation = 0 the dense inverse is still
+	// kept and compressed (bit-identical trajectories, no memory
+	// saving); with CinvTruncation > 0 each row is truncated as it is
+	// solved and the dense inverse is never formed.
 	SparsePotentials bool
 	// CinvTruncation is the relative row-truncation threshold ε:
 	// entries of a C^-1 row (and of mext) smaller in magnitude than
@@ -74,7 +73,7 @@ type Potentials struct {
 	dropInf    float64 // largest dropped |C^-1 entry| over all rows
 	dropL1     float64 // largest per-row sum of dropped |C^-1 entries|
 	mextDropL1 float64 // largest per-row sum of dropped |mext entries|
-	fill       float64 // sparse Cholesky fill nnz(L)/nnz(tril(C)); 0 when derived from a dense inverse
+	fill       float64 // sparse Cholesky fill nnz(L)/nnz(tril(C)); 0 over the dense inverse
 }
 
 // Sparse reports whether the engine walks truncated rows (true) or full
@@ -108,8 +107,8 @@ func (p *Potentials) TruncationRatio() float64 {
 }
 
 // Fill returns the sparse Cholesky fill-in ratio nnz(L)/nnz(tril(C)) of
-// the factorization behind a natively built sparse engine, or 0 when
-// the engine was derived from a dense inverse (no sparse factor).
+// the factorization behind a natively truncated engine, or 0 for the
+// dense engine and the views derived from the dense inverse.
 func (p *Potentials) Fill() float64 { return p.fill }
 
 // at returns C^-1 element (i, j) in island coordinates.
@@ -394,47 +393,89 @@ func newSparseFromDense(c *Circuit, eps float64) *Potentials {
 	return p
 }
 
-// newSparseNative builds a truncated engine without ever forming the
-// dense inverse: C is factored sparsely under an RCM ordering and each
-// C^-1 row is computed by one sparse solve, truncated, and stored. On
-// multi-thousand-island circuits this replaces the O(n^3) dense
-// inversion (minutes) with O(n·nnz(L)) solves (seconds).
-func newSparseNative(c *Circuit, eps float64) (*Potentials, error) {
-	ni, ne := len(c.islands), len(c.externals)
-	perm := matrix.RCM(c.ccsr)
-	chol, err := matrix.FactorCSR(c.ccsr, perm)
+// buildPotentials is the one C^-1 build: C is factored once under an
+// RCM ordering and every C^-1 row comes from one sparse solve,
+// O(n·nnz(L)) in total. Two row storages follow. At CinvTruncation = 0
+// the rows are kept dense and symmetrized as the circuit's cinv, and
+// mext is derived from them; the engine reads them directly (dense) or
+// compresses them (SparsePotentials, bit-identical). With
+// SparsePotentials and CinvTruncation > 0 each row is truncated into
+// CSR as it is solved and the dense inverse is never formed.
+func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
+	chol, err := matrix.FactorCSR(c.ccsr, matrix.RCM(c.ccsr))
 	if err != nil {
 		return nil, err
 	}
+	cie := c.cieNonzeros()
+	if bo.SparsePotentials && bo.CinvTruncation > 0 {
+		return newSparseNative(c, chol, cie, bo.CinvTruncation), nil
+	}
+	// The island charge balance is q_e = C_II*v_I - C_IE*v_E (the C_IE
+	// column holds the positive coupling capacitances), so
+	// v_I = Cinv*q_e + (Cinv*C_IE)*v_E. Precompute mext = Cinv*C_IE.
+	c.cinv = chol.Inverse()
+	ni, ne := len(c.islands), len(c.externals)
+	c.mext = make([][]float64, ni)
+	for i := range c.mext {
+		c.mext[i] = make([]float64, ne)
+		cie.mulRow(c.mext[i], c.cinv.Row(i))
+	}
+	if bo.SparsePotentials {
+		return newSparseFromDense(c, 0), nil
+	}
+	return newDensePotentials(c), nil
+}
+
+// couplings lists the nonzero island-external coupling capacitances
+// C_IE in island-major order.
+type couplings struct {
+	island, ext []int32
+	val         []float64
+}
+
+// cieNonzeros collects the nonzero entries of the assembled C_IE.
+func (c *Circuit) cieNonzeros() couplings {
+	var cp couplings
+	for k, row := range c.cie {
+		for s, v := range row {
+			if v != 0 {
+				cp.island = append(cp.island, int32(k))
+				cp.ext = append(cp.ext, int32(s))
+				cp.val = append(cp.val, v)
+			}
+		}
+	}
+	return cp
+}
+
+// mulRow sets dst (one slot per external) to row*C_IE. Each dst[s] sums
+// over islands in ascending order; the exact zeros of C_IE it skips
+// would add nothing, so the result is the dense product's, bit for bit.
+func (cp couplings) mulRow(dst, row []float64) {
+	for s := range dst {
+		dst[s] = 0
+	}
+	for idx, k := range cp.island {
+		dst[cp.ext[idx]] += row[k] * cp.val[idx]
+	}
+}
+
+// newSparseNative builds a truncated engine without ever forming the
+// dense inverse: each C^-1 row is computed by one sparse solve,
+// truncated, and stored.
+func newSparseNative(c *Circuit, chol *matrix.SparseChol, cie couplings, eps float64) *Potentials {
+	ni, ne := len(c.islands), len(c.externals)
 	p := &Potentials{c: c, sparse: true, eps: eps,
 		rowPtr: make([]int, ni+1), mPtr: make([]int, ni+1)}
 	if l := c.ccsr.LowerNNZ(); l > 0 {
 		p.fill = float64(chol.NNZ()) / float64(l)
-	}
-	// Sparse view of the island-external coupling for the mext rows.
-	var cieK []int32
-	var cieS []int32
-	var cieV []float64
-	for k := 0; k < ni; k++ {
-		for s := 0; s < ne; s++ {
-			if v := c.cie[k][s]; v != 0 {
-				cieK = append(cieK, int32(k))
-				cieS = append(cieS, int32(s))
-				cieV = append(cieV, v)
-			}
-		}
 	}
 	row := make([]float64, ni)
 	w := make([]float64, ni)
 	mrow := make([]float64, ne)
 	for i := 0; i < ni; i++ {
 		chol.InverseRow(i, row, w)
-		for s := range mrow {
-			mrow[s] = 0
-		}
-		for idx, k := range cieK {
-			mrow[cieS[idx]] += row[k] * cieV[idx]
-		}
+		cie.mulRow(mrow, row)
 		var ds, dm float64
 		p.rowCol, p.rowVal, ds, dm = truncRow(p.rowCol, p.rowVal, row, eps)
 		p.rowPtr[i+1] = len(p.rowCol)
@@ -450,7 +491,7 @@ func newSparseNative(c *Circuit, eps float64) (*Potentials, error) {
 			p.mextDropL1 = ds
 		}
 	}
-	return p, nil
+	return p
 }
 
 // reTruncate derives a more aggressively truncated engine from an

@@ -166,8 +166,8 @@ func TestMicroreversibility(t *testing.T) {
 func TestCapacitanceMatrixDiagonallyDominant(t *testing.T) {
 	f := func(seed uint64) bool {
 		c := randCircuit(rng.New(seed))
-		m := c.CMatrix()
-		ni := m.N()
+		m := c.CSR()
+		ni := m.NumRows
 		for i := 0; i < ni; i++ {
 			off := 0.0
 			for j := 0; j < ni; j++ {

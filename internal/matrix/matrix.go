@@ -1,21 +1,22 @@
-// Package matrix implements the dense symmetric linear algebra the
-// simulator needs: Cholesky factorization, triangular solves, and full
-// inversion of symmetric positive-definite matrices.
+// Package matrix implements the symmetric linear algebra the simulator
+// needs: a dense symmetric matrix type with a dense Cholesky
+// factorization and solve (the reference the sparse code is tested
+// against), and the sparse path every circuit build uses — CSR
+// assembly, a reverse Cuthill–McKee ordering, sparse Cholesky, and
+// explicit inverse rows by sparse solves (sparse.go).
 //
 // The one SPD matrix in the problem is the island capacitance matrix
 // C_II (diagonally dominant with positive diagonal by construction, so
 // SPD whenever every island has nonzero total capacitance). Its inverse
 // appears directly in the free-energy expression (Eq. 2 of the paper)
 // and in every node-potential update, so we factor once per circuit and
-// store the explicit inverse.
+// store the explicit inverse rows.
 package matrix
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // ErrNotPositiveDefinite is returned when Cholesky factorization
@@ -90,9 +91,9 @@ func (m *Sym) MulVec(dst, x []float64) {
 
 // Cholesky holds the lower-triangular factor L with M = L * L^T,
 // packed: row i occupies l[i*(i+1)/2 : i*(i+1)/2 + i + 1], so the
-// factor costs n*(n+1)/2 floats instead of a full square — on the
-// 6988-junction compact-model build that difference is hundreds of
-// megabytes of peak memory.
+// factor costs n*(n+1)/2 floats instead of a full square. It is the
+// dense reference the sparse factorization (SparseChol) is tested
+// against.
 type Cholesky struct {
 	n int
 	l []float64 // packed row-major lower triangle
@@ -159,108 +160,4 @@ func (c *Cholesky) Solve(b []float64) {
 		}
 		b[i] = s / l[i*(i+1)/2+i]
 	}
-}
-
-// Inverse computes the explicit inverse of the factored matrix by
-// solving against each unit vector. Columns are solved in parallel
-// blocks, and the back-substitution reads a transposed copy of the
-// factor so both triangular sweeps stream memory sequentially — on
-// benchmark-scale matrices (thousands of islands) the naive
-// column-at-a-time loop is an order of magnitude slower. The result is
-// symmetrized, since downstream code relies on C^-1 symmetry.
-func (c *Cholesky) Inverse() *Sym {
-	n := c.n
-	inv := NewSym(n)
-	// Transposed factor, packed upper row-major: row i of ut holds
-	// L[k][i] for k = i..n-1, so the back substitution walks rows
-	// sequentially. utOff(i) is where row i starts.
-	utOff := func(i int) int { return i*n - i*(i-1)/2 }
-	ut := make([]float64, n*(n+1)/2)
-	for i := 0; i < n; i++ {
-		oi := i * (i + 1) / 2
-		for k := 0; k <= i; k++ {
-			ut[utOff(k)+i-k] = c.l[oi+k]
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	cols := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			x := make([]float64, n)
-			for j := range cols {
-				for i := range x {
-					x[i] = 0
-				}
-				x[j] = 1
-				// Forward substitution L y = e_j; y[i] = 0 for i < j.
-				for i := j; i < n; i++ {
-					oi := i * (i + 1) / 2
-					s := x[i]
-					row := c.l[oi+j : oi+i]
-					for k, v := range row {
-						s -= v * x[j+k]
-					}
-					x[i] = s / c.l[oi+i]
-				}
-				// Back substitution L^T z = y using the transposed rows.
-				for i := n - 1; i >= 0; i-- {
-					oi := utOff(i)
-					s := x[i]
-					row := ut[oi+1 : oi+n-i]
-					for k, v := range row {
-						s -= v * x[i+1+k]
-					}
-					x[i] = s / ut[oi]
-				}
-				copy(inv.data[j*n:(j+1)*n], x)
-			}
-		}()
-	}
-	for j := 0; j < n; j++ {
-		cols <- j
-	}
-	close(cols)
-	wg.Wait()
-	// inv currently holds columns as rows; the matrix is symmetric up
-	// to round-off, so symmetrize in place.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := 0.5 * (inv.data[i*n+j] + inv.data[j*n+i])
-			inv.data[i*n+j] = v
-			inv.data[j*n+i] = v
-		}
-	}
-	return inv
-}
-
-// InvertSPD factors and inverts a symmetric positive-definite matrix.
-func InvertSPD(m *Sym) (*Sym, error) {
-	ch, err := Factor(m)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Inverse(), nil
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference
-// between two equally-sized matrices; useful for tests.
-func MaxAbsDiff(a, b *Sym) float64 {
-	if a.n != b.n {
-		panic("matrix: MaxAbsDiff dimension mismatch")
-	}
-	max := 0.0
-	for i, v := range a.data {
-		d := math.Abs(v - b.data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -6,6 +6,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"semsim/internal/numeric"
 	"semsim/internal/solver"
@@ -15,28 +16,54 @@ import (
 // time window, sampled at the original points. Single-electron steps of
 // e/CL on logic wires otherwise alias into spurious threshold
 // crossings.
+//
+// Each output is the time-weighted mean over [t_i - window, t_i] with
+// sample-and-hold semantics (sample k holds its value on
+// [t_k, t_{k+1})), clipped to the start of the trace; a sample whose
+// window holds no duration (the first sample, and any that share its
+// time) is returned unchanged. Sample times must be non-decreasing, as
+// solver waveforms are. The cost is O(n): one pass builds the prefix
+// integral of the waveform and a second slides the window start
+// forward.
 func Smooth(w []solver.Sample, window float64) []solver.Sample {
 	if window <= 0 || len(w) == 0 {
 		return w
 	}
+	// area[k] is the integral from t_0 to t_k as a Neumaier sum
+	// hi + lo. Window areas difference hi and lo separately, so they
+	// keep full precision however long the trace is relative to the
+	// window.
+	type sum struct{ hi, lo float64 }
+	area := make([]sum, len(w))
+	var hi, lo float64
+	for k := 1; k < len(w); k++ {
+		x := w[k-1].V * (w[k].T - w[k-1].T)
+		t := hi + x
+		if math.Abs(hi) >= math.Abs(x) {
+			lo += (hi - t) + x
+		} else {
+			lo += (x - t) + hi
+		}
+		hi = t
+		area[k] = sum{hi, lo}
+	}
 	out := make([]solver.Sample, len(w))
-	// Time-weighted average over [t_i - window, t_i] with sample-and-hold
-	// semantics: sample k holds its value on [t_k, t_{k+1}).
+	j := 0 // window-start pointer: the last sample before i with t_j <= t0, once one exists
 	for i := range w {
 		t0 := w[i].T - window
-		acc, dur := 0.0, 0.0
-		for k := i - 1; k >= 0; k-- {
-			segStart, segEnd := w[k].T, w[k+1].T
-			if segStart < t0 {
-				segStart = t0
-			}
-			if segEnd > segStart {
-				acc += w[k].V * (segEnd - segStart)
-				dur += segEnd - segStart
-			}
-			if w[k].T <= t0 {
-				break
-			}
+		for j+1 < i && w[j+1].T <= t0 {
+			j++
+		}
+		var acc, dur float64
+		if j < i && w[j].T <= t0 {
+			// The window opens inside segment j, which holds w[j].V
+			// on [t0, t_{j+1}).
+			acc = (area[i].hi - area[j+1].hi) + (area[i].lo - area[j+1].lo) +
+				w[j].V*(w[j+1].T-t0)
+			dur = w[i].T - t0
+		} else {
+			acc = area[i].hi + area[i].lo
+			dur = w[i].T - w[0].T
 		}
 		if dur > 0 {
 			out[i] = solver.Sample{T: w[i].T, V: acc / dur}

@@ -270,7 +270,9 @@ var (
 	ErrNoCrossing = trace.ErrNoCrossing
 )
 
-// SmoothWaveform applies a causal moving average over the given window.
+// SmoothWaveform applies a causal moving average over the given window
+// in O(n); sample times must be non-decreasing, as Sim.Waveform returns
+// them.
 func SmoothWaveform(w []Sample, window float64) []Sample { return trace.Smooth(w, window) }
 
 // VCDSignal names a waveform for WriteVCD export.
