@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test unit race bench zero-alloc rate-engine bench-compare potential-engine obs-overhead sweep-engine noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
+.PHONY: all build test unit race bench zero-alloc e2e-smoke rate-engine bench-compare potential-engine obs-overhead sweep-engine noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
 
 all: build test
 
@@ -11,8 +11,9 @@ build:
 # analyzer suite), documentation verification, the full unit suite, the
 # semsimdebug invariant build, then the race detector over the packages
 # with internal concurrency (the within-run parallel rate engine, the
-# sweep/bench fan-outs and the batch job engine).
-test: vet lint docs-verify unit debug race zero-alloc
+# sweep/bench fan-outs and the batch job engine), and a compile-and-smoke
+# pass over the end-to-end benchmark harness.
+test: vet lint docs-verify unit debug race zero-alloc e2e-smoke
 
 unit:
 	go test ./...
@@ -47,13 +48,21 @@ zero-alloc:
 	go test -run TestNoiseHotPathZeroAlloc ./internal/solver/
 	go test -run TestAddZeroAlloc ./internal/noise/
 
+# The end-to-end benchmark harness is a separate module (replace
+# semsim => ../) that imports internal packages directly, so neither
+# `go build ./...` nor `go test ./...` at the root compiles it. Vet it
+# and run its tests (tiny-scale workloads) so an internal API change
+# that breaks the benchmark fails here, not in the benchmark run.
+e2e-smoke:
+	cd e2ebench && go vet ./... && go test ./...
+
 # One testing.B benchmark per paper figure, plus ablations and
 # per-package microbenchmarks.
 bench:
 	go test -bench=. -benchmem ./...
 
 # Machine-readable rate-engine benchmark (serial vs parallel, exact vs
-# tabulated kernels, c432 dense + c1908 sparse)
+# tabulated kernels, on c432 and c1908)
 # -> results/BENCH_rate_engine.json.
 rate-engine:
 	go run ./cmd/experiments rate-engine
@@ -64,8 +73,8 @@ rate-engine:
 bench-compare:
 	go run ./cmd/benchcmp results/BENCH_rate_engine.json
 
-# Machine-readable potential-engine benchmark (dense inverse vs exact
-# sparse rows vs eps-truncated rows on the four largest circuits)
+# Machine-readable potential-engine benchmark (exact dense rows vs
+# eps-truncated sparse rows on the four largest circuits)
 # -> results/BENCH_potential_engine.json.
 potential-engine:
 	go run ./cmd/experiments potential-engine

@@ -10,10 +10,10 @@ import (
 	"semsim/internal/logicnet"
 )
 
-// potentialEngine benchmarks the three potential backends — dense
-// inverse, exact sparse rows, eps-truncated sparse rows — on the four
-// largest suite circuits and writes BENCH_potential_engine.json: build
-// cost, per-event shift and full-refresh micro timings, Monte Carlo
+// potentialEngine benchmarks the two potential engines — exact dense
+// rows and eps-truncated sparse rows — on the four largest suite
+// circuits and writes BENCH_potential_engine.json: build cost,
+// per-event shift and full-refresh micro timings, Monte Carlo
 // events/sec, storage shape, and the truncated engine's measured error
 // against its provable bound.
 func potentialEngine() error {
@@ -27,7 +27,7 @@ func potentialEngine() error {
 		if !ok {
 			return fmt.Errorf("benchmark %s missing from suite", name)
 		}
-		rep, err := bench.RunPotentialEngine(b, logicnet.DefaultParams(), events, 11)
+		rep, err := bench.RunPotentialEngines(b, logicnet.DefaultParams(), events, 11)
 		if err != nil {
 			return err
 		}

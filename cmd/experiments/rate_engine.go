@@ -14,21 +14,19 @@ import (
 // the machine-readable results to BENCH_rate_engine.json: events/sec,
 // rate calculations and wall time for serial vs parallel execution with
 // exact vs tabulated kernels. Two circuits are timed — c432 (2072
-// junctions, dense potentials) and c1908 (6988 junctions, sparse
-// potentials) — so the report covers both potential engines' hot paths;
+// junctions) and c1908 (6988 junctions), both on exact dense C^-1 rows;
 // the file holds an array with one report per circuit.
 func rateEngine() error {
 	type row struct {
 		name   string
 		events uint64
-		sparse bool
 	}
 	rows := []row{
-		{"c432", 20000, false},
-		{"c1908", 10000, true},
+		{"c432", 20000},
+		{"c1908", 10000},
 	}
 	if *quick {
-		rows = []row{{"74LS153", 2000, false}}
+		rows = []row{{"74LS153", 2000}}
 	}
 	var reps []*bench.RateEngineReport
 	for _, w := range rows {
@@ -36,7 +34,7 @@ func rateEngine() error {
 		if !ok {
 			return fmt.Errorf("benchmark %s missing from suite", w.name)
 		}
-		rep, err := bench.RunRateEngineWith(b, logicnet.DefaultParams(), w.events, 11, w.sparse)
+		rep, err := bench.RunRateEngine(b, logicnet.DefaultParams(), w.events, 11)
 		if err != nil {
 			return err
 		}

@@ -21,19 +21,18 @@ const (
 // sweepEngine benchmarks the amortized million-point sweep engine and
 // writes BENCH_sweep_engine.json: compile-once session throughput vs
 // the per-point rebuild path on a 64x64 stability map of c1908 (6988
-// junctions, sparse potentials), and adaptive-mesh-refinement savings
-// vs a uniform fine lattice on a SET Coulomb-diamond map.
+// junctions), and adaptive-mesh-refinement savings vs a uniform fine
+// lattice on a SET Coulomb-diamond map.
 func sweepEngine() error {
 	o := bench.SweepEngineOptions{
 		Benchmark: "c1908",
-		Sparse:    true,
 		GridX:     64,
 		GridY:     64,
 		Events:    200,
 		Warm:      50,
-		// One per-point rebuild of c1908 costs minutes (netlist
-		// expansion + sparse factorization), and the cost is
-		// bias-independent, so two samples price the whole grid.
+		// One per-point rebuild of c1908 costs seconds (netlist
+		// expansion, sparse factorization, dense C^-1 rows), and the
+		// cost is bias-independent, so two samples price the whole grid.
 		RebuildSample: 2,
 		Seed:          11,
 		CoarseX:       9,
@@ -43,7 +42,7 @@ func sweepEngine() error {
 		RefineEvents:  2000,
 	}
 	if *quick {
-		o.Benchmark, o.Sparse = "74LS153", false
+		o.Benchmark = "74LS153"
 		o.GridX, o.GridY = 12, 12
 		o.RebuildSample = 4
 		o.CoarseX, o.CoarseY, o.Depth = 5, 5, 2

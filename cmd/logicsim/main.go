@@ -37,8 +37,7 @@ var (
 	temp      = flag.Float64("temp", bench.WorkloadTemp, "temperature in kelvin")
 	seed      = flag.Uint64("seed", 1, "Monte Carlo seed")
 	adaptive  = flag.Bool("adaptive", false, "use the adaptive solver")
-	sparse    = flag.Bool("sparse", false, "use the sparse locality-aware potential engine (bit-identical to dense at -cinv-eps 0)")
-	cinvEps   = flag.Float64("cinv-eps", 0, "truncate C^-1 rows at eps*rowmax; implies -sparse and skips the dense inverse entirely")
+	cinvEps   = flag.Float64("cinv-eps", 0, "build C^-1 as sparse rows truncated at eps*rowmax, never forming the dense inverse (0 = exact dense rows)")
 	vcdPath   = flag.String("vcd", "", "write the watched waveform as VCD to this file")
 	ckptPath  = flag.String("checkpoint", "", "persist periodic atomic snapshots of the run to this file (crash-safe)")
 	ckptEvery = flag.Int("checkpoint-every", 0, "target events between snapshots (0 = default; rounded up to the solver refresh period)")
@@ -102,8 +101,7 @@ func main() {
 	const stepAt = bench.SettleTime
 	drive[tog] = semsim.PWL{T: []float64{0, stepAt, stepAt + bench.StepRamp}, Volt: []float64{0, 0, vdd}}
 
-	bo := semsim.BuildOptions{SparsePotentials: *sparse || *cinvEps > 0, CinvTruncation: *cinvEps}
-	ex, err := semsim.ExpandLogicWith(nl, p, drive, bo)
+	ex, err := semsim.ExpandLogicWith(nl, p, drive, semsim.BuildOptions{CinvTruncation: *cinvEps})
 	if err != nil {
 		fatal(err)
 	}
@@ -126,10 +124,7 @@ func main() {
 	}
 	defer stopObs()
 
-	sim, err := semsim.NewSim(ex.Circuit, semsim.Options{
-		Temp: *temp, Seed: *seed, Adaptive: *adaptive,
-		SparsePotentials: bo.SparsePotentials, CinvTruncation: bo.CinvTruncation,
-	})
+	sim, err := semsim.NewSim(ex.Circuit, semsim.Options{Temp: *temp, Seed: *seed, Adaptive: *adaptive})
 	if err != nil {
 		fatal(err)
 	}

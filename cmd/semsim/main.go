@@ -42,8 +42,7 @@ func main() {
 	out := flag.String("o", "", "write results to this file instead of stdout")
 	parallel := flag.Int("parallel", 0, "within-run rate-engine workers (0 = GOMAXPROCS, 1 = serial; bit-identical either way)")
 	rateTables := flag.Bool("rate-tables", false, "evaluate normal-state rates through error-bounded interpolation tables (<1e-6 relative error)")
-	sparse := flag.Bool("sparse", false, "use the sparse locality-aware potential engine (bit-identical to dense at -cinv-eps 0)")
-	cinvEps := flag.Float64("cinv-eps", 0, "truncate C^-1 rows at eps*rowmax (implies -sparse; solver tracks a provable error bound)")
+	cinvEps := flag.Float64("cinv-eps", 0, "build C^-1 as sparse rows truncated at eps*rowmax (solver tracks a provable error bound); 0 keeps the deck's setting")
 	fanoWindow := flag.Float64("fano-window", 0, "fix the noise counting-window width in seconds, overriding deck windows and the auto calibration (never changes the trajectory)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist periodic atomic checkpoints of every run in this directory (crash-safe; created if missing)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "target events between checkpoints (0 = default; rounded up to the solver refresh period)")
@@ -54,7 +53,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	follow := flag.String("follow", "", "stream a semsimd job's live events instead of running a deck (job URL, e.g. http://host:8723/api/v1/jobs/j000001)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-parallel n] [-rate-tables] [-sparse] [-cinv-eps e] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
+		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-parallel n] [-rate-tables] [-cinv-eps e] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -124,7 +123,6 @@ func main() {
 	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckOverrides{
 		Parallel:   *parallel,
 		RateTables: *rateTables,
-		Sparse:     *sparse,
 		CinvEps:    *cinvEps,
 		FanoWindow: *fanoWindow,
 	}, semsim.DeckRunConfig{

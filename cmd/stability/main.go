@@ -122,10 +122,6 @@ func main() {
 		MaxTime:    sp.MaxTime,
 		Parallel:   *workers,
 	}
-	if sp.Sparse {
-		cfg.Options.SparsePotentials = true
-		cfg.Options.CinvTruncation = sp.CinvEps
-	}
 
 	// One compiled circuit + solver per worker; every point re-seeds it.
 	newSession := func() (*semsim.SweepSession, error) {

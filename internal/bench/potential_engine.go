@@ -7,7 +7,6 @@ import (
 
 	"semsim/internal/circuit"
 	"semsim/internal/logicnet"
-	"semsim/internal/numeric"
 	"semsim/internal/solver"
 	"semsim/internal/units"
 )
@@ -16,12 +15,12 @@ import (
 // benchmark: build cost, storage shape, micro-timed potential-update
 // costs, and a short adaptive solver run.
 type PotentialEngineRun struct {
-	// Engine is "dense", "sparse-exact" or "sparse-trunc".
+	// Engine is "dense" (ε = 0) or "sparse-trunc" (ε = Eps > 0).
 	Engine string  `json:"engine"`
 	Eps    float64 `json:"eps"`
-	// BuildSeconds is the circuit build (or view derivation) cost of
-	// this engine: the dense inverse, the derived exact rows, or the
-	// native RCM + sparse Cholesky + truncated-row build.
+	// BuildSeconds is the workload expansion and circuit build at this
+	// engine's ε: one RCM + sparse Cholesky factorization, then the
+	// exact dense rows or the truncated CSR rows.
 	BuildSeconds float64 `json:"build_seconds"`
 	// Storage shape.
 	NNZ             int     `json:"cinv_nnz"`
@@ -42,14 +41,10 @@ type PotentialEngineRun struct {
 	// MaxAbsPotentialError compares this engine's settled island
 	// potentials against the dense reference (volts).
 	MaxAbsPotentialError float64 `json:"max_abs_potential_error_v"`
-	// BitIdentical reports whether the short solver run reproduced the
-	// dense trajectory exactly (same Stats); expected true for
-	// sparse-exact, meaningless (false) for sparse-trunc.
-	BitIdentical bool `json:"bit_identical"`
 }
 
-// PotentialEngineReport is the machine-readable comparison of the three
-// potential backends on one benchmark circuit.
+// PotentialEngineReport is the machine-readable comparison of the two
+// potential engines on one benchmark circuit.
 type PotentialEngineReport struct {
 	Benchmark  string               `json:"benchmark"`
 	Junctions  int                  `json:"junctions"`
@@ -95,12 +90,12 @@ func solveOps(pe *circuit.Potentials, dst, q, vext []float64, reps int) float64 
 	return time.Since(start).Seconds() * 1e3 / float64(reps)
 }
 
-// RunPotentialEngine benchmarks the three potential backends — dense
-// inverse, exact sparse rows and eps-truncated sparse rows — on
-// benchmark b: build cost, per-event shift and full-refresh micro
-// timings, a short adaptive Monte Carlo run each, and the accuracy of
-// the truncated engine against the dense reference.
-func RunPotentialEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*PotentialEngineReport, error) {
+// RunPotentialEngines benchmarks the two potential engines — exact dense
+// rows (ε = 0) and truncated CSR rows (ε = TruncEps) — on benchmark b:
+// build cost, per-event shift and full-refresh micro timings, a short
+// adaptive Monte Carlo run each, and the accuracy of the truncated
+// engine against the dense reference.
+func RunPotentialEngines(b Benchmark, p logicnet.Params, events, seed uint64) (*PotentialEngineReport, error) {
 	buildStart := time.Now()
 	ex, err := BuildWorkload(b, p)
 	if err != nil {
@@ -130,18 +125,10 @@ func RunPotentialEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*P
 		vmax = math.Max(vmax, math.Abs(x))
 	}
 
-	deriveStart := time.Now()
-	exact, err := c.PotentialEngine(true, 0)
-	if err != nil {
-		return nil, err
-	}
-	exactDerive := time.Since(deriveStart).Seconds()
-
-	// Native sparse build: RCM + sparse Cholesky + truncated rows, no
-	// dense inverse ever formed. A separate workload expansion so the
-	// build timing is honest end to end.
+	// Truncated build: a separate workload expansion so the build timing
+	// is honest end to end.
 	truncStart := time.Now()
-	exT, err := BuildWorkloadWith(b, p, circuit.BuildOptions{SparsePotentials: true, CinvTruncation: TruncEps})
+	exT, err := BuildWorkloadWith(b, p, circuit.BuildOptions{CinvTruncation: TruncEps})
 	if err != nil {
 		return nil, err
 	}
@@ -151,21 +138,12 @@ func RunPotentialEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*P
 	shiftReps := 1 + 40000/(2*c.NumJunctions())
 	solveReps := 3
 
-	denseRun, err := timeEngineRun(ex, solver.Options{
-		Temp: WorkloadTemp, Seed: seed, Adaptive: true,
-	}, events)
+	opt := solver.Options{Temp: WorkloadTemp, Seed: seed, Adaptive: true}
+	denseRun, err := TimeSolverOn(ex, opt, events, 0)
 	if err != nil {
 		return nil, err
 	}
-	exactRun, err := timeEngineRun(ex, solver.Options{
-		Temp: WorkloadTemp, Seed: seed, Adaptive: true, SparsePotentials: true,
-	}, events)
-	if err != nil {
-		return nil, err
-	}
-	truncRun, err := timeEngineRun(exT, solver.Options{
-		Temp: WorkloadTemp, Seed: seed, Adaptive: true, SparsePotentials: true, CinvTruncation: TruncEps,
-	}, events)
+	truncRun, err := TimeSolverOn(exT, opt, events, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -178,25 +156,14 @@ func RunPotentialEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*P
 		maxErr = math.Max(maxErr, math.Abs(vRef[i]-vTrunc[i]))
 	}
 
-	v := append([]float64(nil), vRef...)
 	dense := c.Potentials()
 	runs := []PotentialEngineRun{
 		{
 			Engine: "dense", BuildSeconds: denseBuild,
 			NNZ: dense.NNZ(), TruncationRatio: dense.TruncationRatio(), Fill: dense.Fill(),
-			ShiftNsPerOp:      shiftOps(dense, c, v, shiftReps),
+			ShiftNsPerOp:      shiftOps(dense, c, append([]float64(nil), vRef...), shiftReps),
 			RefreshMsPerSolve: solveOps(dense, make([]float64, ni), q, vext, solveReps),
 			Events:            denseRun.Events, WallSeconds: denseRun.Wall.Seconds(),
-			BitIdentical: true,
-		},
-		{
-			Engine: "sparse-exact", BuildSeconds: exactDerive,
-			NNZ: exact.NNZ(), TruncationRatio: exact.TruncationRatio(), Fill: exact.Fill(),
-			ShiftNsPerOp:      shiftOps(exact, c, v, shiftReps),
-			RefreshMsPerSolve: solveOps(exact, make([]float64, ni), q, vext, solveReps),
-			Events:            exactRun.Events, WallSeconds: exactRun.Wall.Seconds(),
-			BitIdentical: denseRun.Events == exactRun.Events && denseRun.RateCalcs == exactRun.RateCalcs &&
-				numeric.SameBits(denseRun.SimulatedTime, exactRun.SimulatedTime),
 		},
 		{
 			Engine: "sparse-trunc", Eps: TruncEps, BuildSeconds: truncBuild,
@@ -214,17 +181,11 @@ func RunPotentialEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*P
 		}
 	}
 	rep.Runs = runs
-	if runs[2].ShiftNsPerOp > 0 {
-		rep.ShiftSpeedup = runs[0].ShiftNsPerOp / runs[2].ShiftNsPerOp
+	if runs[1].ShiftNsPerOp > 0 {
+		rep.ShiftSpeedup = runs[0].ShiftNsPerOp / runs[1].ShiftNsPerOp
 	}
-	if runs[2].RefreshMsPerSolve > 0 {
-		rep.RefreshSpeedup = runs[0].RefreshMsPerSolve / runs[2].RefreshMsPerSolve
+	if runs[1].RefreshMsPerSolve > 0 {
+		rep.RefreshSpeedup = runs[0].RefreshMsPerSolve / runs[1].RefreshMsPerSolve
 	}
 	return rep, nil
-}
-
-// timeEngineRun is a thin wrapper over TimeSolverOn that keeps the
-// fields the bit-identity comparison needs.
-func timeEngineRun(ex *logicnet.Expanded, opt solver.Options, events uint64) (TimingResult, error) {
-	return TimeSolverOn(ex, opt, events, 0)
 }

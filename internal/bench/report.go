@@ -3,7 +3,6 @@ package bench
 import (
 	"runtime"
 
-	"semsim/internal/circuit"
 	"semsim/internal/logicnet"
 	"semsim/internal/solver"
 )
@@ -35,17 +34,10 @@ type RateEngineReport struct {
 // RunRateEngine times the non-adaptive solver — the configuration whose
 // cost is dominated by the sharded rate recomputation — on benchmark b
 // for the given event budget, across the four corners of the engine:
-// {serial, parallel} x {exact, tabulated} rates.
+// {serial, parallel} x {exact, tabulated} rates. The circuit is built
+// with the default exact dense C^-1 rows.
 func RunRateEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*RateEngineReport, error) {
-	return RunRateEngineWith(b, p, events, seed, false)
-}
-
-// RunRateEngineWith is RunRateEngine with a sparse-potentials switch:
-// the largest circuits (c1908, 6988 junctions) are built and simulated
-// through the sparse engine, skipping the dense C^-1 entirely — the
-// configuration those circuits run under in practice.
-func RunRateEngineWith(b Benchmark, p logicnet.Params, events, seed uint64, sparse bool) (*RateEngineReport, error) {
-	ex, err := BuildWorkloadWith(b, p, circuit.BuildOptions{SparsePotentials: sparse})
+	ex, err := BuildWorkload(b, p)
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +60,10 @@ func RunRateEngineWith(b Benchmark, p logicnet.Params, events, seed uint64, spar
 	}
 	for _, c := range configs {
 		opt := solver.Options{
-			Temp:             WorkloadTemp,
-			Seed:             seed,
-			Parallel:         c.workers,
-			RateTables:       c.tables,
-			SparsePotentials: sparse,
+			Temp:       WorkloadTemp,
+			Seed:       seed,
+			Parallel:   c.workers,
+			RateTables: c.tables,
 		}
 		res, err := TimeSolverOn(ex, opt, events, 0)
 		if err != nil {

@@ -38,8 +38,8 @@ func BuildWorkload(b Benchmark, p logicnet.Params) (*logicnet.Expanded, error) {
 }
 
 // BuildWorkloadWith is BuildWorkload with explicit circuit build
-// options — used by the potential-engine benchmark to build the largest
-// circuits natively sparse, skipping the dense inverse entirely.
+// options: a positive CinvTruncation builds truncated CSR rows and never
+// forms the dense inverse.
 func BuildWorkloadWith(b Benchmark, p logicnet.Params, bo circuit.BuildOptions) (*logicnet.Expanded, error) {
 	vdd := p.Vdd()
 	drive := map[string]circuit.Source{}

@@ -35,9 +35,6 @@ import (
 type SweepEngineOptions struct {
 	// Benchmark names the logic circuit for the throughput half.
 	Benchmark string
-	// Sparse builds it on the sparse potential engine (required for the
-	// largest circuits).
-	Sparse bool
 	// GridX x GridY is the amortized map; Events/Warm the per-point
 	// Monte Carlo budget.
 	GridX, GridY int
@@ -120,7 +117,6 @@ func runSweepThroughput(o SweepEngineOptions, rep *SweepEngineReport) error {
 		return fmt.Errorf("bench: %s has %d inputs; the map needs two", o.Benchmark, len(ins))
 	}
 	p := logicnet.DefaultParams()
-	bo := circuit.BuildOptions{SparsePotentials: o.Sparse}
 	// Static bias points: every input a DC source, the map sweeping the
 	// first two over the logic swing.
 	driveAt := func(x, y float64) map[string]circuit.Source {
@@ -134,11 +130,10 @@ func runSweepThroughput(o SweepEngineOptions, rep *SweepEngineReport) error {
 	}
 	cfg := sweep.Config{
 		Options: solver.Options{
-			Temp:             WorkloadTemp,
-			Seed:             o.Seed,
-			Adaptive:         true,
-			RateTables:       true,
-			SparsePotentials: o.Sparse,
+			Temp:       WorkloadTemp,
+			Seed:       o.Seed,
+			Adaptive:   true,
+			RateTables: true,
 		},
 		WarmEvents: o.Warm,
 		Events:     o.Events,
@@ -150,7 +145,7 @@ func runSweepThroughput(o SweepEngineOptions, rep *SweepEngineReport) error {
 	// Reset per point. The expansion is inside the timed window — it is
 	// part of what the session path pays.
 	amStart := time.Now()
-	ex, err := b.Netlist.ExpandWith(p, driveAt(0, 0), bo)
+	ex, err := b.Netlist.Expand(p, driveAt(0, 0))
 	if err != nil {
 		return err
 	}
@@ -185,7 +180,7 @@ func runSweepThroughput(o SweepEngineOptions, rep *SweepEngineReport) error {
 	rys := []float64{ys[len(ys)/2]}
 	rbStart := time.Now()
 	_, err = sweep.Map2D(func(x, y float64) (*circuit.Circuit, int, error) {
-		ex2, err := b.Netlist.ExpandWith(p, driveAt(x, y), bo)
+		ex2, err := b.Netlist.Expand(p, driveAt(x, y))
 		if err != nil {
 			return nil, 0, err
 		}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"semsim/internal/matrix"
 	"semsim/internal/numeric"
@@ -173,16 +172,11 @@ type Circuit struct {
 	cinv       *matrix.Sym // dense C^-1; nil when built with CinvTruncation > 0
 	cie        [][]float64 // islands x externals coupling capacitances
 	mext       [][]float64 // Cinv * CIE: islands x externals; nil when cinv is
-	pot        *Potentials // build-time potential engine
+	pot        *Potentials // the potential engine
 	nodeJuncs  [][]int     // node id -> junction ids touching it
 	juncNbrs   [][]int     // junction id -> neighbouring junction ids
 	hasDynamic bool
 	allStatic  bool
-
-	// Derived potential engines (see PotentialEngine), cached per eps.
-	engMu     sync.Mutex
-	denseView *Potentials
-	derived   map[float64]*Potentials
 }
 
 // SuperParams describes the superconducting state of a circuit in which
@@ -302,7 +296,7 @@ var ErrNoIslands = errors.New("circuit: no islands")
 func (c *Circuit) Build() error { return c.BuildWith(BuildOptions{}) }
 
 // BuildWith freezes the circuit like Build but lets the caller select
-// the potential backend (see BuildOptions). With CinvTruncation > 0 the
+// the potential engine (see BuildOptions). With CinvTruncation > 0 the
 // dense inverse is never formed, so circuits far beyond the dense
 // memory ceiling become buildable.
 func (c *Circuit) BuildWith(bo BuildOptions) error {

@@ -2,23 +2,18 @@ package circuit
 
 // The potential engine: one object owning every C^-1-mediated quantity
 // the solver reads — per-event potential shifts, full potential solves,
-// free-energy changes and external-input deltas. A circuit always has a
-// built-in engine (dense by default); sparse views over the same
-// circuit are derived on demand through PotentialEngine.
+// free-energy changes and external-input deltas. A circuit owns exactly
+// one engine, the one BuildWith assembled; the truncation threshold ε
+// alone picks its row storage:
 //
-// Two backends share the interface:
-//
-//   - dense: the explicit exact inverse, full rows, O(n) per event. The
-//     reference implementation.
-//   - sparse: ε-truncated C^-1 rows in CSR form. Each row keeps only
-//     entries with |v| >= ε·‖row‖∞; per-event shifts and refresh solves
-//     walk stored nonzeros only, O(k) per row. With ε = 0 the stored
-//     values are exactly the dense inverse's (only exact zeros are
-//     dropped), so every accumulation visits the same floats in the
-//     same order and trajectories are bit-identical to the dense
-//     engine. With ε > 0 the engine carries a provable per-potential
-//     error bound (EventErrorBound / RefreshErrorBound /
-//     InputErrorBound) that the solver accumulates into its Stats.
+//   - ε = 0 (dense): the exact inverse as full symmetrized rows, O(n)
+//     per event. The reference implementation.
+//   - ε > 0 (sparse): ε-truncated C^-1 rows in CSR form. Each row keeps
+//     only entries with |v| >= ε·‖row‖∞; per-event shifts and refresh
+//     solves walk stored nonzeros only, O(k) per row. The engine
+//     carries a provable per-potential error bound (EventErrorBound /
+//     RefreshErrorBound / InputErrorBound) that the solver accumulates
+//     into its Stats.
 //
 // C^-1 entries of a diagonally dominant capacitance matrix decay
 // exponentially with graph distance, which is why a relative threshold
@@ -26,38 +21,32 @@ package circuit
 // logic benchmarks while the bound stays far below thermal noise.
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"semsim/internal/matrix"
-	"semsim/internal/numeric"
 	"semsim/internal/units"
 )
 
-// BuildOptions selects the potential backend assembled by BuildWith.
+// BuildOptions selects the potential engine assembled by BuildWith.
 type BuildOptions struct {
-	// SparsePotentials builds the sparse locality-aware potential
-	// engine instead of the dense inverse. Every build factors C
-	// sparsely under an RCM ordering and computes the C^-1 rows by
-	// sparse solves. With CinvTruncation = 0 the dense inverse is still
-	// kept and compressed (bit-identical trajectories, no memory
-	// saving); with CinvTruncation > 0 each row is truncated as it is
-	// solved and the dense inverse is never formed.
+	// SparsePotentials is ignored: CinvTruncation alone selects the
+	// engine.
+	//
+	// Deprecated: kept only while the benchmark harness still sets it.
 	SparsePotentials bool
-	// CinvTruncation is the relative row-truncation threshold ε:
-	// entries of a C^-1 row (and of mext) smaller in magnitude than
-	// ε·‖row‖∞ are dropped. 0 keeps everything (exact). Implies
-	// SparsePotentials.
+	// CinvTruncation is the relative row-truncation threshold ε, and
+	// the only engine selector. 0 (the default) keeps the exact C^-1 as
+	// dense rows. ε > 0 drops the entries of each C^-1 row (and of
+	// mext) smaller in magnitude than ε·‖row‖∞, storing the rest as CSR
+	// as each row is solved; the dense inverse is never formed.
 	CinvTruncation float64
 }
 
-// Potentials is a potential engine bound to one built circuit. It is
+// Potentials is the potential engine of one built circuit. It is
 // immutable after construction and safe for concurrent readers.
 type Potentials struct {
-	c      *Circuit
-	sparse bool
-	eps    float64
+	c   *Circuit
+	eps float64 // C^-1 truncation threshold; > 0 selects the CSR rows
 
 	// Sparse backend: ε-truncated C^-1 rows and mext rows, CSR layout.
 	// Row i of C^-1 occupies rowCol/rowVal[rowPtr[i]:rowPtr[i+1]]; the
@@ -69,18 +58,18 @@ type Potentials struct {
 	mCol   []int32
 	mVal   []float64
 
-	// Truncation error metadata; all zero for dense and ε = 0 engines.
+	// Truncation error metadata; all zero for the dense engine.
 	dropInf    float64 // largest dropped |C^-1 entry| over all rows
 	dropL1     float64 // largest per-row sum of dropped |C^-1 entries|
 	mextDropL1 float64 // largest per-row sum of dropped |mext entries|
-	fill       float64 // sparse Cholesky fill nnz(L)/nnz(tril(C)); 0 over the dense inverse
+	fill       float64 // sparse Cholesky fill nnz(L)/nnz(tril(C))
 }
 
 // Sparse reports whether the engine walks truncated rows (true) or full
 // dense rows (false).
-func (p *Potentials) Sparse() bool { return p.sparse }
+func (p *Potentials) Sparse() bool { return p.eps > 0 }
 
-// Eps returns the relative truncation threshold (0 for exact engines).
+// Eps returns the relative truncation threshold (0 for the dense engine).
 func (p *Potentials) Eps() float64 { return p.eps }
 
 // Truncated reports whether the engine has dropped any nonzero entry,
@@ -89,7 +78,7 @@ func (p *Potentials) Truncated() bool { return p.dropInf > 0 || p.mextDropL1 > 0
 
 // NNZ returns the number of stored C^-1 entries (n^2 for dense).
 func (p *Potentials) NNZ() int {
-	if !p.sparse {
+	if !p.Sparse() {
 		n := len(p.c.islands)
 		return n * n
 	}
@@ -106,14 +95,13 @@ func (p *Potentials) TruncationRatio() float64 {
 	return float64(p.NNZ()) / (float64(n) * float64(n))
 }
 
-// Fill returns the sparse Cholesky fill-in ratio nnz(L)/nnz(tril(C)) of
-// the factorization behind a natively truncated engine, or 0 for the
-// dense engine and the views derived from the dense inverse.
+// Fill returns the fill-in ratio nnz(L)/nnz(tril(C)) of the sparse
+// Cholesky factorization the engine's rows were solved from.
 func (p *Potentials) Fill() float64 { return p.fill }
 
 // at returns C^-1 element (i, j) in island coordinates.
 func (p *Potentials) at(i, j int) float64 {
-	if !p.sparse {
+	if !p.Sparse() {
 		return p.c.cinv.At(i, j)
 	}
 	cols := p.rowCol[p.rowPtr[i]:p.rowPtr[i+1]]
@@ -176,7 +164,7 @@ func (p *Potentials) PotentialShift(k, src, dst int, mq float64) float64 {
 // path walks only stored nonzeros.
 func (p *Potentials) Shift(v []float64, src, dst int, mq float64) int {
 	touched := 0
-	if !p.sparse {
+	if !p.Sparse() {
 		if k := p.c.islandIdx[src]; k >= 0 {
 			row := p.c.cinv.Row(k)
 			for i := range v {
@@ -217,7 +205,7 @@ func (p *Potentials) Shift(v []float64, src, dst int, mq float64) int {
 // so disjoint ranges may run concurrently; see RowShards for
 // nnz-balanced shard boundaries on sparse engines.
 func (p *Potentials) SolveRange(dst, q, vext []float64, lo, hi int) {
-	if !p.sparse {
+	if !p.Sparse() {
 		for i := lo; i < hi; i++ {
 			row := p.c.cinv.Row(i)
 			acc := 0.0
@@ -247,7 +235,7 @@ func (p *Potentials) SolveRange(dst, q, vext []float64, lo, hi int) {
 // change caused by external voltages moving from vext0 to vext1:
 // dv = mext * (v1 - v0).
 func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
-	if !p.sparse {
+	if !p.Sparse() {
 		for i := range dst {
 			acc := 0.0
 			for s := range vext0 {
@@ -273,7 +261,7 @@ func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
 // leaves skewed row lengths. Dense engines return nil (equal row counts
 // are already balanced).
 func (p *Potentials) RowShards(parts int) []int {
-	if !p.sparse || parts <= 1 {
+	if !p.Sparse() || parts <= 1 {
 		return nil
 	}
 	ni := len(p.c.islands)
@@ -332,10 +320,6 @@ func (p *Potentials) InputErrorBound(dvmax float64) float64 {
 
 // --- Construction ---
 
-func newDensePotentials(c *Circuit) *Potentials {
-	return &Potentials{c: c}
-}
-
 // truncRow appends the entries of dense row `row` with magnitude at
 // least eps*‖row‖∞ to (cols, vals), always dropping exact zeros, and
 // returns the updated slices plus the L1 sum and max magnitude of the
@@ -366,49 +350,25 @@ func truncRow(cols []int32, vals []float64, row []float64, eps float64) ([]int32
 	return cols, vals, dropSum, dropMax
 }
 
-// newSparseFromDense compresses an already-computed dense inverse into
-// truncated rows. With eps = 0 only exact zeros are dropped, so the
-// stored values are the dense inverse's own floats — the basis of the
-// sparse engine's bit-identity guarantee.
-func newSparseFromDense(c *Circuit, eps float64) *Potentials {
-	ni := len(c.islands)
-	p := &Potentials{c: c, sparse: true, eps: eps,
-		rowPtr: make([]int, ni+1), mPtr: make([]int, ni+1)}
-	for i := 0; i < ni; i++ {
-		var ds, dm float64
-		p.rowCol, p.rowVal, ds, dm = truncRow(p.rowCol, p.rowVal, c.cinv.Row(i), eps)
-		p.rowPtr[i+1] = len(p.rowCol)
-		if ds > p.dropL1 {
-			p.dropL1 = ds
-		}
-		if dm > p.dropInf {
-			p.dropInf = dm
-		}
-		p.mCol, p.mVal, ds, dm = truncRow(p.mCol, p.mVal, c.mext[i], eps)
-		p.mPtr[i+1] = len(p.mCol)
-		if ds > p.mextDropL1 {
-			p.mextDropL1 = ds
-		}
-	}
-	return p
-}
-
 // buildPotentials is the one C^-1 build: C is factored once under an
 // RCM ordering and every C^-1 row comes from one sparse solve,
-// O(n·nnz(L)) in total. Two row storages follow. At CinvTruncation = 0
-// the rows are kept dense and symmetrized as the circuit's cinv, and
-// mext is derived from them; the engine reads them directly (dense) or
-// compresses them (SparsePotentials, bit-identical). With
-// SparsePotentials and CinvTruncation > 0 each row is truncated into
-// CSR as it is solved and the dense inverse is never formed.
+// O(n·nnz(L)) in total. ε = bo.CinvTruncation picks the row storage.
+// At ε = 0 the rows are kept dense and symmetrized as the circuit's
+// cinv, and mext is derived from them. At ε > 0 each row is truncated
+// into CSR as it is solved and the dense inverse is never formed.
 func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
 	chol, err := matrix.FactorCSR(c.ccsr, matrix.RCM(c.ccsr))
 	if err != nil {
 		return nil, err
 	}
+	p := &Potentials{c: c}
+	if l := c.ccsr.LowerNNZ(); l > 0 {
+		p.fill = float64(chol.NNZ()) / float64(l)
+	}
 	cie := c.cieNonzeros()
-	if bo.SparsePotentials && bo.CinvTruncation > 0 {
-		return newSparseNative(c, chol, cie, bo.CinvTruncation), nil
+	if bo.CinvTruncation > 0 {
+		p.truncateRows(chol, cie, bo.CinvTruncation)
+		return p, nil
 	}
 	// The island charge balance is q_e = C_II*v_I - C_IE*v_E (the C_IE
 	// column holds the positive coupling capacitances), so
@@ -420,10 +380,7 @@ func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
 		c.mext[i] = make([]float64, ne)
 		cie.mulRow(c.mext[i], c.cinv.Row(i))
 	}
-	if bo.SparsePotentials {
-		return newSparseFromDense(c, 0), nil
-	}
-	return newDensePotentials(c), nil
+	return p, nil
 }
 
 // couplings lists the nonzero island-external coupling capacitances
@@ -460,16 +417,13 @@ func (cp couplings) mulRow(dst, row []float64) {
 	}
 }
 
-// newSparseNative builds a truncated engine without ever forming the
-// dense inverse: each C^-1 row is computed by one sparse solve,
-// truncated, and stored.
-func newSparseNative(c *Circuit, chol *matrix.SparseChol, cie couplings, eps float64) *Potentials {
-	ni, ne := len(c.islands), len(c.externals)
-	p := &Potentials{c: c, sparse: true, eps: eps,
-		rowPtr: make([]int, ni+1), mPtr: make([]int, ni+1)}
-	if l := c.ccsr.LowerNNZ(); l > 0 {
-		p.fill = float64(chol.NNZ()) / float64(l)
-	}
+// truncateRows makes p the truncated engine at eps: each C^-1 row is
+// computed by one sparse solve, truncated and stored, together with
+// its mext row.
+func (p *Potentials) truncateRows(chol *matrix.SparseChol, cie couplings, eps float64) {
+	ni, ne := len(p.c.islands), len(p.c.externals)
+	p.eps = eps
+	p.rowPtr, p.mPtr = make([]int, ni+1), make([]int, ni+1)
 	row := make([]float64, ni)
 	w := make([]float64, ni)
 	mrow := make([]float64, ne)
@@ -491,124 +445,8 @@ func newSparseNative(c *Circuit, chol *matrix.SparseChol, cie couplings, eps flo
 			p.mextDropL1 = ds
 		}
 	}
-	return p
 }
 
-// reTruncate derives a more aggressively truncated engine from an
-// existing sparse one (eps must exceed the base's). The row maxima are
-// preserved by truncation (the largest entry is never dropped), so the
-// thresholds match a from-scratch build; the error bounds compound the
-// base's conservatively.
-func reTruncate(base *Potentials, eps float64) *Potentials {
-	c := base.c
-	ni := len(c.islands)
-	p := &Potentials{c: c, sparse: true, eps: eps, fill: base.fill,
-		rowPtr: make([]int, ni+1), mPtr: make([]int, ni+1)}
-	trunc := func(ptr []int, cols []int32, vals []float64, i int, outCols []int32, outVals []float64) ([]int32, []float64, float64, float64) {
-		lo, hi := ptr[i], ptr[i+1]
-		rmax := 0.0
-		for _, v := range vals[lo:hi] {
-			if a := math.Abs(v); a > rmax {
-				rmax = a
-			}
-		}
-		thr := eps * rmax
-		dropSum, dropMax := 0.0, 0.0
-		for idx := lo; idx < hi; idx++ {
-			if a := math.Abs(vals[idx]); a < thr {
-				dropSum += a
-				if a > dropMax {
-					dropMax = a
-				}
-				continue
-			}
-			outCols = append(outCols, cols[idx])
-			outVals = append(outVals, vals[idx])
-		}
-		return outCols, outVals, dropSum, dropMax
-	}
-	var newDropL1, newDropInf, newMextL1 float64
-	for i := 0; i < ni; i++ {
-		var ds, dm float64
-		p.rowCol, p.rowVal, ds, dm = trunc(base.rowPtr, base.rowCol, base.rowVal, i, p.rowCol, p.rowVal)
-		p.rowPtr[i+1] = len(p.rowCol)
-		if ds > newDropL1 {
-			newDropL1 = ds
-		}
-		if dm > newDropInf {
-			newDropInf = dm
-		}
-		p.mCol, p.mVal, ds, dm = trunc(base.mPtr, base.mCol, base.mVal, i, p.mCol, p.mVal)
-		p.mPtr[i+1] = len(p.mCol)
-		if ds > newMextL1 {
-			newMextL1 = ds
-		}
-	}
-	p.dropL1 = base.dropL1 + newDropL1
-	p.dropInf = math.Max(base.dropInf, newDropInf)
-	p.mextDropL1 = base.mextDropL1 + newMextL1
-	return p
-}
-
-// PotentialEngine returns a potential engine over this circuit with the
-// requested backend, deriving and caching one when it differs from the
-// engine the circuit was built with. A positive eps implies sparse.
-//
-// Rules: on a dense-built circuit any sparse view can be derived (the
-// dense inverse is compressed and truncated). On a circuit built with
-// CinvTruncation > 0 the dense inverse never existed, so only the
-// built engine or a coarser re-truncation (larger eps) is available;
-// asking for dense or a smaller eps is an error. Asking for exactly the
-// built configuration returns the built engine itself.
-func (c *Circuit) PotentialEngine(sparse bool, eps float64) (*Potentials, error) {
-	if !c.built {
-		return nil, errors.New("circuit: PotentialEngine before Build")
-	}
-	if eps < 0 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("circuit: invalid C^-1 truncation threshold %g", eps)
-	}
-	if eps > 0 {
-		sparse = true
-	}
-	if !sparse {
-		if c.cinv == nil {
-			return nil, fmt.Errorf("circuit: built with cinv truncation %g; the dense engine is unavailable", c.pot.eps)
-		}
-		if !c.pot.sparse {
-			return c.pot, nil
-		}
-		// Built sparse-exact, dense data still present: serve a dense view.
-		c.engMu.Lock()
-		defer c.engMu.Unlock()
-		if c.denseView == nil {
-			c.denseView = newDensePotentials(c)
-		}
-		return c.denseView, nil
-	}
-	if c.pot.sparse && numeric.SameBits(c.pot.eps, eps) {
-		return c.pot, nil
-	}
-	c.engMu.Lock()
-	defer c.engMu.Unlock()
-	if e, ok := c.derived[eps]; ok {
-		return e, nil
-	}
-	var e *Potentials
-	if c.cinv != nil {
-		e = newSparseFromDense(c, eps)
-	} else {
-		if eps < c.pot.eps {
-			return nil, fmt.Errorf("circuit: built with cinv truncation %g; cannot derive finer truncation %g", c.pot.eps, eps)
-		}
-		e = reTruncate(c.pot, eps)
-	}
-	if c.derived == nil {
-		c.derived = map[float64]*Potentials{}
-	}
-	c.derived[eps] = e
-	return e, nil
-}
-
-// Potentials returns the engine the circuit was built with (dense
-// unless BuildWith selected the sparse backend).
+// Potentials returns the circuit's potential engine: dense at
+// CinvTruncation = 0, truncated CSR rows otherwise.
 func (c *Circuit) Potentials() *Potentials { return c.pot }

@@ -44,66 +44,6 @@ func chainElectrons(n int) []int {
 	return ns
 }
 
-// TestSparseExactBitIdentical: the ε=0 sparse engine must reproduce the
-// dense engine bit for bit on every operation the solver uses.
-func TestSparseExactBitIdentical(t *testing.T) {
-	c, isls := buildChain(t, 40, BuildOptions{})
-	dense := c.Potentials()
-	sp, err := c.PotentialEngine(true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sp.Sparse() || sp.Truncated() {
-		t.Fatalf("exact sparse engine: sparse=%v truncated=%v", sp.Sparse(), sp.Truncated())
-	}
-	ni := c.NumIslands()
-	ns := chainElectrons(ni)
-	q := c.ChargeVector(nil, ns)
-	vext := c.ExternalVoltages(nil, 0)
-
-	vd := make([]float64, ni)
-	vs := make([]float64, ni)
-	dense.SolveRange(vd, q, vext, 0, ni)
-	sp.SolveRange(vs, q, vext, 0, ni)
-	for i := range vd {
-		if vd[i] != vs[i] {
-			t.Fatalf("SolveRange[%d]: dense %v sparse %v", i, vd[i], vs[i])
-		}
-	}
-	// Per-event shifts, both endpoints islands and one endpoint external.
-	for _, pair := range [][2]int{{isls[3], isls[4]}, {0, isls[0]}, {isls[ni-1], 1}} {
-		vd2 := append([]float64(nil), vd...)
-		vs2 := append([]float64(nil), vs...)
-		dense.Shift(vd2, pair[0], pair[1], units.E)
-		sp.Shift(vs2, pair[0], pair[1], units.E)
-		for i := range vd2 {
-			if vd2[i] != vs2[i] {
-				t.Fatalf("Shift %v [%d]: dense %v sparse %v", pair, i, vd2[i], vs2[i])
-			}
-		}
-		if dw1, dw2 := dense.DeltaWElectron(pair[0], pair[1], 0.001, -0.002), sp.DeltaWElectron(pair[0], pair[1], 0.001, -0.002); dw1 != dw2 {
-			t.Fatalf("DeltaW %v: dense %v sparse %v", pair, dw1, dw2)
-		}
-		for k := 0; k < ni; k += 7 {
-			if s1, s2 := dense.PotentialShift(k, pair[0], pair[1], units.E), sp.PotentialShift(k, pair[0], pair[1], units.E); s1 != s2 {
-				t.Fatalf("PotentialShift %v k=%d: dense %v sparse %v", pair, k, s1, s2)
-			}
-		}
-	}
-	// Input-change deltas.
-	vext1 := append([]float64(nil), vext...)
-	vext1[2] += 0.004
-	dd := make([]float64, ni)
-	ds := make([]float64, ni)
-	dense.ExternalDelta(dd, vext, vext1)
-	sp.ExternalDelta(ds, vext, vext1)
-	for i := range dd {
-		if dd[i] != ds[i] {
-			t.Fatalf("ExternalDelta[%d]: dense %v sparse %v", i, dd[i], ds[i])
-		}
-	}
-}
-
 // TestNativeSparseBuildMatchesDense: a circuit built natively sparse
 // (no dense inverse ever formed) must agree with the dense build to
 // solver accuracy, and its potential error must respect the bound.
@@ -111,8 +51,8 @@ func TestNativeSparseBuildMatchesDense(t *testing.T) {
 	const n = 60
 	cd, _ := buildChain(t, n, BuildOptions{})
 	for _, eps := range []float64{1e-14, 1e-6, 1e-3} {
-		cs, _ := buildChain(t, n, BuildOptions{SparsePotentials: true, CinvTruncation: eps})
-		if _, err := cs.PotentialEngine(false, 0); err == nil {
+		cs, _ := buildChain(t, n, BuildOptions{CinvTruncation: eps})
+		if cs.cinv != nil {
 			t.Fatal("native sparse build formed the dense inverse")
 		}
 		pe := cs.Potentials()
@@ -149,55 +89,34 @@ func TestNativeSparseBuildMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPotentialEngineRules pins the derivation rules: caching, implied
-// sparse, and the errors for unavailable backends.
-func TestPotentialEngineRules(t *testing.T) {
-	c, _ := buildChain(t, 10, BuildOptions{})
-	if e, err := c.PotentialEngine(false, 0); err != nil || e != c.Potentials() {
-		t.Fatalf("dense request: engine %p err %v, want built %p", e, err, c.Potentials())
+// TestEpsSelectsEngine: the truncation threshold alone picks the
+// engine. A positive ε builds truncated CSR rows without forming the
+// dense inverse; ε = 0 builds the dense engine whatever the deprecated
+// SparsePotentials field says.
+func TestEpsSelectsEngine(t *testing.T) {
+	c, _ := buildChain(t, 40, BuildOptions{CinvTruncation: 1e-6})
+	pe := c.Potentials()
+	if !pe.Sparse() || pe.Eps() != 1e-6 || c.cinv != nil || c.mext != nil {
+		t.Fatalf("eps=1e-6 build: sparse=%v eps=%g dense inverse formed=%v",
+			pe.Sparse(), pe.Eps(), c.cinv != nil)
 	}
-	e1, err := c.PotentialEngine(true, 1e-6)
-	if err != nil {
-		t.Fatal(err)
+	if !pe.Truncated() || pe.NNZ() >= 40*40 {
+		t.Fatalf("eps=1e-6 build on a 40-island chain dropped nothing (nnz %d)", pe.NNZ())
 	}
-	e2, err := c.PotentialEngine(false, 1e-6) // eps > 0 implies sparse
-	if err != nil || e2 != e1 {
-		t.Fatalf("derived engines not cached: %p vs %p (err %v)", e1, e2, err)
-	}
-
-	cs, _ := buildChain(t, 10, BuildOptions{SparsePotentials: true, CinvTruncation: 1e-6})
-	if _, err := cs.PotentialEngine(false, 0); err == nil {
-		t.Fatal("dense engine served from a truncated build")
-	}
-	if _, err := cs.PotentialEngine(true, 1e-9); err == nil {
-		t.Fatal("finer truncation served from a coarser build")
-	}
-	if e, err := cs.PotentialEngine(true, 1e-6); err != nil || e != cs.Potentials() {
-		t.Fatalf("built config not served as built engine: %v", err)
-	}
-	coarse, err := cs.PotentialEngine(true, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.NNZ() > cs.Potentials().NNZ() {
-		t.Fatal("re-truncation grew the row storage")
-	}
-
-	// Sparse-exact built circuit keeps dense data: both views available.
-	ce, _ := buildChain(t, 10, BuildOptions{SparsePotentials: true})
-	if !ce.Potentials().Sparse() {
-		t.Fatal("sparse build produced a dense engine")
-	}
-	dv, err := ce.PotentialEngine(false, 0)
-	if err != nil || dv.Sparse() {
-		t.Fatalf("dense view on sparse-exact build: %v", err)
+	for _, bo := range []BuildOptions{{}, {SparsePotentials: true}} {
+		c, _ := buildChain(t, 40, bo)
+		pe := c.Potentials()
+		if pe.Sparse() || pe.Eps() != 0 || pe.Truncated() || c.cinv == nil || pe.NNZ() != 40*40 {
+			t.Fatalf("%+v: sparse=%v eps=%g truncated=%v nnz=%d, want the dense engine",
+				bo, pe.Sparse(), pe.Eps(), pe.Truncated(), pe.NNZ())
+		}
 	}
 }
 
 // TestRowShards: boundaries must be monotone, span all rows, and
 // balance stored nonzeros to within a row's worth of slack.
 func TestRowShards(t *testing.T) {
-	c, _ := buildChain(t, 200, BuildOptions{SparsePotentials: true, CinvTruncation: 1e-4})
+	c, _ := buildChain(t, 200, BuildOptions{CinvTruncation: 1e-4})
 	pe := c.Potentials()
 	for _, parts := range []int{2, 3, 8} {
 		b := pe.RowShards(parts)
@@ -225,18 +144,15 @@ func TestRowShards(t *testing.T) {
 // TestPotentialShiftZeroAlloc: the per-event hot paths of both engines
 // must not allocate.
 func TestPotentialShiftZeroAlloc(t *testing.T) {
-	c, isls := buildChain(t, 64, BuildOptions{})
-	sp, err := c.PotentialEngine(true, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ni := c.NumIslands()
-	ns := chainElectrons(ni)
-	v := c.IslandPotentials(nil, ns, 0)
-	q := c.ChargeVector(nil, ns)
-	vext := c.ExternalVoltages(nil, 0)
-	dv := make([]float64, ni)
-	for _, pe := range []*Potentials{c.Potentials(), sp} {
+	for _, eps := range []float64{0, 1e-6} {
+		c, isls := buildChain(t, 64, BuildOptions{CinvTruncation: eps})
+		pe := c.Potentials()
+		ni := c.NumIslands()
+		ns := chainElectrons(ni)
+		v := c.IslandPotentials(nil, ns, 0)
+		q := c.ChargeVector(nil, ns)
+		vext := c.ExternalVoltages(nil, 0)
+		dv := make([]float64, ni)
 		name := "dense"
 		if pe.Sparse() {
 			name = "sparse"

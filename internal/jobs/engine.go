@@ -245,6 +245,7 @@ func (e *Engine) Submit(d *netlist.Deck, ov Overrides) (*Job, error) {
 		// it was accumulated under.
 		ov.FanoWindow = e.cfg.FanoWindow
 	}
+	d = withOverrides(d, ov)
 	key, err := deckKey(d, ov)
 	if err != nil {
 		return nil, err

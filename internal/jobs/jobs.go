@@ -29,9 +29,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,22 +51,23 @@ import (
 // failure.
 var ErrInterrupted = errors.New("jobs: run interrupted; state checkpointed for resume")
 
-// Overrides adjusts engine knobs the deck's author left unset —
-// command-line or API settings that win over the deck's own directives.
-// None of them change the physics; only CinvEps changes the trajectory
-// (and then carries a provable error bound).
+// Overrides adjusts engine knobs on top of the deck's own directives —
+// command-line or API settings that win over the deck. Parallel and
+// FanoWindow never change the trajectory. RateTables and CinvEps do,
+// within bounded errors; Submit and ExecuteDeck fold them into a copy
+// of the deck's spec before keying and compiling, so an overridden
+// deck is the same work as a deck that spells the directives itself.
 type Overrides struct {
 	// Parallel overrides the within-run rate-engine worker count when
 	// non-zero (1 = serial; any value is bit-identical).
 	Parallel int `json:"parallel,omitempty"`
 	// RateTables routes normal-state rates through the error-bounded
-	// interpolation tables (< 1e-6 relative error).
+	// interpolation tables (< 1e-6 relative error), as the deck's
+	// rate-tables directive does.
 	RateTables bool `json:"rate_tables,omitempty"`
-	// Sparse forces the sparse locality-aware potential engine even when
-	// the deck does not request it (exact, bit-identical at CinvEps 0).
-	Sparse bool `json:"sparse,omitempty"`
-	// CinvEps, when > 0, truncates C^-1 rows at CinvEps*rowmax (implies
-	// Sparse) and overrides the deck's cinv-eps value.
+	// CinvEps, when > 0, replaces the deck's cinv-eps value: the circuit
+	// is built with C^-1 rows truncated at CinvEps*rowmax, and the run
+	// carries a provable potential error bound.
 	CinvEps float64 `json:"cinv_eps,omitempty"`
 	// FanoWindow, when > 0, fixes the counting-window width τ (seconds)
 	// of every noise-recorded junction, overriding deck windows and the
@@ -139,20 +141,39 @@ type RunConfig struct {
 // of work, rare enough that snapshot I/O is noise.
 const defaultCheckpointEvery = 1 << 15
 
-// deckKey fingerprints everything that determines a run's trajectory:
-// the deck's canonical Format output (circuit, spec, seeds) plus the
-// trajectory-relevant overrides. Checkpoint files embed and verify the
-// key, so a resumed submission only picks up state that provably
+// withOverrides returns d, or a copy of d whose spec carries the
+// overrides that change the trajectory (C^-1 truncation, rate tables).
+// Keying, compiling and running then read that one spec.
+func withOverrides(d *netlist.Deck, ov Overrides) *netlist.Deck {
+	if ov.CinvEps <= 0 && !ov.RateTables {
+		return d
+	}
+	folded := *d
+	if ov.CinvEps > 0 {
+		folded.Spec.CinvEps = ov.CinvEps
+	}
+	folded.Spec.RateTables = folded.Spec.RateTables || ov.RateTables
+	return &folded
+}
+
+// deckKey fingerprints everything that determines a run's trajectory
+// and its recorded state: SHA-256 over the deck's canonical Format
+// output (circuit, spec with the folded overrides, seeds) plus the
+// noise counting window, truncated to 128 bits of hex. Checkpoint files
+// embed and verify the key and the result cache is keyed on it, so a
+// resumed or cached submission only picks up state that provably
 // belongs to the same work; Parallel is excluded because worker count
-// never changes the trajectory.
+// never changes the trajectory. The key also names every checkpoint
+// file, and 128 bits keep those paths short while leaving collisions
+// out of reach.
 func deckKey(d *netlist.Deck, ov Overrides) (string, error) {
 	var buf bytes.Buffer
 	if err := d.Format(&buf); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&buf, "|rt=%v|sparse=%v|eps=%016x|fw=%016x",
-		ov.RateTables, ov.Sparse, math.Float64bits(ov.CinvEps), math.Float64bits(ov.FanoWindow))
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(buf.Bytes())), nil
+	fmt.Fprintf(&buf, "|fw=%016x", math.Float64bits(ov.FanoWindow))
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:16]), nil
 }
 
 // checkpointPath names the checkpoint file of one (point, run) task.
@@ -374,6 +395,7 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
+	d = withOverrides(d, ov)
 	spec := d.Spec
 	pts := deckPoints(&spec)
 	key, err := deckKey(d, ov)

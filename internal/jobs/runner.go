@@ -294,36 +294,29 @@ func noiseConfig(spec *netlist.Spec, ov Overrides, cc *netlist.Compiled) (noise.
 // runDeckPoint executes one (point, run) task of a deck: install the
 // point's source values, run the warm-up transient, reset measurement,
 // run the measured window, and report the recorded junction currents.
-// With cfg.session set the worker's cached solver is re-seeded in place
-// of a fresh compile — bit-identical either way. With cfg.Dir set it
-// checkpoints periodically and, with cfg.Resume, continues from a valid
-// matching checkpoint file; the file is removed once the task completes
-// (or replaced by a done marker on the Resume path).
+// The deck's spec, overrides already folded in (withOverrides), sets the
+// build and solver options; ov adds only the worker count and the noise
+// counting window. With cfg.session set the worker's cached solver is
+// re-seeded in place of a fresh compile — bit-identical either way.
+// With cfg.Dir set it checkpoints periodically and, with cfg.Resume,
+// continues from a valid matching checkpoint file; the file is removed
+// once the task completes (or replaced by a done marker on the Resume
+// path).
 func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string, pt deckPoint, run int, cfg RunConfig) (runResult, error) {
 	spec := d.Spec
-	// Engine selection: the deck's directives choose the build, and
-	// overrides can force the sparse view, a coarser truncation, rate
-	// tables or a worker count on top.
-	sparse := spec.Sparse || ov.Sparse || ov.CinvEps > 0
-	eps := spec.CinvEps
-	if ov.CinvEps > 0 {
-		eps = ov.CinvEps
-	}
 	parallel := spec.Parallel
 	if ov.Parallel != 0 {
 		parallel = ov.Parallel
 	}
 	opt := solver.Options{
-		Temp:             spec.Temp,
-		Cotunneling:      spec.Cotunnel,
-		Adaptive:         spec.Adaptive,
-		Alpha:            spec.Alpha,
-		RefreshEvery:     spec.RefreshEvery,
-		Seed:             spec.Seed + uint64(pt.Fine)*1009 + uint64(run)*104729,
-		Parallel:         parallel,
-		RateTables:       ov.RateTables || spec.RateTables,
-		SparsePotentials: sparse,
-		CinvTruncation:   eps,
+		Temp:         spec.Temp,
+		Cotunneling:  spec.Cotunnel,
+		Adaptive:     spec.Adaptive,
+		Alpha:        spec.Alpha,
+		RefreshEvery: spec.RefreshEvery,
+		Seed:         spec.Seed + uint64(pt.Fine)*1009 + uint64(run)*104729,
+		Parallel:     parallel,
+		RateTables:   spec.RateTables,
 	}
 	var (
 		s   *solver.Sim

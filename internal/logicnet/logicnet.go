@@ -361,10 +361,9 @@ func (nl *Netlist) Expand(p Params, drive map[string]circuit.Source) (*Expanded,
 	return nl.ExpandWith(p, drive, circuit.BuildOptions{})
 }
 
-// ExpandWith is Expand with explicit circuit build options — the entry
-// point for building a benchmark circuit on the sparse potential
-// engine (2000+ junction circuits skip the dense inverse entirely when
-// a truncation threshold is set).
+// ExpandWith is Expand with explicit circuit build options, e.g. a C^-1
+// truncation threshold, which builds truncated CSR rows and never forms
+// the dense inverse.
 func (nl *Netlist) ExpandWith(p Params, drive map[string]circuit.Source, bo circuit.BuildOptions) (*Expanded, error) {
 	c := circuit.New()
 	ex := &Expanded{Circuit: c, Wire: map[string]int{}, InputNode: map[string]int{}, Params: p}

@@ -245,11 +245,18 @@ type SparseChol struct {
 	val    []float64
 }
 
+// pivotTol is the relative rounding allowance per elimination term
+// below which FactorCSR treats a pivot as zero (four units in the last
+// place).
+const pivotTol = 0x1p-50
+
 // FactorCSR computes the sparse Cholesky factorization of a under the
 // given ordering (perm[new] = old; nil means natural order). Only the
 // lower triangle of a (in permuted coordinates) is read; a must be
 // structurally and numerically symmetric. It returns
-// ErrNotPositiveDefinite when a pivot is not strictly positive.
+// ErrNotPositiveDefinite when a pivot is not positive beyond the
+// rounding of its own elimination, i.e. when a is singular to working
+// precision.
 //
 // The factorization is the standard up-looking algorithm: the
 // elimination tree of the permuted pattern is computed first, each row's
@@ -396,7 +403,8 @@ func FactorCSR(a *CSR, perm []int) (*SparseChol, error) {
 			x[rcol[p]] = rval[p]
 		}
 		d := diag[k]
-		for idx := ereach(k); idx < n; idx++ {
+		top := ereach(k)
+		for idx := top; idx < n; idx++ {
 			j := stack[idx]
 			lkj := x[j] / ch.val[ch.colptr[j]]
 			x[j] = 0
@@ -408,7 +416,11 @@ func FactorCSR(a *CSR, perm []int) (*SparseChol, error) {
 			ch.val[cend[j]] = lkj
 			cend[j]++
 		}
-		if d <= 0 || math.IsNaN(d) {
+		// d is diag[k] minus n-top rounded squares. A pivot within that
+		// rounding of zero belongs to a singular matrix that cancellation
+		// left barely positive (a cluster of islands with no capacitance
+		// to any lead).
+		if !(d > float64(n-top+1)*pivotTol*diag[k]) {
 			return nil, fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, k, d)
 		}
 		ch.rowidx[ch.colptr[k]] = int32(k)

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -216,6 +217,24 @@ func TestFactorCSRNotPositiveDefinite(t *testing.T) {
 	b := CSRFromTriplets(2, 2, []Triplet{{0, 0, 1}, {0, 1, -0.5}, {1, 0, -0.5}})
 	if _, err := FactorCSR(b, nil); err == nil {
 		t.Fatal("matrix with missing diagonal factored without error")
+	}
+}
+
+// TestFactorCSRSingularToRounding: a singular capacitance matrix (two
+// islands joined by one capacitor, neither tied to a lead) must be
+// rejected even when cancellation leaves its last pivot a few ulps
+// above zero — c = 1e-8 does, since sqrt(c)² rounds away from c.
+func TestFactorCSRSingularToRounding(t *testing.T) {
+	for _, c := range []float64{1e-8, 0.01, 1e-18, 3e-18} {
+		a := CSRFromTriplets(2, 2, []Triplet{{0, 0, c}, {0, 1, -c}, {1, 0, -c}, {1, 1, c}})
+		if _, err := FactorCSR(a, nil); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("c = %g: singular matrix factored (err %v)", c, err)
+		}
+	}
+	// A weakly but genuinely grounded pair still factors.
+	a := CSRFromTriplets(2, 2, []Triplet{{0, 0, 1e-18 + 1e-24}, {0, 1, -1e-18}, {1, 0, -1e-18}, {1, 1, 1e-18}})
+	if _, err := FactorCSR(a, nil); err != nil {
+		t.Fatalf("grounded pair (pivot ratio 1e-6): %v", err)
 	}
 }
 

@@ -32,8 +32,7 @@
 //	seed 42                      RNG seed
 //	adaptive 0.05                adaptive solver with threshold alpha
 //	refresh 1024                 full recalculation period
-//	sparse                       sparse locality-aware potential engine
-//	cinv-eps 1e-9                truncate C^-1 rows at eps*rowmax (implies sparse)
+//	cinv-eps 1e-9                truncate C^-1 rows at eps*rowmax (sparse rows)
 //	parallel 4                   within-run rate-engine workers (0 = auto)
 //	rate-tables                  tabulated normal-state tunnel kernels
 //
@@ -102,10 +101,14 @@ type Spec struct {
 	Adaptive     bool
 	Alpha        float64
 	RefreshEvery int
-	// Sparse selects the sparse locality-aware potential engine;
-	// CinvEps is the relative C^-1 row-truncation threshold (0 = exact,
-	// bit-identical to dense; > 0 implies Sparse).
-	Sparse  bool
+	// Sparse is never set: the parser rejects the retired `sparse`
+	// directive.
+	//
+	// Deprecated: kept only while the benchmark harness still reads it.
+	Sparse bool
+	// CinvEps is the relative C^-1 row-truncation threshold, the only
+	// potential-engine selector: 0 builds exact dense rows, > 0
+	// truncated sparse rows with a provable error bound.
 	CinvEps float64
 	// Parallel is the within-run rate-engine worker count (0 = solver
 	// default, 1 = serial; bit-identical either way) and RateTables
@@ -580,10 +583,7 @@ func (d *Deck) directive(f []string, ln int) error {
 		}
 		d.Spec.RefreshEvery = n
 	case "sparse":
-		if err := need(0); err != nil {
-			return err
-		}
-		d.Spec.Sparse = true
+		return bad("the sparse directive is retired: cinv-eps alone picks the potential engine (omit it for exact dense rows, cinv-eps <eps> for truncated sparse rows)")
 	case "parallel":
 		if err := need(1); err != nil {
 			return err
@@ -607,9 +607,6 @@ func (d *Deck) directive(f []string, ln int) error {
 			return bad("cinv-eps: malformed threshold (want >= 0)")
 		}
 		d.Spec.CinvEps = v
-		if v > 0 {
-			d.Spec.Sparse = true
-		}
 	default:
 		return bad("unknown directive %q", f[0])
 	}
@@ -788,8 +785,7 @@ func (d *Deck) Compile(dcOverride map[int]float64) (*Compiled, error) {
 	if d.Spec.Super != nil {
 		c.SetSuper(*d.Spec.Super)
 	}
-	bo := circuit.BuildOptions{SparsePotentials: d.Spec.Sparse, CinvTruncation: d.Spec.CinvEps}
-	if err := c.BuildWith(bo); err != nil {
+	if err := c.BuildWith(circuit.BuildOptions{CinvTruncation: d.Spec.CinvEps}); err != nil {
 		return nil, err
 	}
 	return &Compiled{Circuit: c, Node: nodeMap, Junc: juncMap}, nil

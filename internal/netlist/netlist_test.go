@@ -227,6 +227,15 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSparseDirectiveRetired: cinv-eps alone picks the potential engine,
+// and a deck still spelling the retired `sparse` directive is told so.
+func TestSparseDirectiveRetired(t *testing.T) {
+	_, err := Parse(strings.NewReader("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\nsparse\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "cinv-eps") {
+		t.Fatalf("sparse directive: error %v, want a line-3 error naming cinv-eps", err)
+	}
+}
+
 func TestParseMapDirective(t *testing.T) {
 	deck := `
 junc 1 1 3 1e-6 1e-18

@@ -128,11 +128,6 @@ func (d *Deck) Format(w io.Writer) error {
 	if sp.RefreshEvery > 0 {
 		p("refresh %d\n", sp.RefreshEvery)
 	}
-	// cinv-eps implies sparse on parse, so a bare "sparse" line is only
-	// needed for the exact (eps = 0) sparse engine.
-	if sp.Sparse && sp.CinvEps <= 0 {
-		p("sparse\n")
-	}
 	if sp.CinvEps > 0 {
 		p("cinv-eps %.17g\n", sp.CinvEps)
 	}

@@ -322,11 +322,11 @@ func (o *Observer) CinvBound(v float64) {
 	o.cinvBound.Set(v)
 }
 
-// PotentialEngine publishes the static shape of the potential engine a
-// solver was built with: stored C^-1 nonzeros, the fraction of the
-// full inverse kept after truncation, and the Cholesky fill-in ratio
-// (nnz(L)/nnz(tril(C)); 0 when no sparse factorization was formed).
-func (o *Observer) PotentialEngine(nnz int, truncRatio, fill float64) {
+// EngineShape publishes the static shape of the potential engine a
+// solver runs on: stored C^-1 nonzeros, the fraction of the full
+// inverse kept after truncation, and the Cholesky fill-in ratio
+// nnz(L)/nnz(tril(C)) of the factorization its rows came from.
+func (o *Observer) EngineShape(nnz int, truncRatio, fill float64) {
 	if o == nil {
 		return
 	}

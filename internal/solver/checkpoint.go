@@ -13,8 +13,9 @@ import (
 // Restore refuses snapshots written with any other version — including
 // version 0, i.e. JSON from before the header existed — so a stale or
 // foreign checkpoint fails loudly instead of resuming into a subtly
-// different simulation.
-const CheckpointVersion = 1
+// different simulation. Since version 2 the options hash covers the
+// circuit engine's C^-1 truncation threshold.
+const CheckpointVersion = 2
 
 // Checkpoint is a resumable snapshot of a simulation's dynamic state.
 // It is plain data (JSON-serializable) and deliberately excludes the
@@ -66,15 +67,15 @@ type Checkpoint struct {
 	Noise *noise.State `json:"noise,omitempty"`
 }
 
-// trajectoryHash fingerprints the options that influence the simulated
-// trajectory, after defaulting. Two Sims whose hashes match produce
-// bit-identical continuations from the same dynamic state; options that
-// provably cannot change the trajectory (Parallel, Obs, Seed — the RNG
-// state is checkpointed directly) are excluded. SparsePotentials is
-// included even though the exact (eps = 0) sparse engine matches the
-// dense one bit-for-bit: refusing a provably-equivalent engine swap is
-// cheaper than arguing about it in a post-mortem.
-func (o *Options) trajectoryHash() string {
+// trajectoryHash fingerprints what influences the simulated trajectory
+// beyond the dynamic state: the options after defaulting, and the C^-1
+// truncation threshold of the circuit's potential engine. Two Sims whose
+// hashes match produce bit-identical continuations from the same
+// dynamic state; options that provably cannot change the trajectory
+// (Parallel, Obs, Seed — the RNG state is checkpointed directly) are
+// excluded.
+func (s *Sim) trajectoryHash() string {
+	o := &s.opt
 	const offset, prime = 1469598103934665603, 1099511628211
 	h := uint64(offset)
 	mix := func(v uint64) {
@@ -99,8 +100,7 @@ func (o *Options) trajectoryHash() string {
 	mixb(o.Cotunneling)
 	mixf(o.CPWidthFloor)
 	mixf(o.ProbeInterval)
-	mixb(o.SparsePotentials)
-	mixf(o.CinvTruncation)
+	mixf(s.pe.Eps())
 	mixb(o.RateTables)
 	return fmt.Sprintf("%016x", h)
 }
@@ -113,7 +113,7 @@ func (s *Sim) Checkpoint() (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{
 		Version:     CheckpointVersion,
-		OptionsHash: s.opt.trajectoryHash(),
+		OptionsHash: s.trajectoryHash(),
 		Time:        s.t,
 		Electrons:   append([]int(nil), s.n...),
 		Rng:         rngState,
@@ -152,8 +152,8 @@ func (s *Sim) Restore(cp *Checkpoint) error {
 		}
 		return fmt.Errorf("solver: checkpoint version %d, this build reads version %d", cp.Version, CheckpointVersion)
 	}
-	if want := s.opt.trajectoryHash(); cp.OptionsHash != want {
-		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, probe interval, sparse/cinv-eps and rate-tables settings must all match", cp.OptionsHash, want)
+	if want := s.trajectoryHash(); cp.OptionsHash != want {
+		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, probe interval, cinv-eps and rate-tables settings must all match", cp.OptionsHash, want)
 	}
 	if len(cp.Electrons) != len(s.n) {
 		return fmt.Errorf("solver: checkpoint has %d islands, circuit has %d", len(cp.Electrons), len(s.n))

@@ -74,17 +74,15 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 // resume with, say, a different C^-1 truncation or temperature silently
 // produced a diverging trajectory.
 func TestRestoreRejectsMismatchedOptions(t *testing.T) {
-	mk := func(opt Options) *Sim {
-		c, _ := circuit.NewSET(circuit.SETConfig{
-			R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
-			Vs: 0.02, Vd: -0.02, Vg: 0.005,
-		})
+	mkAt := func(opt Options, eps float64) *Sim {
+		c, _ := setAt(0.02, -0.02, 0.005, eps)
 		s, err := New(c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
+	mk := func(opt Options) *Sim { return mkAt(opt, 0) }
 	base := Options{Temp: 5, Seed: 9}
 	src := mk(base)
 	if _, err := src.Run(300, 0); err != nil {
@@ -99,8 +97,6 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 		"temperature":  {Temp: 6, Seed: 9},
 		"adaptive":     {Temp: 5, Seed: 9, Adaptive: true},
 		"alpha":        {Temp: 5, Seed: 9, Adaptive: true, Alpha: 0.2},
-		"sparse":       {Temp: 5, Seed: 9, SparsePotentials: true},
-		"cinv-eps":     {Temp: 5, Seed: 9, SparsePotentials: true, CinvTruncation: 1e-6},
 		"rate-tables":  {Temp: 5, Seed: 9, RateTables: true},
 		"refreshevery": {Temp: 5, Seed: 9, RefreshEvery: 77},
 	}
@@ -111,6 +107,13 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 		}
 		dst.Close()
 	}
+	// The same options over a circuit built at another C^-1 truncation
+	// threshold run another trajectory.
+	dst := mkAt(base, 1e-6)
+	if err := dst.Restore(cp); err == nil {
+		t.Error("cinv-eps mismatch silently accepted")
+	}
+	dst.Close()
 
 	// Options that provably do not change the trajectory must stay
 	// resumable: a different seed (the RNG state is in the snapshot) and

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"semsim/internal/bench"
+	"semsim/internal/circuit"
 	"semsim/internal/logicnet"
 	"semsim/internal/solver"
 )
@@ -26,11 +27,17 @@ type engineRun struct {
 
 func workload(t *testing.T, name string) (*logicnet.Expanded, bench.Benchmark) {
 	t.Helper()
+	return workloadAt(t, name, 0)
+}
+
+// workloadAt is workload built at C^-1 truncation threshold eps.
+func workloadAt(t *testing.T, name string, eps float64) (*logicnet.Expanded, bench.Benchmark) {
+	t.Helper()
 	b, ok := bench.ByName(name)
 	if !ok {
 		t.Fatalf("benchmark %s missing", name)
 	}
-	ex, err := bench.BuildWorkload(b, logicnet.DefaultParams())
+	ex, err := bench.BuildWorkloadWith(b, logicnet.DefaultParams(), circuit.BuildOptions{CinvTruncation: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

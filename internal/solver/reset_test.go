@@ -16,6 +16,28 @@ func resetSET(vs, vd, vg float64, sup circuit.SuperParams) (*circuit.Circuit, ci
 	})
 }
 
+// setAt builds the paper SET of resetSET (normal state) with the C^-1
+// truncation threshold eps.
+func setAt(vs, vd, vg, eps float64) (*circuit.Circuit, circuit.SETNodes) {
+	c := circuit.New()
+	var nd circuit.SETNodes
+	nd.Source = c.AddNode("source", circuit.External)
+	nd.Drain = c.AddNode("drain", circuit.External)
+	nd.Gate = c.AddNode("gate", circuit.External)
+	nd.Island = c.AddNode("island", circuit.Island)
+	c.SetSource(nd.Source, circuit.DC(vs))
+	c.SetSource(nd.Drain, circuit.DC(vd))
+	c.SetSource(nd.Gate, circuit.DC(vg))
+	nd.JuncSource = c.AddJunction(nd.Source, nd.Island, 1e6, aF)
+	nd.JuncDrain = c.AddJunction(nd.Island, nd.Drain, 1e6, aF)
+	c.AddCap(nd.Gate, nd.Island, 3*aF)
+	nd.Gate2 = -1
+	if err := c.BuildWith(circuit.BuildOptions{CinvTruncation: eps}); err != nil {
+		panic(err)
+	}
+	return c, nd
+}
+
 // fingerprint serializes the full dynamic state of a simulation — time,
 // electrons, RNG stream position, measurement counters, stats and
 // waveforms — so two trajectories can be compared bit-for-bit.
@@ -43,20 +65,24 @@ func TestResetMatchesFresh(t *testing.T) {
 		{0.013, -0.007, -0.011},
 		{0.001, -0.024, 0.019},
 	}
-	cases := map[string]Options{
-		"plain":       {Temp: 5},
-		"adaptive":    {Temp: 5, Adaptive: true},
-		"rate-tables": {Temp: 5, RateTables: true},
-		"sparse":      {Temp: 5, SparsePotentials: true},
-		"t0":          {Temp: 0},
-		"parallel":    {Temp: 5, Adaptive: true, Parallel: 4},
+	cases := map[string]struct {
+		opt Options
+		eps float64 // C^-1 truncation threshold of the build
+	}{
+		"plain":       {opt: Options{Temp: 5}},
+		"adaptive":    {opt: Options{Temp: 5, Adaptive: true}},
+		"rate-tables": {opt: Options{Temp: 5, RateTables: true}},
+		"cinv-eps":    {opt: Options{Temp: 5}, eps: 1e-6},
+		"t0":          {opt: Options{Temp: 0}},
+		"parallel":    {opt: Options{Temp: 5, Adaptive: true, Parallel: 4}},
 	}
 	const events = 1500
-	for name, opt := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			// One long-lived session Sim, compiled at a bias point no
 			// sweep point uses, reused across all points via Reset.
-			base, nd := resetSET(0.042, 0.001, -0.03, circuit.SuperParams{})
+			base, nd := setAt(0.042, 0.001, -0.03, tc.eps)
+			opt := tc.opt
 			opt.Seed = 1234
 			sess, err := New(base, opt)
 			if err != nil {
@@ -66,7 +92,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			for i, p := range points {
 				seed := uint64(9000 + 17*i)
 				fresh, _ := func() (*Sim, circuit.SETNodes) {
-					c, n := resetSET(p.vs, p.vd, p.vg, circuit.SuperParams{})
+					c, n := setAt(p.vs, p.vd, p.vg, tc.eps)
 					o := opt
 					o.Seed = seed
 					s, err := New(c, o)

@@ -83,19 +83,19 @@ type Options struct {
 	// same waveforms — so this is purely a speed knob. Small circuits
 	// (below the internal batch cutoff) always run serially.
 	Parallel int
-	// SparsePotentials routes all potential arithmetic through the
-	// sparse locality-aware engine: per-event shifts and full-refresh
-	// solves walk only the stored nonzeros of ε-truncated C^-1 rows.
-	// With CinvTruncation = 0 (exact) trajectories are bit-identical to
-	// the dense engine — same seed, same events, same waveforms — serial
-	// and parallel; the knob then only changes memory layout and lets
-	// sparsely built circuits run. See CinvTruncation for the lossy mode.
+	// SparsePotentials is ignored: the circuit's build threshold
+	// (circuit.BuildOptions.CinvTruncation) alone picks the potential
+	// engine, and New uses the circuit's engine as built.
+	//
+	// Deprecated: kept only while the benchmark harness still sets it.
 	SparsePotentials bool
-	// CinvTruncation is the relative threshold ε for dropping C^-1 row
-	// entries (|v| < ε·‖row‖∞): larger values make per-event updates
-	// cheaper at the price of a bounded potential error, which the
-	// solver accumulates into Stats.CinvErrorBound. A positive value
-	// implies SparsePotentials. Default 0 (exact).
+	// CinvTruncation, when nonzero, must equal the C^-1 truncation
+	// threshold the circuit was built with; New rejects any other
+	// value. It selects nothing: the engine and its accuracy come from
+	// the build.
+	//
+	// Deprecated: kept only while the benchmark harness still sets it.
+	// Build the circuit at the threshold instead.
 	CinvTruncation float64
 	// RateTables evaluates the normal-state orthodox and cotunneling
 	// rates through shared error-bounded interpolation tables (relative
@@ -184,7 +184,8 @@ type Stats struct {
 	// CinvErrorBound bounds the current per-island potential error
 	// (volts) introduced by C^-1 truncation: reset to the refresh bound
 	// at every full refresh and grown by per-event and input-change
-	// terms in between. Exactly zero when CinvTruncation is 0.
+	// terms in between. Exactly zero on circuits built at
+	// CinvTruncation 0.
 	CinvErrorBound float64
 }
 
@@ -206,8 +207,9 @@ type Sim struct {
 	opt Options
 	rnd *rng.Batch
 
-	// pe is the potential engine all C^-1-mediated arithmetic goes
-	// through (dense by default; sparse/truncated per Options).
+	// pe is the circuit's potential engine, which all C^-1-mediated
+	// arithmetic goes through (dense rows or truncated CSR rows, as
+	// built).
 	pe *circuit.Potentials
 	// shardBounds are nnz-balanced row boundaries for the parallel
 	// refresh solve on sparse engines (nil: shard by row count).
@@ -437,12 +439,15 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	if s.obs == nil {
 		s.obs = obs.Global()
 	}
-	pe, err := c.PotentialEngine(opt.SparsePotentials, opt.CinvTruncation)
-	if err != nil {
-		return nil, fmt.Errorf("solver: %w", err)
+	pe := c.Potentials()
+	if pe == nil {
+		return nil, errors.New("solver: circuit is not built")
+	}
+	if opt.CinvTruncation != 0 && !numeric.SameBits(opt.CinvTruncation, pe.Eps()) {
+		return nil, fmt.Errorf("solver: CinvTruncation %g differs from the circuit's build threshold %g; build the circuit at the threshold instead", opt.CinvTruncation, pe.Eps())
 	}
 	s.pe = pe
-	s.obs.PotentialEngine(pe.NNZ(), pe.TruncationRatio(), pe.Fill())
+	s.obs.EngineShape(pe.NNZ(), pe.TruncationRatio(), pe.Fill())
 	s.buildExternalIndex()
 	s.buildChannels()
 	if s.superOn {

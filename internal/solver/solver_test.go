@@ -451,3 +451,44 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("accepted superconducting cotunneling")
 	}
 }
+
+// TestNewUsesBuiltEngine: the circuit's build picks the potential
+// engine. The deprecated CinvTruncation option may only repeat the
+// build's threshold, and the deprecated SparsePotentials is ignored.
+func TestNewUsesBuiltEngine(t *testing.T) {
+	dense, _ := setAt(0.02, -0.02, 0, 0)
+	trunc, _ := setAt(0.02, -0.02, 0, 1e-6)
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+		opt  Options
+		ok   bool
+	}{
+		{"dense", dense, Options{Temp: 5}, true},
+		{"dense/sparse-ignored", dense, Options{Temp: 5, SparsePotentials: true}, true},
+		{"dense/foreign-eps", dense, Options{Temp: 5, CinvTruncation: 1e-6}, false},
+		{"truncated", trunc, Options{Temp: 5}, true},
+		{"truncated/same-eps", trunc, Options{Temp: 5, CinvTruncation: 1e-6}, true},
+		{"truncated/foreign-eps", trunc, Options{Temp: 5, CinvTruncation: 1e-3}, false},
+	} {
+		s, err := New(tc.c, tc.opt)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: New error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err == nil {
+			if s.pe != tc.c.Potentials() {
+				t.Fatalf("%s: solver does not run the circuit's engine", tc.name)
+			}
+			s.Close()
+		}
+	}
+
+	unbuilt := circuit.New()
+	src := unbuilt.AddNode("src", circuit.External)
+	isl := unbuilt.AddNode("isl", circuit.Island)
+	unbuilt.SetSource(src, circuit.DC(0.01))
+	unbuilt.AddJunction(src, isl, 1e6, aF)
+	if _, err := New(unbuilt, Options{Temp: 5}); err == nil {
+		t.Fatal("accepted an unbuilt circuit")
+	}
+}

@@ -1,9 +1,8 @@
-// Tests of the sparse potential engine inside the solver: with ε = 0
-// the sparse engine must reproduce the dense trajectory bit for bit
-// (same events, waveforms, currents and Stats) on both the serial and
-// the parallel rate engine; with ε > 0 the run must carry a positive,
-// honest error bound while staying statistically indistinguishable at
-// truncation thresholds far below thermal noise.
+// Tests of the truncated (ε > 0) potential engine inside the solver:
+// its runs must be bit-identical at any worker count, and they must
+// carry a positive, honest error bound while staying statistically
+// indistinguishable from the dense engine at truncation thresholds far
+// below thermal noise.
 package solver_test
 
 import (
@@ -14,41 +13,29 @@ import (
 	"semsim/internal/solver"
 )
 
-// TestSparseMatchesDense is the ε = 0 acceptance gate of the sparse
-// engine: the exact sparse rows store the same floats as the dense
-// inverse (only exact zeros are dropped), so every trajectory quantity
-// must agree bitwise with the dense run — under the serial path, the
-// adaptive solver and the parallel rate engine alike. Run under -race
-// by the race target, this also exercises the nonzero-balanced refresh
-// sharding for data races.
-func TestSparseMatchesDense(t *testing.T) {
+// TestTruncatedParallelMatchesSerial: on a circuit built at ε > 0 the
+// parallel refresh solve shards rows by stored-nonzero count
+// (Potentials.RowShards), and the trajectory must still match the
+// serial run bit for bit. Run under -race by the race target, this also
+// exercises the nonzero-balanced sharding for data races.
+func TestTruncatedParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MC workload in -short mode")
 	}
-	ex, b := workload(t, "74LS153")
+	ex, b := workloadAt(t, "74LS153", 1e-9)
+	if !ex.Circuit.Potentials().Sparse() {
+		t.Fatal("eps = 1e-9 build produced the dense engine")
+	}
 	const events = 3000
-	cases := []struct {
-		name string
-		opt  solver.Options
-	}{
-		{"serial", solver.Options{Temp: bench.WorkloadTemp, Seed: 41, Parallel: 1}},
-		{"serial-adaptive", solver.Options{Temp: bench.WorkloadTemp, Seed: 41, Parallel: 1, Adaptive: true, RefreshEvery: 64}},
-		{"parallel-adaptive", solver.Options{Temp: bench.WorkloadTemp, Seed: 41, Parallel: 4, Adaptive: true, RefreshEvery: 64}},
+	opt := solver.Options{Temp: bench.WorkloadTemp, Seed: 41, Adaptive: true, RefreshEvery: 64}
+	serialOpt, parallelOpt := opt, opt
+	serialOpt.Parallel = 1
+	parallelOpt.Parallel = 4
+	serial := runWorkload(t, ex, b, serialOpt, events)
+	if serial.stats.Events == 0 {
+		t.Fatal("no events simulated")
 	}
-	for _, c := range cases {
-		dense := runWorkload(t, ex, b, c.opt, events)
-		if dense.stats.Events == 0 {
-			t.Fatalf("%s: no events simulated", c.name)
-		}
-		sparseOpt := c.opt
-		sparseOpt.SparsePotentials = true
-		sparse := runWorkload(t, ex, b, sparseOpt, events)
-		requireIdentical(t, c.name, dense, sparse)
-		if sparse.stats.CinvErrorBound != 0 {
-			t.Fatalf("%s: exact sparse run reports error bound %g, want 0",
-				c.name, sparse.stats.CinvErrorBound)
-		}
-	}
+	requireIdentical(t, "truncated adaptive", serial, runWorkload(t, ex, b, parallelOpt, events))
 }
 
 // TestTruncatedRunCarriesBound: an ε > 0 run must report a positive
@@ -62,16 +49,15 @@ func TestTruncatedRunCarriesBound(t *testing.T) {
 		t.Skip("MC workload in -short mode")
 	}
 	ex, b := workload(t, "74LS153")
+	exT, _ := workloadAt(t, "74LS153", 1e-9)
 	const events = 2000
 	base := solver.Options{Temp: bench.WorkloadTemp, Seed: 47, Parallel: 1, Adaptive: true, RefreshEvery: 64}
 	dense := runWorkload(t, ex, b, base, events)
 
 	o := obs.New(obs.Config{})
 	truncOpt := base
-	truncOpt.SparsePotentials = true
-	truncOpt.CinvTruncation = 1e-9
 	truncOpt.Obs = o
-	trunc := runWorkload(t, ex, b, truncOpt, events)
+	trunc := runWorkload(t, exT, b, truncOpt, events)
 
 	if trunc.stats.CinvErrorBound <= 0 {
 		t.Fatalf("truncated run reports error bound %g, want > 0", trunc.stats.CinvErrorBound)

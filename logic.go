@@ -37,7 +37,8 @@ func ExpandLogic(nl *LogicNetlist, p LogicParams, drive map[string]Source) (*Exp
 }
 
 // ExpandLogicWith is ExpandLogic with explicit circuit build options,
-// e.g. the sparse potential engine for large benchmarks.
+// e.g. a C^-1 truncation threshold, which builds truncated sparse rows
+// instead of the dense inverse on large benchmarks.
 func ExpandLogicWith(nl *LogicNetlist, p LogicParams, drive map[string]Source, bo BuildOptions) (*ExpandedLogic, error) {
 	return nl.ExpandWith(p, drive, bo)
 }

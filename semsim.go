@@ -104,9 +104,10 @@ type SETNodes = circuit.SETNodes
 // and sources, then call Build.
 func NewCircuit() *Circuit { return circuit.New() }
 
-// BuildOptions selects the potential backend assembled by
-// Circuit.BuildWith: the dense inverse (zero value) or the sparse
-// locality-aware engine, optionally with epsilon-truncated C^-1 rows.
+// BuildOptions selects the potential engine assembled by
+// Circuit.BuildWith. CinvTruncation alone picks it: 0 (the zero value)
+// keeps the exact C^-1 as dense rows, a positive threshold stores
+// truncated sparse rows and never forms the dense inverse.
 type BuildOptions = circuit.BuildOptions
 
 // NewSET builds a standalone single-electron transistor (Fig. 1a).
