@@ -10,9 +10,9 @@ build:
 # The default test flow: static checks (go vet plus the semsimlint
 # analyzer suite), documentation verification, the full unit suite, the
 # semsimdebug invariant build, then the race detector over the packages
-# with internal concurrency (the within-run parallel rate engine, the
-# sweep/bench fan-outs and the batch job engine), and a compile-and-smoke
-# pass over the end-to-end benchmark harness.
+# with internal concurrency (the sweep/bench fan-outs and the batch job
+# engine), and a compile-and-smoke pass over the end-to-end benchmark
+# harness.
 test: vet lint docs-verify unit debug race zero-alloc e2e-smoke
 
 unit:
@@ -29,11 +29,12 @@ race:
 
 # Documentation is executable: every ```deck example in docs/DECK.md
 # must parse, round-trip through the canonical writer and compile, the
-# doc must cover every parser directive, and the doccomment analyzer
-# (with its fixtures) must hold over the public surface.
+# doc must cover every parser directive, the doccomment analyzer (with
+# its fixtures) must hold over the public surface, and README's pass
+# table and the semsimlint package doc must name every lint pass.
 docs-verify: bin/semsimlint
 	go test -run 'TestDeckDoc' ./internal/netlist/
-	go test -run 'TestDoccomment' ./internal/lint/
+	go test -run 'TestDoccomment|TestReadmeListsEveryPass' ./internal/lint/
 	go vet -vettool=bin/semsimlint . ./internal/jobs/...
 
 # Disabled observability must stay literally free (nil-receiver hooks
@@ -61,9 +62,8 @@ e2e-smoke:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Machine-readable rate-engine benchmark (serial vs parallel, exact vs
-# tabulated kernels, on c432 and c1908)
-# -> results/BENCH_rate_engine.json.
+# Machine-readable rate-engine benchmark (exact vs tabulated kernels,
+# serial, on c432 and c1908) -> results/BENCH_rate_engine.json.
 rate-engine:
 	go run ./cmd/experiments rate-engine
 

@@ -187,15 +187,10 @@ func BenchmarkFig7Delay(b *testing.B) {
 	}
 }
 
-// Rate-engine microbenchmarks: the cost of a full rate refresh on a
-// >= 1000-junction circuit (c432, 2072 junctions), serial vs sharded
-// across the worker pool. RefreshEvery=1 makes every event pay a full
-// refresh, so the measured time is dominated by exactly the path the
-// within-run parallel engine shards. The parallel variant is
-// bit-identical to the serial one (asserted by the solver's engine
-// tests); this pair only measures the wall-clock difference.
-
-func benchmarkFullRefresh(b *testing.B, parallel int) {
+// BenchmarkFullRefresh times a full rate refresh on a >= 1000-junction
+// circuit (c432, 2072 junctions): RefreshEvery=1 makes every event pay
+// a full refresh, so the measured time is dominated by that path.
+func BenchmarkFullRefresh(b *testing.B) {
 	bm, ok := bench.ByName("c432")
 	if !ok {
 		b.Fatal("missing benchmark")
@@ -208,7 +203,7 @@ func benchmarkFullRefresh(b *testing.B, parallel int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := solver.New(ex.Circuit, Options{
-			Temp: bench.WorkloadTemp, Seed: 7, RefreshEvery: 1, Parallel: parallel,
+			Temp: bench.WorkloadTemp, Seed: 7, RefreshEvery: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -216,12 +211,5 @@ func benchmarkFullRefresh(b *testing.B, parallel int) {
 		if _, err := s.Run(20, 0); err != nil && err != ErrBlockaded {
 			b.Fatal(err)
 		}
-		s.Close()
 	}
-}
-
-func BenchmarkFullRefreshSerial(b *testing.B) { benchmarkFullRefresh(b, 1) }
-
-func BenchmarkFullRefreshParallel(b *testing.B) {
-	benchmarkFullRefresh(b, 0) // 0 = GOMAXPROCS workers
 }

@@ -22,11 +22,11 @@
 //	                            recording on the identical trajectory
 //
 // With two files it prints old vs new events/s and the speedup for
-// every (benchmark, mode, workers, kernel) configuration, matching rows
-// across the single-report and report-array file formats. In both forms
-// the exit status is the regression gate used by `make bench-compare`:
-// nonzero if any configuration in the newest snapshot runs slower with
-// tabulated kernels than with exact evaluation. The -obs form is the
+// every (benchmark, kernel) configuration, matching rows across the
+// single-report and report-array file formats. In both forms the exit
+// status is the regression gate used by `make bench-compare`: nonzero
+// if any benchmark in the newest snapshot runs slower with tabulated
+// kernels than with exact evaluation. The -obs form is the
 // gate behind `make obs-overhead` and CI.
 package main
 

@@ -10,12 +10,12 @@ import (
 	"semsim/internal/logicnet"
 )
 
-// rateEngine benchmarks the within-run parallel rate engine and writes
-// the machine-readable results to BENCH_rate_engine.json: events/sec,
-// rate calculations and wall time for serial vs parallel execution with
-// exact vs tabulated kernels. Two circuits are timed — c432 (2072
-// junctions) and c1908 (6988 junctions), both on exact dense C^-1 rows;
-// the file holds an array with one report per circuit.
+// rateEngine benchmarks the rate engine and writes the machine-readable
+// results to BENCH_rate_engine.json: events/sec, rate calculations and
+// wall time of serial runs with exact vs tabulated kernels. Two circuits
+// are timed — c432 (2072 junctions) and c1908 (6988 junctions), both on
+// exact dense C^-1 rows; the file holds an array with one report per
+// circuit.
 func rateEngine() error {
 	type row struct {
 		name   string
@@ -44,8 +44,8 @@ func rateEngine() error {
 			if r.RateTables {
 				tables = "tables"
 			}
-			fmt.Printf("  %-8s x%-2d %-6s  %8.0f events/s  %12d rate calcs  %8.3fs wall\n",
-				r.Mode, r.Workers, tables, r.EventsPerSec, r.RateCalcs, r.WallSeconds)
+			fmt.Printf("  %-6s  %8.0f events/s  %12d rate calcs  %8.3fs wall\n",
+				tables, r.EventsPerSec, r.RateCalcs, r.WallSeconds)
 		}
 		reps = append(reps, rep)
 	}

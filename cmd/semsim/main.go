@@ -40,7 +40,6 @@ import (
 
 func main() {
 	out := flag.String("o", "", "write results to this file instead of stdout")
-	parallel := flag.Int("parallel", 0, "within-run rate-engine workers (0 = GOMAXPROCS, 1 = serial; bit-identical either way)")
 	rateTables := flag.Bool("rate-tables", false, "evaluate normal-state rates through error-bounded interpolation tables (<1e-6 relative error)")
 	cinvEps := flag.Float64("cinv-eps", 0, "build C^-1 as sparse rows truncated at eps*rowmax (solver tracks a provable error bound); 0 keeps the deck's setting")
 	fanoWindow := flag.Float64("fano-window", 0, "fix the noise counting-window width in seconds, overriding deck windows and the auto calibration (never changes the trajectory)")
@@ -53,7 +52,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	follow := flag.String("follow", "", "stream a semsimd job's live events instead of running a deck (job URL, e.g. http://host:8723/api/v1/jobs/j000001)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-parallel n] [-rate-tables] [-cinv-eps e] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
+		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-rate-tables] [-cinv-eps e] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -121,7 +120,6 @@ func main() {
 		}()
 	}
 	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckOverrides{
-		Parallel:   *parallel,
 		RateTables: *rateTables,
 		CinvEps:    *cinvEps,
 		FanoWindow: *fanoWindow,

@@ -21,6 +21,13 @@
 //	GET  /healthz                 liveness
 //	GET  /metrics /trace /heatmap /debug/pprof/   observability
 //
+// The optional "overrides" object takes three keys, each winning over
+// the deck's own setting: "rate_tables" (bool, tabulated rate kernels),
+// "cinv_eps" (number, C^-1 row truncation threshold) and "fano_window"
+// (seconds, noise counting-window width). A body with any other key —
+// at the top level or in "overrides" — is refused with HTTP 400 naming
+// the key, so a misspelt override never runs silently dropped.
+//
 // /metrics content-negotiates: the stable JSON snapshot by default, the
 // Prometheus text exposition for scrapers (Accept: text/plain or
 // ?format=prometheus).

@@ -1,11 +1,10 @@
 // Command semsimlint is the project's static-analysis multichecker: it
-// runs the internal/lint passes (detrand, unitsafety, floateq,
-// sharddiscipline, physerr, obsdiscipline, doccomment, hotalloc,
-// statecover, resumepurity) over the tree and exits non-zero on any
-// finding. Passes exchange cross-package facts (serialization
-// completeness, resume purity, global mutability) through a module-wide
-// fact store threaded in dependency order. See DESIGN.md §7 and §12 for
-// the analyzer catalogue and the facts engine.
+// runs the internal/lint passes (detrand, unitsafety, floateq, hotalloc,
+// physerr, obsdiscipline, doccomment, statecover, resumepurity) over the
+// tree and exits non-zero on any finding. Passes exchange cross-package
+// facts (serialization completeness, resume purity, global mutability)
+// through a module-wide fact store threaded in dependency order. See
+// DESIGN.md §7 and §12 for the analyzer catalogue and the facts engine.
 //
 // It runs in two modes:
 //

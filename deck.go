@@ -25,9 +25,9 @@ func ParseNetlist(r io.Reader) (*Deck, error) { return netlist.Parse(r) }
 type DeckPoint = jobs.Point
 
 // DeckOverrides adjusts engine settings on top of the deck's own
-// directives (command-line flags win over the file): within-run
-// parallelism, tabulated rate kernels, the C^-1 truncation threshold
-// and the noise counting window. Tabulated kernels and truncation are
+// directives (command-line flags win over the file): tabulated rate
+// kernels, the C^-1 truncation threshold and the noise counting
+// window. Tabulated kernels and truncation are
 // folded into the deck before it is keyed and compiled, so an override
 // runs exactly the deck that spells the same directives.
 type DeckOverrides = jobs.Overrides

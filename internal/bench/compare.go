@@ -9,8 +9,8 @@ import (
 )
 
 // Rate-engine benchmark comparison: load two BENCH_rate_engine.json
-// snapshots, line their runs up by (benchmark, mode, workers, kernel)
-// and report per-configuration speedups — the tool behind `make
+// snapshots, line their runs up by (benchmark, kernel) and report
+// per-configuration speedups — the tool behind `make
 // bench-compare`. The loader also enforces the report's standing
 // invariant: tabulated kernels exist to be faster than exact
 // evaluation, so any row where tables lose to exact on the same
@@ -39,8 +39,6 @@ func LoadRateEngineReports(path string) ([]RateEngineReport, error) {
 // runKey identifies one timed configuration across snapshots.
 type runKey struct {
 	Benchmark string
-	Mode      string
-	Workers   int
 	Tables    bool
 }
 
@@ -49,23 +47,28 @@ func (k runKey) String() string {
 	if k.Tables {
 		kernel = "tables"
 	}
-	return fmt.Sprintf("%s/%s x%d %s", k.Benchmark, k.Mode, k.Workers, kernel)
+	return k.Benchmark + " " + kernel
 }
 
+// indexRuns keys every run on (benchmark, kernel). Snapshots from before
+// runs were all serial also hold "parallel" rows after the serial ones;
+// the first row of each key wins, so those load as their serial rows.
 func indexRuns(reps []RateEngineReport) map[runKey]RateEngineRun {
 	idx := map[runKey]RateEngineRun{}
 	for _, rep := range reps {
 		for _, r := range rep.Runs {
-			idx[runKey{rep.Benchmark, r.Mode, r.Workers, r.RateTables}] = r
+			k := runKey{rep.Benchmark, r.RateTables}
+			if _, dup := idx[k]; !dup {
+				idx[k] = r
+			}
 		}
 	}
 	return idx
 }
 
-// CheckTablesAtLeastExact returns one message per configuration where
-// the tabulated-kernel run is slower than the exact run of the same
-// (benchmark, mode, workers). An empty slice means the invariant holds
-// across every report.
+// CheckTablesAtLeastExact returns one message per benchmark where the
+// tabulated-kernel run is slower than the exact run. An empty slice
+// means the invariant holds across every report.
 func CheckTablesAtLeastExact(reps []RateEngineReport) []string {
 	idx := indexRuns(reps)
 	var bad []string
@@ -81,9 +84,8 @@ func CheckTablesAtLeastExact(reps []RateEngineReport) []string {
 		}
 		if tab.EventsPerSec < exact.EventsPerSec {
 			bad = append(bad, fmt.Sprintf(
-				"%s/%s x%d: tables %.0f events/s < exact %.0f events/s (%.2fx)",
-				k.Benchmark, k.Mode, k.Workers,
-				tab.EventsPerSec, exact.EventsPerSec, tab.EventsPerSec/exact.EventsPerSec))
+				"%s: tables %.0f events/s < exact %.0f events/s (%.2fx)",
+				k.Benchmark, tab.EventsPerSec, exact.EventsPerSec, tab.EventsPerSec/exact.EventsPerSec))
 		}
 	}
 	sort.Strings(bad)
@@ -109,22 +111,22 @@ func CompareRateEngine(oldReps, newReps []RateEngineReport) string {
 	sort.Strings(keys)
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-34s %14s %14s %9s\n", "configuration", "old events/s", "new events/s", "speedup")
+	fmt.Fprintf(&sb, "%-20s %14s %14s %9s\n", "configuration", "old events/s", "new events/s", "speedup")
 	for _, name := range keys {
 		k := byName[name]
 		o, haveOld := oldIdx[k]
 		n, haveNew := newIdx[k]
 		switch {
 		case !haveOld:
-			fmt.Fprintf(&sb, "%-34s %14s %14.0f %9s\n", name, "-", n.EventsPerSec, "added")
+			fmt.Fprintf(&sb, "%-20s %14s %14.0f %9s\n", name, "-", n.EventsPerSec, "added")
 		case !haveNew:
-			fmt.Fprintf(&sb, "%-34s %14.0f %14s %9s\n", name, o.EventsPerSec, "-", "removed")
+			fmt.Fprintf(&sb, "%-20s %14.0f %14s %9s\n", name, o.EventsPerSec, "-", "removed")
 		default:
 			speed := 0.0
 			if o.EventsPerSec > 0 {
 				speed = n.EventsPerSec / o.EventsPerSec
 			}
-			fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8.2fx\n", name, o.EventsPerSec, n.EventsPerSec, speed)
+			fmt.Fprintf(&sb, "%-20s %14.0f %14.0f %8.2fx\n", name, o.EventsPerSec, n.EventsPerSec, speed)
 		}
 	}
 	return sb.String()

@@ -65,7 +65,6 @@ func timeNoiseRun(ex *logicnet.Expanded, opt solver.Options, cfg *noise.Config, 
 	if err != nil {
 		return TimingResult{}, 0, 0, err
 	}
-	defer s.Close()
 	if cfg != nil {
 		if err := s.EnableNoise(*cfg); err != nil {
 			return TimingResult{}, 0, 0, err
@@ -122,7 +121,6 @@ func RunNoiseOverhead(b Benchmark, p logicnet.Params, events, seed uint64, repea
 		Seed:       seed,
 		Adaptive:   true,
 		RateTables: true,
-		Parallel:   1,
 	}
 	// Calibration pass: window width and ω band from the baseline rate.
 	cal, _, _, err := timeNoiseRun(ex, opt, nil, events)

@@ -70,7 +70,6 @@ func RunObsOverhead(b Benchmark, p logicnet.Params, events, seed uint64, repeats
 				Seed:       seed,
 				Adaptive:   true,
 				RateTables: true,
-				Parallel:   1,
 			}
 			switch mode {
 			case "metrics", "jobmetrics":
@@ -130,7 +129,6 @@ func timeObservedRun(ex *logicnet.Expanded, opt solver.Options, maxEvents uint64
 	if err != nil {
 		return TimingResult{}, err
 	}
-	defer s.Close()
 	start := time.Now()
 	if _, err := jobs.BenchObservedRun(s, maxEvents, opt.Obs, 1); err != nil && err != solver.ErrBlockaded {
 		return TimingResult{}, err

@@ -85,7 +85,7 @@ func shiftOps(pe *circuit.Potentials, c *circuit.Circuit, v []float64, reps int)
 func solveOps(pe *circuit.Potentials, dst, q, vext []float64, reps int) float64 {
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		pe.SolveRange(dst, q, vext, 0, len(dst))
+		pe.Solve(dst, q, vext)
 	}
 	return time.Since(start).Seconds() * 1e3 / float64(reps)
 }
@@ -150,7 +150,7 @@ func RunPotentialEngines(b Benchmark, p logicnet.Params, events, seed uint64) (*
 
 	// Truncated engine accuracy at the settled state.
 	vTrunc := make([]float64, ni)
-	trunc.SolveRange(vTrunc, q, vext, 0, ni)
+	trunc.Solve(vTrunc, q, vext)
 	maxErr := 0.0
 	for i := range vRef {
 		maxErr = math.Max(maxErr, math.Abs(vRef[i]-vTrunc[i]))

@@ -9,8 +9,6 @@ import (
 
 // RateEngineRun is one timed configuration of the rate-engine benchmark.
 type RateEngineRun struct {
-	Mode         string  `json:"mode"` // "serial" or "parallel"
-	Workers      int     `json:"workers"`
 	RateTables   bool    `json:"rate_tables"`
 	Events       uint64  `json:"events"`
 	WallSeconds  float64 `json:"wall_seconds"`
@@ -19,10 +17,10 @@ type RateEngineRun struct {
 	SimulatedSec float64 `json:"simulated_seconds"`
 }
 
-// RateEngineReport is the machine-readable benchmark of the within-run
-// parallel rate engine: the same workload (same seed, so the serial and
-// parallel runs execute identical trajectories) timed serial vs parallel
-// and with exact vs tabulated kernels.
+// RateEngineReport is the machine-readable benchmark of the rate
+// engine: the same workload (same seed, so both runs execute the same
+// event count) timed with exact and with tabulated kernels. GOMAXPROCS
+// records the machine it ran on; every run is serial.
 type RateEngineReport struct {
 	Benchmark  string          `json:"benchmark"`
 	Junctions  int             `json:"junctions"`
@@ -32,47 +30,32 @@ type RateEngineReport struct {
 }
 
 // RunRateEngine times the non-adaptive solver — the configuration whose
-// cost is dominated by the sharded rate recomputation — on benchmark b
-// for the given event budget, across the four corners of the engine:
-// {serial, parallel} x {exact, tabulated} rates. The circuit is built
-// with the default exact dense C^-1 rows.
+// cost is dominated by rate recomputation — on benchmark b for the
+// given event budget, with exact and with tabulated kernels. The
+// circuit is built with the default exact dense C^-1 rows.
 func RunRateEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*RateEngineReport, error) {
 	ex, err := BuildWorkload(b, p)
 	if err != nil {
 		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
 	rep := &RateEngineReport{
 		Benchmark:  b.Name,
 		Junctions:  ex.Circuit.NumJunctions(),
 		Events:     events,
-		GOMAXPROCS: workers,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	configs := []struct {
-		mode    string
-		workers int
-		tables  bool
-	}{
-		{"serial", 1, false},
-		{"serial", 1, true},
-		{"parallel", workers, false},
-		{"parallel", workers, true},
-	}
-	for _, c := range configs {
+	for _, tables := range []bool{false, true} {
 		opt := solver.Options{
 			Temp:       WorkloadTemp,
 			Seed:       seed,
-			Parallel:   c.workers,
-			RateTables: c.tables,
+			RateTables: tables,
 		}
 		res, err := TimeSolverOn(ex, opt, events, 0)
 		if err != nil {
 			return nil, err
 		}
 		run := RateEngineRun{
-			Mode:         c.mode,
-			Workers:      c.workers,
-			RateTables:   c.tables,
+			RateTables:   tables,
 			Events:       res.Events,
 			WallSeconds:  res.Wall.Seconds(),
 			RateCalcs:    res.RateCalcs,

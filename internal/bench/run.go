@@ -89,7 +89,6 @@ func MeasureDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options) (Del
 	if err != nil {
 		return DelayResult{}, err
 	}
-	defer s.Close()
 	out := ex.Wire[b.OutputWire]
 	s.AddProbe(out)
 	start := time.Now()
@@ -195,7 +194,6 @@ func TimeSolverOn(ex *logicnet.Expanded, opt solver.Options, maxEvents uint64, m
 	if err != nil {
 		return TimingResult{}, err
 	}
-	defer s.Close()
 	start := time.Now()
 	if _, err := s.Run(maxEvents, maxTime); err != nil && err != solver.ErrBlockaded {
 		return TimingResult{}, err

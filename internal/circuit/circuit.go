@@ -563,7 +563,7 @@ func (c *Circuit) IslandPotentials(dst []float64, n []int, t float64) []float64 
 	}
 	q := c.ChargeVector(nil, n)
 	vext := c.ExternalVoltages(nil, t)
-	c.IslandPotentialsRange(dst, q, vext, 0, ni)
+	c.pot.Solve(dst, q, vext)
 	return dst
 }
 
@@ -577,16 +577,6 @@ func (c *Circuit) ChargeVector(dst []float64, n []int) []float64 {
 		dst[i] = c.bgCharge[id] - units.E*float64(n[i])
 	}
 	return dst
-}
-
-// IslandPotentialsRange computes rows [lo, hi) of the potential solve
-// v = Cinv*q + mext*vext into dst (island order), for a precomputed
-// island charge vector q (see ChargeVector) and external voltages vext.
-// Rows are independent, so disjoint ranges can be computed concurrently
-// — the solver's parallel full refresh shards the matrix-vector product
-// this way.
-func (c *Circuit) IslandPotentialsRange(dst, q, vext []float64, lo, hi int) {
-	c.pot.SolveRange(dst, q, vext, lo, hi)
 }
 
 // NodePotential returns the potential of any node given precomputed

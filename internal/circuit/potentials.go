@@ -200,13 +200,11 @@ func (p *Potentials) Shift(v []float64, src, dst int, mq float64) int {
 	return touched
 }
 
-// SolveRange computes rows [lo, hi) of the potential solve
-// v = Cinv*q + mext*vext into dst (island order). Rows are independent,
-// so disjoint ranges may run concurrently; see RowShards for
-// nnz-balanced shard boundaries on sparse engines.
-func (p *Potentials) SolveRange(dst, q, vext []float64, lo, hi int) {
+// Solve computes the potential solve v = Cinv*q + mext*vext into dst
+// (island order).
+func (p *Potentials) Solve(dst, q, vext []float64) {
 	if !p.Sparse() {
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			row := p.c.cinv.Row(i)
 			acc := 0.0
 			for k, qk := range q {
@@ -219,7 +217,7 @@ func (p *Potentials) SolveRange(dst, q, vext []float64, lo, hi int) {
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		acc := 0.0
 		for idx := p.rowPtr[i]; idx < p.rowPtr[i+1]; idx++ {
 			acc += p.rowVal[idx] * q[p.rowCol[idx]]
@@ -255,33 +253,6 @@ func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
 	}
 }
 
-// RowShards returns parts+1 monotone row boundaries splitting
-// [0, NumIslands) into contiguous shards of approximately equal stored
-// nonzero count, so a parallel refresh stays balanced when truncation
-// leaves skewed row lengths. Dense engines return nil (equal row counts
-// are already balanced).
-func (p *Potentials) RowShards(parts int) []int {
-	if !p.Sparse() || parts <= 1 {
-		return nil
-	}
-	ni := len(p.c.islands)
-	if parts > ni {
-		parts = ni
-	}
-	bounds := make([]int, parts+1)
-	bounds[parts] = ni
-	total := p.rowPtr[ni] + p.mPtr[ni]
-	row := 0
-	for w := 1; w < parts; w++ {
-		target := total * w / parts
-		for row < ni && p.rowPtr[row]+p.mPtr[row] < target {
-			row++
-		}
-		bounds[w] = row
-	}
-	return bounds
-}
-
 // --- Truncation error bounds ---
 //
 // Write the stored row as Cinv[k] = exact[k] - err[k] where err[k]
@@ -304,7 +275,7 @@ func (p *Potentials) EventErrorBound(q float64) float64 {
 	return 2 * q * p.dropInf
 }
 
-// RefreshErrorBound bounds the per-island error of a full SolveRange
+// RefreshErrorBound bounds the per-island error of a full Solve
 // given the largest island charge magnitude and external voltage
 // magnitude. Zero for exact engines.
 func (p *Potentials) RefreshErrorBound(qmax, vmax float64) float64 {

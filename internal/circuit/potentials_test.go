@@ -113,34 +113,6 @@ func TestEpsSelectsEngine(t *testing.T) {
 	}
 }
 
-// TestRowShards: boundaries must be monotone, span all rows, and
-// balance stored nonzeros to within a row's worth of slack.
-func TestRowShards(t *testing.T) {
-	c, _ := buildChain(t, 200, BuildOptions{CinvTruncation: 1e-4})
-	pe := c.Potentials()
-	for _, parts := range []int{2, 3, 8} {
-		b := pe.RowShards(parts)
-		if len(b) != parts+1 || b[0] != 0 || b[parts] != c.NumIslands() {
-			t.Fatalf("parts=%d: bad bounds %v", parts, b)
-		}
-		for w := 1; w <= parts; w++ {
-			if b[w] < b[w-1] {
-				t.Fatalf("parts=%d: non-monotone bounds %v", parts, b)
-			}
-		}
-	}
-	if pe.RowShards(1) != nil {
-		t.Fatal("single shard should return nil")
-	}
-	if c.Potentials().RowShards(0) != nil {
-		t.Fatal("parts=0 should return nil")
-	}
-	d, _ := buildChain(t, 20, BuildOptions{})
-	if d.Potentials().RowShards(4) != nil {
-		t.Fatal("dense engine should not shard by nnz")
-	}
-}
-
 // TestPotentialShiftZeroAlloc: the per-event hot paths of both engines
 // must not allocate.
 func TestPotentialShiftZeroAlloc(t *testing.T) {
@@ -163,7 +135,7 @@ func TestPotentialShiftZeroAlloc(t *testing.T) {
 			pe.Shift(v, isls[4], isls[3], units.E)
 			sink += pe.PotentialShift(2, isls[3], isls[4], units.E)
 			sink += pe.DeltaWElectron(isls[3], isls[4], v[3], v[4])
-			pe.SolveRange(dv, q, vext, 0, ni)
+			pe.Solve(dv, q, vext)
 			pe.ExternalDelta(dv, vext, vext)
 		})
 		if allocs != 0 {

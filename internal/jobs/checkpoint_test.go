@@ -18,7 +18,7 @@ func writeTestCheckpoint(t *testing.T, dir string) string {
 	d := parseDeck(t, testDeck)
 	closed := make(chan struct{})
 	close(closed)
-	if _, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+	if _, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 		Dir: dir, Every: 1, Resume: true, Workers: 1, Stop: closed,
 	}); err != ErrInterrupted {
 		t.Fatalf("expected drain, got %v", err)
@@ -107,7 +107,7 @@ func TestLoadRejectsCorruptCheckpoints(t *testing.T) {
 			// silently: losing checkpointed work without saying so would
 			// mask data loss.
 			d := parseDeck(t, testDeck)
-			key, err := deckKey(d, Overrides{Parallel: 1})
+			key, err := deckKey(d, Overrides{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestLoadRejectsCorruptCheckpoints(t *testing.T) {
 			if err := os.Rename(p, checkpointPath(dir, key, 0, 0)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+			if _, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 				Dir: dir, Resume: true, Workers: 1,
 			}); err == nil {
 				t.Fatalf("deck resumed over a %s checkpoint", name)
@@ -174,7 +174,7 @@ func TestHelperKillDeck(t *testing.T) {
 		t.Skip("subprocess helper; driven by TestKillMinusNineResume")
 	}
 	d := parseDeck(t, killDeck)
-	if _, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+	if _, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 		Dir: dir, Every: 1, Resume: true, Workers: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestKillMinusNineResume(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	d := parseDeck(t, killDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 2})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestKillMinusNineResume(t *testing.T) {
 	}
 	t.Logf("landed %d SIGKILLs", kills)
 
-	got, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+	got, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 		Dir: dir, Every: 1, Resume: true, Workers: 2,
 	})
 	if err != nil {

@@ -37,10 +37,7 @@ const (
 // workers, no checkpointing, no timeout, two retries.
 type EngineConfig struct {
 	// Workers bounds how many (point, run) tasks run concurrently across
-	// all jobs (0 = GOMAXPROCS). When Workers > 1 and neither the deck
-	// nor the submission picked a within-run worker count, tasks default
-	// to serial rate evaluation — run-level parallelism already fills
-	// the machine, and the trajectory is bit-identical either way.
+	// all jobs (0 = GOMAXPROCS). Each task runs serially on its worker.
 	Workers int
 	// CheckpointDir is where per-task checkpoint files live; empty
 	// disables crash-safety (jobs restart from scratch after a crash).
@@ -232,13 +229,6 @@ func (e *Engine) Submit(d *netlist.Deck, ov Overrides) (*Job, error) {
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
-	if e.cfg.Workers > 1 && ov.Parallel == 0 && d.Spec.Parallel == 0 {
-		// Run-level parallelism already fills the machine; per-task worker
-		// pools would only oversubscribe. Parallel never changes the
-		// trajectory (or the checkpoint key), so this is purely a
-		// scheduling choice.
-		ov.Parallel = 1
-	}
 	if ov.FanoWindow == 0 {
 		// Daemon-default counting window: folded in before the deck key
 		// is derived, so checkpointed noise state stays bound to the τ
@@ -419,7 +409,6 @@ func (e *Engine) worker(id int) {
 	// consecutive tasks of the same deck (and later jobs over the same
 	// deck) re-seed the cached solver instead of rebuilding it.
 	ds := &deckSession{}
-	defer ds.Close()
 	for {
 		e.mu.Lock()
 		for len(e.queue) == 0 && !e.closed {

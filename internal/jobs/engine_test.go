@@ -195,45 +195,6 @@ func TestEngineSubmitValidates(t *testing.T) {
 	}
 }
 
-// The engine defaults within-run parallelism to serial when run-level
-// parallelism already fills the machine — unless the deck or the
-// submission chose a count.
-func TestEngineParallelDefaulting(t *testing.T) {
-	got := make(chan int, 16)
-	fn := func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
-		got <- tk.job.ov.Parallel
-		return runResult{Current: map[int]float64{1: 0, 2: 0}}, nil
-	}
-
-	e := scriptedEngine(t, EngineConfig{Workers: 4}, fn)
-	j := submit(t, e)
-	waitState(t, e, j, StateDone)
-	if p := <-got; p != 1 {
-		t.Fatalf("multi-worker engine defaulted Parallel to %d, want 1", p)
-	}
-
-	j2, err := e.Submit(parseDeck(t, testDeck), Overrides{Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, e, j2, StateDone)
-	drainInts(got)
-	// Find the override on the job itself; the explicit choice survives.
-	if j2.ov.Parallel != 3 {
-		t.Fatalf("explicit Parallel=3 rewritten to %d", j2.ov.Parallel)
-	}
-}
-
-func drainInts(ch chan int) {
-	for {
-		select {
-		case <-ch:
-		default:
-			return
-		}
-	}
-}
-
 // End-to-end on real simulations: several jobs in flight on a shared
 // pool produce exactly what a direct ExecuteDeck of the same deck does.
 func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
@@ -260,8 +221,7 @@ func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ov.Parallel was defaulted to 1 by the engine; mirror that.
-		want, err := ExecuteDeck(context.Background(), parseDeck(t, decks[i]), Overrides{Parallel: 1}, RunConfig{})
+		want, err := ExecuteDeck(context.Background(), parseDeck(t, decks[i]), Overrides{}, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,11 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		// A misspelt override must not be dropped silently: the job
+		// would run other work than the client asked for.
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
 			return
 		}

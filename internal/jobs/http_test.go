@@ -100,7 +100,7 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 		if code := doJSON(t, "GET", srv.URL+"/api/v1/jobs/"+id+"/result", nil, &res); code != http.StatusOK {
 			t.Fatalf("result %s: HTTP %d", id, code)
 		}
-		want, err := ExecuteDeck(context.Background(), parseDeck(t, decks[i]), Overrides{Parallel: 1}, RunConfig{})
+		want, err := ExecuteDeck(context.Background(), parseDeck(t, decks[i]), Overrides{}, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +181,50 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// A submission naming a field the API does not know — a misspelt
+// override, or one that no longer exists — is refused with a 400 that
+// names the field, instead of running with the field dropped.
+func TestHTTPRejectsUnknownFields(t *testing.T) {
+	e := newEngine(EngineConfig{Workers: 1},
+		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
+			return runResult{Current: map[int]float64{1: 0, 2: 0}}, nil
+		})
+	t.Cleanup(e.Close)
+	srv := httptest.NewServer(NewHandler(e, nil))
+	t.Cleanup(srv.Close)
+
+	deck, err := json.Marshal(testDeck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(blob)
+	}
+	for _, field := range []string{"cinv-eps", "rate-tables", "parallel"} {
+		code, msg := post(fmt.Sprintf(`{"deck": %s, "overrides": {%q: 1}}`, deck, field))
+		if code != http.StatusBadRequest || !strings.Contains(msg, field) {
+			t.Errorf("override %q: HTTP %d %s, want 400 naming the field", field, code, msg)
+		}
+	}
+	if code, msg := post(fmt.Sprintf(`{"dek": %s}`, deck)); code != http.StatusBadRequest || !strings.Contains(msg, "dek") {
+		t.Errorf("top-level typo: HTTP %d %s, want 400 naming the field", code, msg)
+	}
+	valid := fmt.Sprintf(`{"deck": %s, "overrides": {"rate_tables": true, "cinv_eps": 1e-9, "fano_window": 1e-9}}`, deck)
+	if code, msg := post(valid); code != http.StatusAccepted {
+		t.Errorf("valid overrides: HTTP %d %s, want 202", code, msg)
+	}
+}
+
 // Cancel over HTTP lands the job in canceled and the result endpoint
 // reports it.
 func TestHTTPCancel(t *testing.T) {
@@ -235,7 +279,7 @@ func TestHTTPObsRoutesMounted(t *testing.T) {
 // tasks are reused while the rest complete — bit-identical.
 func TestHTTPResumeAcrossEngineRestart(t *testing.T) {
 	dir := t.TempDir()
-	want, err := ExecuteDeck(context.Background(), parseDeck(t, testDeck), Overrides{Parallel: 1}, RunConfig{})
+	want, err := ExecuteDeck(context.Background(), parseDeck(t, testDeck), Overrides{}, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package jobs is the batch execution layer: it fans a parsed deck out
 // into independent (sweep point, run) tasks, executes them on a bounded
-// worker pool — run-level parallelism composing with the solver's
-// within-run parallelism — and makes every run crash-safe through
-// periodic atomic checkpoint files built on the solver's snapshot API.
+// worker pool — each task runs serially on its worker — and makes every
+// run crash-safe through periodic atomic checkpoint files built on the
+// solver's snapshot API.
 //
 // Determinism is the load-bearing property. Checkpoints are only
 // written when the solver sits on a full-refresh boundary
@@ -13,8 +13,8 @@
 // RNG). Restore performs the same full refresh, so a run killed at an
 // arbitrary instant and resumed from its last checkpoint produces a
 // trajectory bit-identical to the uninterrupted run, in every solver
-// mode (adaptive, non-adaptive, superconducting, cotunneling, serial
-// and parallel). DESIGN.md §10 develops the full argument.
+// mode (adaptive, non-adaptive, superconducting, cotunneling) and at
+// any worker count. DESIGN.md §10 develops the full argument.
 //
 // The package offers three entry points at increasing altitude:
 //
@@ -52,15 +52,12 @@ import (
 var ErrInterrupted = errors.New("jobs: run interrupted; state checkpointed for resume")
 
 // Overrides adjusts engine knobs on top of the deck's own directives —
-// command-line or API settings that win over the deck. Parallel and
-// FanoWindow never change the trajectory. RateTables and CinvEps do,
+// command-line or API settings that win over the deck. FanoWindow
+// never changes the trajectory. RateTables and CinvEps do,
 // within bounded errors; Submit and ExecuteDeck fold them into a copy
 // of the deck's spec before keying and compiling, so an overridden
 // deck is the same work as a deck that spells the directives itself.
 type Overrides struct {
-	// Parallel overrides the within-run rate-engine worker count when
-	// non-zero (1 = serial; any value is bit-identical).
-	Parallel int `json:"parallel,omitempty"`
 	// RateTables routes normal-state rates through the error-bounded
 	// interpolation tables (< 1e-6 relative error), as the deck's
 	// rate-tables directive does.
@@ -162,8 +159,7 @@ func withOverrides(d *netlist.Deck, ov Overrides) *netlist.Deck {
 // noise counting window, truncated to 128 bits of hex. Checkpoint files
 // embed and verify the key and the result cache is keyed on it, so a
 // resumed or cached submission only picks up state that provably
-// belongs to the same work; Parallel is excluded because worker count
-// never changes the trajectory. The key also names every checkpoint
+// belongs to the same work. The key also names every checkpoint
 // file, and 128 bits keep those paths short while leaving collisions
 // out of reach.
 func deckKey(d *netlist.Deck, ov Overrides) (string, error) {
@@ -417,11 +413,6 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 	for w := range sessions {
 		sessions[w] = &deckSession{}
 	}
-	defer func() {
-		for _, ds := range sessions {
-			ds.Close()
-		}
-	}()
 
 	var results [][]runResult
 	runWave := func(start int) error {

@@ -52,7 +52,7 @@ func sameMapPoints(t *testing.T, want, got []Point, label string) {
 // and fold to the identical points at any worker count.
 func TestExecuteDeckMapRefines(t *testing.T) {
 	d := parseDeck(t, mapDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 1})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestExecuteDeckMapRefines(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 5} {
-		got, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: workers})
+		got, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestExecuteDeckMapRefines(t *testing.T) {
 // the exact uninterrupted result.
 func TestMapDeckResumeBitIdentical(t *testing.T) {
 	d := parseDeck(t, mapDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 2})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMapDeckResumeBitIdentical(t *testing.T) {
 	var got []Point
 	resumes := 0
 	for {
-		got, err = ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+		got, err = ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 			Dir: dir, Every: 1, Resume: true, Workers: 2, Stop: closed,
 		})
 		if err == nil {
@@ -130,13 +130,13 @@ func TestMapDeckResumeBitIdentical(t *testing.T) {
 // synchronous ExecuteDeck result at any worker count.
 func TestEngineMapJobMatchesExecuteDeck(t *testing.T) {
 	d := parseDeck(t, mapDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 1})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
 		e := NewEngine(EngineConfig{Workers: workers})
-		j, err := e.Submit(parseDeck(t, mapDeck), Overrides{Parallel: 1})
+		j, err := e.Submit(parseDeck(t, mapDeck), Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 2, CheckpointDir: dir, ResultCache: true})
 	defer e.Close()
 
-	j1, err := e.Submit(parseDeck(t, testDeck), Overrides{Parallel: 1})
+	j1, err := e.Submit(parseDeck(t, testDeck), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 		t.Fatal("ResultCache kept no done markers")
 	}
 
-	j2, err := e.Submit(parseDeck(t, testDeck), Overrides{Parallel: 1})
+	j2, err := e.Submit(parseDeck(t, testDeck), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,19 +204,18 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 func TestRunDeckPointSessionMatchesFresh(t *testing.T) {
 	for _, src := range []string{testDeck, mapDeck} {
 		d := parseDeck(t, src)
-		key, err := deckKey(d, Overrides{Parallel: 1})
+		key, err := deckKey(d, Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pts := deckPoints(&d.Spec)
 		ds := &deckSession{}
-		defer ds.Close()
 		for _, pt := range pts {
-			fresh, err := runDeckPoint(context.Background(), d, Overrides{Parallel: 1}, key, pt, 0, RunConfig{})
+			fresh, err := runDeckPoint(context.Background(), d, Overrides{}, key, pt, 0, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reused, err := runDeckPoint(context.Background(), d, Overrides{Parallel: 1}, key, pt, 0, RunConfig{session: ds})
+			reused, err := runDeckPoint(context.Background(), d, Overrides{}, key, pt, 0, RunConfig{session: ds})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,7 +68,7 @@ func sameNoise(t *testing.T, want, got []Point, label string) {
 // currents they ride along with.
 func TestNoiseDeckFoldsDeterministically(t *testing.T) {
 	d := parseDeck(t, noiseTestDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 1})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestNoiseDeckFoldsDeterministically(t *testing.T) {
 			t.Fatalf("point %d junction 2 auto window not calibrated: %+v", i, st)
 		}
 	}
-	par, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 4}, RunConfig{Workers: 3})
+	par, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestNoiseDeckFoldsDeterministically(t *testing.T) {
 // travel in the checkpoints.
 func TestNoiseDeckResumeBitIdentical(t *testing.T) {
 	d := parseDeck(t, noiseTestDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 2})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNoiseDeckResumeBitIdentical(t *testing.T) {
 	var got []Point
 	resumes := 0
 	for {
-		got, err = ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+		got, err = ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 			Dir: dir, Every: 1, Resume: true, Workers: 2, Stop: closed,
 		})
 		if err == nil {
@@ -136,12 +136,12 @@ func TestNoiseDeckResumeBitIdentical(t *testing.T) {
 // leave the trajectory (currents, event counts) untouched.
 func TestFanoWindowOverride(t *testing.T) {
 	d := parseDeck(t, noiseTestDeck)
-	base, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: 1})
+	base, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const tau = 3e-11
-	ov, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1, FanoWindow: tau}, RunConfig{Workers: 1})
+	ov, err := ExecuteDeck(context.Background(), d, Overrides{FanoWindow: tau}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

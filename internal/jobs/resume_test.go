@@ -65,21 +65,19 @@ func samePoints(t *testing.T, want, got []Point, label string) {
 // TestDeckResumeBitIdentical is the tentpole invariant: a deck
 // execution interrupted at EVERY checkpoint boundary and resumed from
 // disk each time must fold to exactly the same points as one
-// uninterrupted execution — serially and with both levels of
-// parallelism (within-run workers and run-level workers).
+// uninterrupted execution — serially and with run-level workers.
 func TestDeckResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
-		ov      Overrides
 		workers int
 	}{
-		{"serial", Overrides{Parallel: 1}, 1},
-		{"parallel", Overrides{Parallel: 4}, 3},
+		{"serial", 1},
+		{"parallel", 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := parseDeck(t, testDeck)
-			ref, err := ExecuteDeck(context.Background(), d, tc.ov, RunConfig{Workers: tc.workers})
+			ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: tc.workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +92,7 @@ func TestDeckResumeBitIdentical(t *testing.T) {
 			var got []Point
 			resumes := 0
 			for {
-				got, err = ExecuteDeck(context.Background(), d, tc.ov, RunConfig{
+				got, err = ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 					Dir: dir, Every: 1, Resume: true, Workers: tc.workers, Stop: closed,
 				})
 				if err == nil {
@@ -133,7 +131,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	closed := make(chan struct{})
 	close(closed)
-	_, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+	_, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 		Dir: dir, Every: 1, Resume: true, Workers: 1, Stop: closed,
 	})
 	if !errors.Is(err, ErrInterrupted) {
@@ -148,14 +146,14 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	// look at the foreign file — but a file renamed to collide with the
 	// new key must be rejected by the embedded key check.
 	d2 := parseDeck(t, strings.Replace(testDeck, "seed 11", "seed 12", 1))
-	key2, err := deckKey(d2, Overrides{Parallel: 1})
+	key2, err := deckKey(d2, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(files[0], checkpointPath(dir, key2, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ExecuteDeck(context.Background(), d2, Overrides{Parallel: 1}, RunConfig{
+	_, err = ExecuteDeck(context.Background(), d2, Overrides{}, RunConfig{
 		Dir: dir, Resume: true, Workers: 1,
 	})
 	if err == nil {
@@ -167,19 +165,19 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 // to the plain path, and to itself at any worker count.
 func TestExecuteDeckWorkerCountInvariance(t *testing.T) {
 	d := parseDeck(t, testDeck)
-	ref, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{})
+	ref, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 6} {
-		got, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{Workers: workers})
+		got, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		samePoints(t, ref, got, "workers")
 	}
 	// And with checkpointing enabled but never interrupted.
-	got, err := ExecuteDeck(context.Background(), d, Overrides{Parallel: 1}, RunConfig{
+	got, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{
 		Dir: t.TempDir(), Every: 1, Resume: true, Workers: 2,
 	})
 	if err != nil {
@@ -215,7 +213,6 @@ refresh 256
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
 		return s
 	}
 

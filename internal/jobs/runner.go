@@ -200,26 +200,11 @@ type deckSession struct {
 	sim *solver.Sim
 }
 
-// Close releases the cached solver. Safe on the zero value.
-func (ds *deckSession) Close() {
-	if ds.sim != nil {
-		ds.sim.Close()
-		ds.sim = nil
-	}
-	ds.cc = nil
-	ds.key = ""
-}
-
 // acquire returns a simulator ready to run at the given seed and DC
 // bias (netlist node -> volts), reusing the cached build when the deck
-// key and worker count match and rebuilding otherwise. The session key
-// extends the deck key with Parallel because the deck key deliberately
-// excludes it (it never changes the trajectory) while the solver build
-// does depend on it.
+// key matches and rebuilding otherwise.
 func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, over map[int]float64) (*solver.Sim, *netlist.Compiled, error) {
-	sessKey := fmt.Sprintf("%s|p%d", key, opt.Parallel)
-	if ds.sim == nil || ds.key != sessKey {
-		ds.Close()
+	if ds.sim == nil || ds.key != key {
 		cc, err := d.Compile(nil)
 		if err != nil {
 			return nil, nil, err
@@ -228,7 +213,7 @@ func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, 
 		if err != nil {
 			return nil, nil, err
 		}
-		ds.key, ds.cc, ds.sim = sessKey, cc, s
+		ds.key, ds.cc, ds.sim = key, cc, s
 		if o := obs.Global(); o != nil {
 			o.Registry().Counter("jobs.session_builds").Add(1)
 		}
@@ -295,19 +280,15 @@ func noiseConfig(spec *netlist.Spec, ov Overrides, cc *netlist.Compiled) (noise.
 // point's source values, run the warm-up transient, reset measurement,
 // run the measured window, and report the recorded junction currents.
 // The deck's spec, overrides already folded in (withOverrides), sets the
-// build and solver options; ov adds only the worker count and the noise
-// counting window. With cfg.session set the worker's cached solver is
-// re-seeded in place of a fresh compile — bit-identical either way.
+// build and solver options; ov adds only the noise counting window.
+// With cfg.session set the worker's cached solver is re-seeded in place
+// of a fresh compile — bit-identical either way.
 // With cfg.Dir set it checkpoints periodically and, with cfg.Resume,
 // continues from a valid matching checkpoint file; the file is removed
 // once the task completes (or replaced by a done marker on the Resume
 // path).
 func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string, pt deckPoint, run int, cfg RunConfig) (runResult, error) {
 	spec := d.Spec
-	parallel := spec.Parallel
-	if ov.Parallel != 0 {
-		parallel = ov.Parallel
-	}
 	opt := solver.Options{
 		Temp:         spec.Temp,
 		Cotunneling:  spec.Cotunnel,
@@ -315,7 +296,6 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string
 		Alpha:        spec.Alpha,
 		RefreshEvery: spec.RefreshEvery,
 		Seed:         spec.Seed + uint64(pt.Fine)*1009 + uint64(run)*104729,
-		Parallel:     parallel,
 		RateTables:   spec.RateTables,
 	}
 	var (
@@ -337,7 +317,6 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string
 		if err != nil {
 			return runResult{}, err
 		}
-		defer s.Close()
 	}
 
 	// Noise recording must be configured before any possible Restore:

@@ -2,9 +2,8 @@
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // vocabulary (Analyzer, Pass, Diagnostic) plus the project-specific
 // passes that turn semsim's correctness conventions — deterministic
-// randomness, SI unit discipline, no raw float equality, shard-local
-// writes in the parallel rate engine, no discarded numerical errors —
-// into machine-checked invariants.
+// randomness, SI unit discipline, no raw float equality, no discarded
+// numerical errors — into machine-checked invariants.
 //
 // The framework is intentionally tiny rather than a vendored copy of
 // x/tools: the build environment is offline and the module has no
@@ -80,7 +79,6 @@ func All() []*Analyzer {
 		Detrand,
 		Unitsafety,
 		Floateq,
-		Sharddiscipline,
 		Hotalloc,
 		Physerr,
 		Obsdiscipline,

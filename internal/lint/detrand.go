@@ -9,8 +9,8 @@ import (
 
 // Detrand guards the determinism contract: Monte Carlo runs must be
 // bit-reproducible across runs and platforms for a fixed seed (the
-// paper's error figures average nine fixed seeds, and the parallel rate
-// engine's tests compare trajectories bit-for-bit). Three things break
+// paper's error figures average nine fixed seeds, and the determinism
+// tests compare trajectories bit-for-bit). Three things break
 // that silently:
 //
 //   - math/rand (and math/rand/v2): global, lockable, version-drifting

@@ -22,9 +22,9 @@ import (
 // sources — every finding must be wanted, every want must be found.
 //
 // Fixture directories nest, so <path> doubles as the package import
-// path; that lets path-sensitive analyzers (sharddiscipline only fires
-// in internal/solver, unitsafety exempts internal/units) be tested
-// against both matching and non-matching package paths. Fixtures may
+// path; that lets path-sensitive analyzers (unitsafety exempts
+// internal/units) be tested against both matching and non-matching
+// package paths. Fixtures may
 // import sibling fixture packages and the standard library. Imported
 // fixture packages are analyzed first (in dependency order, their
 // diagnostics discarded) so fact-exporting analyzers see their upstream

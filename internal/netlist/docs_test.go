@@ -20,7 +20,7 @@ var deckDirectives = []string{
 	"record", "record noise", "record fano", "probe",
 	"jumps", "time", "sweep", "map", "refine", "seed",
 	"adaptive", "refresh",
-	"cinv-eps", "parallel", "rate-tables",
+	"cinv-eps", "rate-tables",
 }
 
 // docExamples extracts the fenced ```deck blocks from docs/DECK.md.

@@ -33,7 +33,6 @@
 //	adaptive 0.05                adaptive solver with threshold alpha
 //	refresh 1024                 full recalculation period
 //	cinv-eps 1e-9                truncate C^-1 rows at eps*rowmax (sparse rows)
-//	parallel 4                   within-run rate-engine workers (0 = auto)
 //	rate-tables                  tabulated normal-state tunnel kernels
 //
 // Node 0 is always ground (an external at 0 V). Nodes with a source are
@@ -110,13 +109,10 @@ type Spec struct {
 	// potential-engine selector: 0 builds exact dense rows, > 0
 	// truncated sparse rows with a provable error bound.
 	CinvEps float64
-	// Parallel is the within-run rate-engine worker count (0 = solver
-	// default, 1 = serial; bit-identical either way) and RateTables
-	// routes normal-state rates through the error-bounded interpolation
-	// tables. Engine knobs rather than physics, but deck-expressible so
-	// a submitted deck is self-contained (e.g. for the semsimd batch
-	// daemon); command-line overrides still win.
-	Parallel    int
+	// RateTables routes normal-state rates through the error-bounded
+	// interpolation tables. An engine knob rather than physics, but
+	// deck-expressible so a submitted deck is self-contained (e.g. for
+	// the semsimd batch daemon); command-line overrides still win.
 	RateTables  bool
 	Sweep       *SweepSpec
 	Map         *MapSpec
@@ -585,14 +581,7 @@ func (d *Deck) directive(f []string, ln int) error {
 	case "sparse":
 		return bad("the sparse directive is retired: cinv-eps alone picks the potential engine (omit it for exact dense rows, cinv-eps <eps> for truncated sparse rows)")
 	case "parallel":
-		if err := need(1); err != nil {
-			return err
-		}
-		n, err := inum(f[1])
-		if err != nil || n < 0 {
-			return bad("parallel: malformed worker count (want >= 0)")
-		}
-		d.Spec.Parallel = n
+		return bad("the parallel directive is retired: every run is serial; use -workers (semsim, semsimd) to run a deck's (point, run) tasks concurrently")
 	case "rate-tables":
 		if err := need(0); err != nil {
 			return err

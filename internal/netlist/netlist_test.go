@@ -205,8 +205,6 @@ func TestParseErrors(t *testing.T) {
 		"pwl non-monotone":   "junc 1 0 1 1e-6 1e-18\nvpwl 2 1e-9 0 0.5e-9 1\ncap 2 1 1e-18\n",
 		"bad temp":           "junc 1 0 1 1e-6 1e-18\ntemp -3\n",
 		"bad super":          "junc 1 0 1 1e-6 1e-18\nsuper -1 1\n",
-		"neg parallel":       "junc 1 0 1 1e-6 1e-18\nparallel -2\n",
-		"parallel argc":      "junc 1 0 1 1e-6 1e-18\nparallel\n",
 		"rate-tables argc":   "junc 1 0 1 1e-6 1e-18\nrate-tables 3\n",
 		"map one axis":       "junc 1 1 2 1e-6 1e-18\nvdc 1 0\nmap x 1 -0.1 0.1 5\n",
 		"map bad axis":       "junc 1 1 2 1e-6 1e-18\nvdc 1 0\nmap z 1 -0.1 0.1 5\n",
@@ -227,12 +225,19 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestSparseDirectiveRetired: cinv-eps alone picks the potential engine,
-// and a deck still spelling the retired `sparse` directive is told so.
+// TestSparseDirectiveRetired: a deck still spelling a retired directive
+// is rejected at its line and pointed at what replaced it — cinv-eps
+// alone picks the potential engine, and -workers is the only
+// parallelism.
 func TestSparseDirectiveRetired(t *testing.T) {
-	_, err := Parse(strings.NewReader("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\nsparse\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "cinv-eps") {
-		t.Fatalf("sparse directive: error %v, want a line-3 error naming cinv-eps", err)
+	for _, tc := range []struct{ line, replacement string }{
+		{"sparse", "cinv-eps"},
+		{"parallel 4", "-workers"},
+	} {
+		_, err := Parse(strings.NewReader("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\n" + tc.line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), tc.replacement) {
+			t.Errorf("%q: error %v, want a line-3 error naming %s", tc.line, err, tc.replacement)
+		}
 	}
 }
 

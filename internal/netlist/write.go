@@ -131,9 +131,6 @@ func (d *Deck) Format(w io.Writer) error {
 	if sp.CinvEps > 0 {
 		p("cinv-eps %.17g\n", sp.CinvEps)
 	}
-	if sp.Parallel != 0 {
-		p("parallel %d\n", sp.Parallel)
-	}
 	if sp.RateTables {
 		p("rate-tables\n")
 	}

@@ -30,7 +30,6 @@ symm 1
 seed 42
 adaptive 0.1
 refresh 512
-parallel 4
 rate-tables
 `
 	d1, err := Parse(strings.NewReader(src))
@@ -172,9 +171,6 @@ func TestFormatRoundTripRandomDecks(t *testing.T) {
 		fmt.Fprintf(&sb, "record 1\n")
 		if r.Intn(2) == 0 {
 			fmt.Fprintf(&sb, "adaptive %g\nrefresh %d\n", 0.01+r.Float64()*0.2, 64+r.Intn(4096))
-		}
-		if r.Intn(2) == 0 {
-			fmt.Fprintf(&sb, "parallel %d\n", r.Intn(8))
 		}
 		if r.Intn(3) == 0 {
 			fmt.Fprintf(&sb, "rate-tables\n")

@@ -14,7 +14,7 @@
 //   - recording never touches simulator state, random streams or
 //     floating-point inputs, so instrumented trajectories are
 //     bit-identical to uninstrumented ones (asserted by the solver's
-//     determinism tests, serial and parallel).
+//     determinism tests).
 //
 // One Observer may be shared by concurrent simulations (a sweep, a
 // multi-seed delay measurement): counters and gauges are atomics, the

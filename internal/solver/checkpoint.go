@@ -36,9 +36,8 @@ const CheckpointVersion = 2
 // OptionsHash fingerprints every trajectory-relevant solver option, so
 // resuming under mismatched options (different temperature, adaptive
 // threshold, refresh period, C^-1 truncation, rate tables, ...) is
-// rejected loudly instead of silently diverging. Options.Parallel and
-// Options.Seed are deliberately excluded: worker count is proven
-// bit-identical, and the live RNG state travels in the snapshot.
+// rejected loudly instead of silently diverging. Options.Seed is
+// deliberately excluded: the live RNG state travels in the snapshot.
 //
 //statecover:root save=json
 type Checkpoint struct {
@@ -72,8 +71,8 @@ type Checkpoint struct {
 // truncation threshold of the circuit's potential engine. Two Sims whose
 // hashes match produce bit-identical continuations from the same
 // dynamic state; options that provably cannot change the trajectory
-// (Parallel, Obs, Seed — the RNG state is checkpointed directly) are
-// excluded.
+// (Obs, Seed — the RNG state is checkpointed directly — and the ignored
+// Parallel) are excluded.
 func (s *Sim) trajectoryHash() string {
 	o := &s.opt
 	const offset, prime = 1469598103934665603, 1099511628211

@@ -105,7 +105,6 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 		if err := dst.Restore(cp); err == nil {
 			t.Errorf("%s mismatch silently accepted", name)
 		}
-		dst.Close()
 	}
 	// The same options over a circuit built at another C^-1 truncation
 	// threshold run another trajectory.
@@ -113,20 +112,11 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	if err := dst.Restore(cp); err == nil {
 		t.Error("cinv-eps mismatch silently accepted")
 	}
-	dst.Close()
 
-	// Options that provably do not change the trajectory must stay
-	// resumable: a different seed (the RNG state is in the snapshot) and
-	// a different worker count (parallel is bit-identical to serial).
-	for name, opt := range map[string]Options{
-		"seed":     {Temp: 5, Seed: 12345},
-		"parallel": {Temp: 5, Seed: 9, Parallel: 4},
-	} {
-		dst := mk(opt)
-		if err := dst.Restore(cp); err != nil {
-			t.Errorf("trajectory-equivalent option %s rejected: %v", name, err)
-		}
-		dst.Close()
+	// A different seed does not change the trajectory (the RNG state is
+	// in the snapshot), so it must stay resumable.
+	if err := mk(Options{Temp: 5, Seed: 12345}).Restore(cp); err != nil {
+		t.Errorf("trajectory-equivalent seed rejected: %v", err)
 	}
 }
 

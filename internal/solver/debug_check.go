@@ -96,7 +96,7 @@ func (s *Sim) debugCheckPotentialDrift() {
 	}
 	q := s.c.ChargeVector(nil, s.n)
 	fresh := make([]float64, ni)
-	s.pe.SolveRange(fresh, q, s.vext, 0, ni)
+	s.pe.Solve(fresh, q, s.vext)
 	maxAbs := 0.0
 	for _, v := range fresh {
 		if a := math.Abs(v); a > maxAbs {

@@ -2,12 +2,10 @@
 
 // Invariant audit of the c432 benchmark deck: the full event loop —
 // adaptive updates, tabulated kernels, input changes, periodic
-// refreshes — must complete with zero recorded violations, on both the
-// serial path and the sharded parallel rate engine.
+// refreshes — must complete with zero recorded violations.
 package solver_test
 
 import (
-	"runtime"
 	"testing"
 
 	"semsim/internal/bench"
@@ -15,8 +13,7 @@ import (
 	"semsim/internal/solver"
 )
 
-func runC432Debug(t *testing.T, parallel int) {
-	t.Helper()
+func TestC432InvariantsSerial(t *testing.T) {
 	invariant.Reset()
 	ex, b := workload(t, "c432")
 	opt := solver.Options{
@@ -24,23 +21,9 @@ func runC432Debug(t *testing.T, parallel int) {
 		Seed:       42,
 		Adaptive:   true,
 		RateTables: true,
-		Parallel:   parallel,
 	}
 	runWorkload(t, ex, b, opt, 4000)
 	if n := invariant.Violations(); n != 0 {
-		t.Fatalf("c432 run (Parallel=%d) recorded %d invariant violations:\n%v",
-			parallel, n, invariant.Messages())
+		t.Fatalf("c432 run recorded %d invariant violations:\n%v", n, invariant.Messages())
 	}
-}
-
-func TestC432InvariantsSerial(t *testing.T) {
-	runC432Debug(t, 1)
-}
-
-func TestC432InvariantsParallel(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	if p < 2 {
-		p = 2
-	}
-	runC432Debug(t, p)
 }

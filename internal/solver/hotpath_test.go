@@ -46,7 +46,6 @@ func benchStep(b *testing.B, opt Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	// Prime past the cold start (first flush grows the pending arrays to
 	// their steady-state capacity).
 	if _, err := s.Run(64, 0); err != nil {
@@ -73,7 +72,7 @@ func BenchmarkStepHotPathAdaptive(b *testing.B) {
 	benchStep(b, Options{Temp: 2, Seed: 7, RateTables: true, Adaptive: true, RefreshEvery: 1024})
 }
 
-// benchRecompute times one full sharded junction-rate recomputation —
+// benchRecompute times one full junction-rate recomputation —
 // the inner loop that dominates non-adaptive cost on the large
 // benchmarks — without the surrounding event machinery.
 func benchRecompute(b *testing.B, opt Options) {
@@ -81,7 +80,6 @@ func benchRecompute(b *testing.B, opt Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,11 +87,11 @@ func benchRecompute(b *testing.B, opt Options) {
 	}
 }
 
-func BenchmarkShardedRecomputeTables(b *testing.B) {
+func BenchmarkRecomputeTables(b *testing.B) {
 	benchRecompute(b, Options{Temp: 2, Seed: 7, RateTables: true})
 }
 
-func BenchmarkShardedRecomputeExact(b *testing.B) {
+func BenchmarkRecomputeExact(b *testing.B) {
 	benchRecompute(b, Options{Temp: 2, Seed: 7})
 }
 
@@ -129,8 +127,8 @@ func TestTablesNotSlowerThanExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarking under -short")
 	}
-	exact := testing.Benchmark(BenchmarkShardedRecomputeExact)
-	tables := testing.Benchmark(BenchmarkShardedRecomputeTables)
+	exact := testing.Benchmark(BenchmarkRecomputeExact)
+	tables := testing.Benchmark(BenchmarkRecomputeTables)
 	if tables.NsPerOp() > exact.NsPerOp()*5/4 {
 		t.Errorf("tabulated recompute slower than exact: %d ns/op vs %d ns/op",
 			tables.NsPerOp(), exact.NsPerOp())

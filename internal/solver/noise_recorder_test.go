@@ -53,7 +53,6 @@ func foldNoiseRuns(tb testing.TB, r1, r2 float64, runs int, events uint64, omega
 			tb.Fatal("recorded junction reports no noise stats")
 		}
 		rs = append(rs, st)
-		s.Close()
 	}
 	return noise.Fold(rs)
 }
@@ -152,8 +151,6 @@ func TestNoisePassiveTrajectory(t *testing.T) {
 		return s
 	}
 	a, b := mk(true), mk(false)
-	defer a.Close()
-	defer b.Close()
 	if _, err := a.Run(20000, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +209,6 @@ func TestNoiseResetClearsState(t *testing.T) {
 	// Reused path: run once under seed 5 (polluting the accumulators
 	// and calibrating an auto window), then Reset to seed 6.
 	s, nd := build(5)
-	defer s.Close()
 	measure(s, nd)
 	if err := s.Reset(6, nil); err != nil {
 		t.Fatal(err)
@@ -220,7 +216,6 @@ func TestNoiseResetClearsState(t *testing.T) {
 	reused := measure(s, nd)
 
 	fresh, nd2 := build(6)
-	defer fresh.Close()
 	want := measure(fresh, nd2)
 
 	if reused.Events != want.Events || reused.Windows != want.Windows ||
@@ -243,7 +238,6 @@ func TestNoiseResetClearsState(t *testing.T) {
 func TestNoiseCheckpointRoundTrip(t *testing.T) {
 	omegas := []float64{1e8, 3e8}
 	ref, nd := noiseSET(t, 1e6, 1e6, 77, omegas)
-	defer ref.Close()
 	if _, err := ref.Run(3000, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +263,6 @@ func TestNoiseCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if err := s2.Restore(cp); err == nil {
 		t.Fatal("Restore accepted noise checkpoint without EnableNoise")
 	}
@@ -316,7 +309,6 @@ func BenchmarkStepHotPathNoise(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	if err := s.EnableNoise(noise.Config{Juncs: []noise.JuncConfig{
 		{Junc: 0, Omegas: []float64{1e8, 1e9, 1e10}, Window: 1e-9},
 	}}); err != nil {

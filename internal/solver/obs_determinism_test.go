@@ -1,12 +1,11 @@
 // Observability must be passive: an instrumented run — metrics alone
 // or full tracing — produces a bit-identical trajectory to an
-// uninstrumented one, on the serial path and the parallel rate engine.
-// This is the acceptance gate for wiring internal/obs through the
-// solver; it reuses the determinism harness of the rate-engine tests.
+// uninstrumented one. This is the acceptance gate for wiring
+// internal/obs through the solver; it reuses the determinism harness of
+// the rate-engine tests.
 package solver_test
 
 import (
-	"runtime"
 	"testing"
 
 	"semsim/internal/bench"
@@ -20,63 +19,49 @@ func TestObsDoesNotPerturbTrajectory(t *testing.T) {
 	}
 	ex, b := workload(t, "c432")
 	const events = 3000
-	base := solver.Options{Temp: bench.WorkloadTemp, Seed: 29, Adaptive: true, RateTables: true}
+	opt := solver.Options{Temp: bench.WorkloadTemp, Seed: 29, Adaptive: true, RateTables: true}
 
-	parallelWorkers := runtime.GOMAXPROCS(0)
-	if parallelWorkers < 2 {
-		parallelWorkers = 2
+	plain := runWorkload(t, ex, b, opt, events)
+	if plain.stats.Events == 0 {
+		t.Fatal("no events simulated")
 	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", parallelWorkers},
-	} {
-		opt := base
-		opt.Parallel = mode.workers
-		plain := runWorkload(t, ex, b, opt, events)
-		if plain.stats.Events == 0 {
-			t.Fatalf("%s: no events simulated", mode.name)
-		}
 
-		metricsOpt := opt
-		metricsOpt.Obs = obs.New(obs.Config{})
-		metrics := runWorkload(t, ex, b, metricsOpt, events)
-		requireIdentical(t, mode.name+"/metrics-only", plain, metrics)
+	metricsOpt := opt
+	metricsOpt.Obs = obs.New(obs.Config{})
+	metrics := runWorkload(t, ex, b, metricsOpt, events)
+	requireIdentical(t, "metrics-only", plain, metrics)
 
-		tracingOpt := opt
-		tracingOpt.Obs = obs.New(obs.Config{Trace: true, TraceCap: 1 << 12})
-		traced := runWorkload(t, ex, b, tracingOpt, events)
-		requireIdentical(t, mode.name+"/full-tracing", plain, traced)
+	tracingOpt := opt
+	tracingOpt.Obs = obs.New(obs.Config{Trace: true, TraceCap: 1 << 12})
+	traced := runWorkload(t, ex, b, tracingOpt, events)
+	requireIdentical(t, "full-tracing", plain, traced)
 
-		// The registry mirror must agree exactly with the Stats struct
-		// (the counters are fed from the same increments).
-		snap := tracingOpt.Obs.Registry().Snapshot()
-		mirrors := map[string]uint64{
-			"solver.events":           traced.stats.Events,
-			"solver.rate_calcs":       traced.stats.RateCalcs,
-			"solver.full_refreshes":   traced.stats.FullRefreshes,
-			"solver.adaptive_tested":  traced.stats.Tested,
-			"solver.adaptive_flagged": traced.stats.Flagged,
-			"solver.cotunnel_events":  traced.stats.CotunnelEvents,
-			"solver.cooper_events":    traced.stats.CooperEvents,
+	// The registry mirror must agree exactly with the Stats struct (the
+	// counters are fed from the same increments).
+	snap := tracingOpt.Obs.Registry().Snapshot()
+	mirrors := map[string]uint64{
+		"solver.events":           traced.stats.Events,
+		"solver.rate_calcs":       traced.stats.RateCalcs,
+		"solver.full_refreshes":   traced.stats.FullRefreshes,
+		"solver.adaptive_tested":  traced.stats.Tested,
+		"solver.adaptive_flagged": traced.stats.Flagged,
+		"solver.cotunnel_events":  traced.stats.CotunnelEvents,
+		"solver.cooper_events":    traced.stats.CooperEvents,
+	}
+	for name, want := range mirrors {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("registry %s = %d, Stats says %d", name, got, want)
 		}
-		for name, want := range mirrors {
-			if got := snap.Counters[name]; got != want {
-				t.Errorf("%s: registry %s = %d, Stats says %d", mode.name, name, got, want)
-			}
-		}
-		if got := snap.Gauges["solver.dissipated_j"]; got != traced.stats.Dissipated {
-			t.Errorf("%s: registry dissipated = %g, Stats says %g", mode.name, got, traced.stats.Dissipated)
-		}
-		if j := tracingOpt.Obs.Journal(); j.Total() == 0 {
-			t.Errorf("%s: tracing run journaled nothing", mode.name)
-		}
-		// Adaptive runs must populate the recompute heatmap.
-		if heat := tracingOpt.Obs.Heatmap(); obs.SummarizeHeatmap(heat).Total == 0 {
-			t.Errorf("%s: adaptive run left the recompute heatmap empty", mode.name)
-		}
+	}
+	if got := snap.Gauges["solver.dissipated_j"]; got != traced.stats.Dissipated {
+		t.Errorf("registry dissipated = %g, Stats says %g", got, traced.stats.Dissipated)
+	}
+	if j := tracingOpt.Obs.Journal(); j.Total() == 0 {
+		t.Error("tracing run journaled nothing")
+	}
+	// Adaptive runs must populate the recompute heatmap.
+	if heat := tracingOpt.Obs.Heatmap(); obs.SummarizeHeatmap(heat).Total == 0 {
+		t.Error("adaptive run left the recompute heatmap empty")
 	}
 }
 
@@ -91,7 +76,7 @@ func TestGlobalObserverFallback(t *testing.T) {
 	obs.SetGlobal(o)
 	defer obs.SetGlobal(nil)
 	ex, b := workload(t, "74LS153")
-	run := runWorkload(t, ex, b, solver.Options{Temp: bench.WorkloadTemp, Seed: 5, Parallel: 1}, 500)
+	run := runWorkload(t, ex, b, solver.Options{Temp: bench.WorkloadTemp, Seed: 5}, 500)
 	if got := o.Registry().Snapshot().Counters["solver.events"]; got != run.stats.Events {
 		t.Fatalf("global observer saw %d events, run had %d", got, run.stats.Events)
 	}

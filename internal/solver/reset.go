@@ -11,8 +11,8 @@ import (
 // constructed one — new seed, new DC source values — while reusing
 // every compiled artifact: the circuit topology, the CSR capacitance
 // matrix, the Cholesky factor and truncated C^-1 rows inside the
-// potential engine, the flat kernel tables, the channel descriptors and
-// the worker pool. This is the compile-once half of the amortized sweep
+// potential engine, the flat kernel tables and the channel descriptors.
+// This is the compile-once half of the amortized sweep
 // engine: a sweep worker builds one Sim per circuit and Resets it per
 // point instead of paying CSR assembly, factorization and table
 // construction for every bias point.

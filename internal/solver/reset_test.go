@@ -58,7 +58,7 @@ func fingerprint(t *testing.T, s *Sim) string {
 // sweep engine: a reused, Reset simulation must follow bit-for-bit the
 // trajectory of a freshly compiled and constructed one at the same seed
 // and bias point — across solver configurations, across consecutive
-// points (no state leakage), serial and parallel.
+// points (no state leakage).
 func TestResetMatchesFresh(t *testing.T) {
 	points := []struct{ vs, vd, vg float64 }{
 		{0.02, -0.02, 0.005},
@@ -74,7 +74,6 @@ func TestResetMatchesFresh(t *testing.T) {
 		"rate-tables": {opt: Options{Temp: 5, RateTables: true}},
 		"cinv-eps":    {opt: Options{Temp: 5}, eps: 1e-6},
 		"t0":          {opt: Options{Temp: 0}},
-		"parallel":    {opt: Options{Temp: 5, Adaptive: true, Parallel: 4}},
 	}
 	const events = 1500
 	for name, tc := range cases {
@@ -88,7 +87,6 @@ func TestResetMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sess.Close()
 			for i, p := range points {
 				seed := uint64(9000 + 17*i)
 				fresh, _ := func() (*Sim, circuit.SETNodes) {
@@ -119,7 +117,6 @@ func TestResetMatchesFresh(t *testing.T) {
 				if sess.JunctionCurrent(0) != fresh.JunctionCurrent(0) {
 					t.Fatalf("point %d: currents differ: %g vs %g", i, sess.JunctionCurrent(0), fresh.JunctionCurrent(0))
 				}
-				fresh.Close()
 			}
 		})
 	}
@@ -137,7 +134,6 @@ func TestResetMatchesFreshSuper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	// A bias point large enough to land in a different vmax bucket than
 	// the compile point's.
 	const vs, vd, vg = 0.0035, -0.0035, 0.0008
@@ -149,7 +145,6 @@ func TestResetMatchesFreshSuper(t *testing.T) {
 		}
 		return s, n
 	}()
-	defer fresh.Close()
 	if _, err := fresh.Run(800, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +174,12 @@ func TestResetThenRestoreMatchesFresh(t *testing.T) {
 		return s, n
 	}
 	ref, _ := mkFresh()
-	defer ref.Close()
 	if _, err := ref.Run(3*1024, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupted fresh run: snapshot at a refresh boundary.
 	a, _ := mkFresh()
-	defer a.Close()
 	if _, err := a.Run(1024, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +194,6 @@ func TestResetThenRestoreMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	if _, err := sess.Run(500, 0); err != nil { // dirty the session first
 		t.Fatal(err)
 	}
@@ -226,7 +218,6 @@ func TestResetOverrideValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if err := s.Reset(2, map[int]float64{nd.Island: 0.01}); err == nil {
 		t.Fatal("override on an island node accepted")
 	}
@@ -251,7 +242,6 @@ func TestResetRewindsProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	fresh.AddProbe(fnd.Island)
 	if _, err := fresh.Run(600, 0); err != nil {
 		t.Fatal(err)
@@ -262,7 +252,6 @@ func TestResetRewindsProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	sess.AddProbe(nd.Island)
 	if _, err := sess.Run(400, 0); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"semsim/internal/circuit"
@@ -75,13 +74,10 @@ type Options struct {
 	// ProbeInterval decimates waveform recording: samples closer in
 	// time than this are dropped. Zero records every event.
 	ProbeInterval float64
-	// Parallel is the worker count of the within-run rate engine, which
-	// shards junction rate recomputation across goroutines during full
-	// refreshes, non-adaptive updates and large adaptive batches. The
-	// default (0) uses GOMAXPROCS; 1 forces the serial path. Parallel
-	// runs are bit-identical to serial ones — same seed, same events,
-	// same waveforms — so this is purely a speed knob. Small circuits
-	// (below the internal batch cutoff) always run serially.
+	// Parallel is ignored: every run evaluates its rates serially on the
+	// calling goroutine, and a Sim starts no goroutines of its own.
+	//
+	// Deprecated: kept only while the benchmark harness still sets it.
 	Parallel int
 	// SparsePotentials is ignored: the circuit's build threshold
 	// (circuit.BuildOptions.CinvTruncation) alone picks the potential
@@ -126,15 +122,7 @@ func (o *Options) setDefaults(numJunctions int) {
 	if o.CPWidthFloor <= 0 {
 		o.CPWidthFloor = 1e-3
 	}
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
-	}
 }
-
-// parallelCutoff is the smallest batch (junctions, secondary channels
-// or matrix rows) worth dispatching to the worker pool; below it the
-// fixed ~microsecond dispatch cost exceeds the sharded kernel work.
-const parallelCutoff = 128
 
 // Event channel kinds.
 type chKind uint8
@@ -211,9 +199,6 @@ type Sim struct {
 	// arithmetic goes through (dense rows or truncated CSR rows, as
 	// built).
 	pe *circuit.Potentials
-	// shardBounds are nnz-balanced row boundaries for the parallel
-	// refresh solve on sparse engines (nil: shard by row count).
-	shardBounds []int
 
 	t    float64
 	n    []int     // electrons per island (island order)
@@ -304,18 +289,12 @@ type Sim struct {
 	extIdxOf  []int32 // node id -> external index, -1 for islands
 	extVFresh bool    // static circuits: filled once, never again
 
-	// Within-run parallel rate engine (pool nil when serial).
-	pool           *pool
-	rateFw         []float64 // per-junction scratch, compute phase
-	rateBw         []float64
-	secRate        []float64 // per-secondary-channel scratch
-	qScratch       []float64 // island charge vector for the sharded solve
-	workerCalcs    []uint64  // per-worker rate-calc counters
-	allJunc        []int     // identity index list [0, nj)
-	fnJuncShard    func(worker, lo, hi int)
-	fnFlaggedShard func(worker, lo, hi int) //statecover:immutable worker closure bound at construction
-	fnSecShard     func(worker, lo, hi int)
-	fnSolveShard   func(worker, lo, hi int)
+	// Compute-then-commit rate scratch.
+	rateFw   []float64 // per-junction scratch, compute phase
+	rateBw   []float64
+	secRate  []float64 // per-secondary-channel scratch
+	qScratch []float64 // island charge vector for the refresh solve
+	allJunc  []int     // identity index list [0, nj)
 
 	// Tabulated normal-state kernels (nil when exact or superconducting).
 	normK    *orthodox.Kernel
@@ -498,9 +477,8 @@ func (s *Sim) cinvSelf(src, dst int) float64 {
 	return s.pe.Cinv(src, src) - 2*s.pe.Cinv(src, dst) + s.pe.Cinv(dst, dst)
 }
 
-// buildRateEngine prepares the within-run parallel pool, the shared
-// rate scratch and the tabulated normal-state kernels, when enabled and
-// worthwhile.
+// buildRateEngine prepares the shared rate scratch and, when enabled,
+// the tabulated normal-state kernels.
 func (s *Sim) buildRateEngine() {
 	nj := s.c.NumJunctions()
 	if s.opt.RateTables && !s.superOn && s.opt.Temp > 0 {
@@ -532,8 +510,8 @@ func (s *Sim) buildRateEngine() {
 	default:
 		s.kern = kernExact
 	}
-	// Compute-then-commit scratch, used by serial and parallel paths
-	// alike so both stage into the selection tree in the same order.
+	// Compute-then-commit scratch: rates are computed into these, then
+	// staged into the selection tree in index order.
 	s.rateFw = make([]float64, nj)
 	s.rateBw = make([]float64, nj)
 	s.secRate = make([]float64, len(s.secChans))
@@ -541,50 +519,13 @@ func (s *Sim) buildRateEngine() {
 	for j := range s.allJunc {
 		s.allJunc[j] = j
 	}
-	maxBatch := nj
-	if n := len(s.secChans); n > maxBatch {
-		maxBatch = n
-	}
-	if n := s.c.NumIslands(); n > maxBatch {
-		maxBatch = n
-	}
-	if s.opt.Parallel <= 1 || maxBatch < parallelCutoff {
-		return
-	}
-	s.pool = newPool(s.opt.Parallel)
-	s.workerCalcs = make([]uint64, s.opt.Parallel)
-	// Shard closures are built once: the per-dispatch cost is the pool
-	// handoff alone, with no per-event closure allocation. Each calls a
-	// named method, so the sharded kernels stay part of the audited
-	// shard API (see internal/lint sharddiscipline).
-	s.fnJuncShard = func(_, lo, hi int) { s.computeJuncList(s.allJunc[lo:hi]) }
-	s.fnFlaggedShard = func(_, lo, hi int) { s.computeJuncList(s.flagged[lo:hi]) }
-	s.fnSecShard = func(w, lo, hi int) {
-		var calcs uint64
-		s.computeSecRange(lo, hi, &calcs)
-		s.workerCalcs[w] = calcs
-	}
-	s.fnSolveShard = func(_, lo, hi int) { s.pe.SolveRange(s.v, s.qScratch, s.vext, lo, hi) }
-	// Sparse refresh solves shard by stored-nonzero count: truncation
-	// leaves skewed row lengths, so equal row ranges would imbalance.
-	// Sharding never changes the computed floats — rows are independent.
-	s.shardBounds = s.pe.RowShards(s.opt.Parallel)
-	// Backstop for callers that never Close: reclaim the worker
-	// goroutines when the Sim is collected.
-	runtime.SetFinalizer(s, (*Sim).Close)
 }
 
-// Close terminates the worker-pool goroutines of the parallel rate
-// engine. It is optional (a finalizer reclaims unclosed pools), safe to
-// call more than once, and a no-op for serial simulations; the Sim must
-// not be used after.
-func (s *Sim) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-		runtime.SetFinalizer(s, nil)
-	}
-}
+// Close does nothing: a Sim owns no goroutines or other resources that
+// outlive it, so dropping the last reference releases everything.
+//
+// Deprecated: kept only while the benchmark harness still calls it.
+func (s *Sim) Close() {}
 
 // buildChannels enumerates every event channel into the SoA arrays.
 func (s *Sim) buildChannels() {

@@ -479,7 +479,6 @@ func TestNewUsesBuiltEngine(t *testing.T) {
 			if s.pe != tc.c.Potentials() {
 				t.Fatalf("%s: solver does not run the circuit's engine", tc.name)
 			}
-			s.Close()
 		}
 	}
 

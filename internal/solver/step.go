@@ -89,13 +89,10 @@ func (s *Sim) refreshExtV() {
 
 // --- Rate computation ---
 //
-// Every rate kernel below is pure with respect to the Sim: it reads the
-// frozen potential state (s.v, s.extV) and immutable tables, and writes
-// only junction-owned scratch slots — work counts flow through explicit
-// accumulators. That is what lets the worker pool shard these loops
-// across goroutines while staying bit-identical to the serial path: the
-// same floats are computed either way, and the caller commits them to
-// the selection tree in index order afterwards.
+// Every rate kernel below reads the frozen potential state (s.v,
+// s.extV) and immutable tables, and writes only junction-owned scratch
+// slots — work counts flow through explicit accumulators. The caller
+// commits the scratch to the selection tree in index order afterwards.
 //
 // The exact-vs-table-vs-superconducting decision is made once at
 // construction (s.kern); each variant below is a monomorphic loop over
@@ -210,9 +207,8 @@ func (s *Sim) computeJuncListSuper(js []int) {
 
 // applyJunction commits junction j's computed rates to the selection
 // tree and resets its testing factor. Called in index order after the
-// compute phase, serial and parallel paths alike, so the staging
-// sequence — and therefore the tree state — is identical either way.
-// Electron channels sit at indices 2j and 2j+1 by construction.
+// compute phase. Electron channels sit at indices 2j and 2j+1 by
+// construction.
 //
 //semsim:hot
 func (s *Sim) applyJunction(j int) {
@@ -221,18 +217,12 @@ func (s *Sim) applyJunction(j int) {
 	s.fen.stage(2*j+1, s.rateBw[j])
 }
 
-// refreshAllJunctions recomputes both rates of every junction, sharding
-// across the worker pool when the batch is large enough to amortize the
-// dispatch.
+// refreshAllJunctions recomputes both rates of every junction.
 //
 //semsim:hot
 func (s *Sim) refreshAllJunctions() {
 	nj := s.c.NumJunctions()
-	if s.pool == nil || nj < parallelCutoff {
-		s.computeJuncList(s.allJunc)
-	} else {
-		s.pool.run(nj, s.fnJuncShard)
-	}
+	s.computeJuncList(s.allJunc)
 	s.stats.RateCalcs += uint64(2 * nj)
 	for j := 0; j < nj; j++ {
 		s.applyJunction(j)
@@ -240,18 +230,12 @@ func (s *Sim) refreshAllJunctions() {
 }
 
 // recalcFlagged batch-recomputes the junctions flagged by the adaptive
-// test, in parallel when the batch clears the cutoff (a refresh spill
-// can flag thousands of junctions on large circuits).
+// test.
 //
 //semsim:hot
 func (s *Sim) recalcFlagged() {
-	m := len(s.flagged)
-	if s.pool == nil || m < parallelCutoff {
-		s.computeJuncList(s.flagged)
-	} else {
-		s.pool.run(m, s.fnFlaggedShard)
-	}
-	s.stats.RateCalcs += uint64(2 * m)
+	s.computeJuncList(s.flagged)
+	s.stats.RateCalcs += uint64(2 * len(s.flagged))
 	for _, j := range s.flagged {
 		s.applyJunction(j)
 	}
@@ -349,11 +333,8 @@ func (s *Sim) computeCooperRange(lo, hi int, calcs *uint64) {
 }
 
 // recalcSecondary refreshes every cotunneling and Cooper-pair channel
-// (the non-adaptive solver of Fig. 3's flow), sharded across the pool
-// when the channel count clears the cutoff. Per-worker calc counters
-// are summed afterwards; each channel is evaluated exactly once, so the
-// total is independent of the sharding. Rates are staged in secChans
-// order regardless of how they were computed.
+// (the non-adaptive solver of Fig. 3's flow), then stages the rates in
+// secChans order.
 //
 //semsim:hot
 func (s *Sim) recalcSecondary() {
@@ -361,19 +342,7 @@ func (s *Sim) recalcSecondary() {
 	if n == 0 {
 		return
 	}
-	if s.pool == nil || n < parallelCutoff {
-		var calcs uint64
-		s.computeSecRange(0, n, &calcs)
-		s.stats.RateCalcs += calcs
-	} else {
-		for i := range s.workerCalcs {
-			s.workerCalcs[i] = 0
-		}
-		s.pool.run(n, s.fnSecShard)
-		for _, c := range s.workerCalcs {
-			s.stats.RateCalcs += c
-		}
-	}
+	s.computeSecRange(0, n, &s.stats.RateCalcs)
 	for i, ci := range s.secChans {
 		s.fen.stage(ci, s.secRate[i])
 	}
@@ -383,34 +352,21 @@ func (s *Sim) recalcSecondary() {
 
 // refreshPotentials recomputes every island potential from scratch: an
 // O(islands^2) matrix-vector product on the dense engine, O(stored nnz)
-// on the sparse one. On large circuits with a pool the rows are sharded
-// across workers — by nonzero count on sparse engines (shardBounds), by
-// row count otherwise. Rows are independent, and each worker computes
-// exactly the floats the serial solve would.
+// on the sparse one.
 func (s *Sim) refreshPotentials() {
-	ni := s.c.NumIslands()
 	if s.qScratch == nil {
-		s.qScratch = make([]float64, ni)
+		s.qScratch = make([]float64, s.c.NumIslands())
 	}
 	s.c.ChargeVector(s.qScratch, s.n)
-	if s.pool == nil || ni < parallelCutoff {
-		s.pe.SolveRange(s.v, s.qScratch, s.vext, 0, ni)
-		return
-	}
-	if s.shardBounds != nil {
-		s.pool.runRanges(s.shardBounds, s.fnSolveShard)
-		return
-	}
-	s.pool.run(ni, s.fnSolveShard)
+	s.pe.Solve(s.v, s.qScratch, s.vext)
 }
 
 // fullRefresh recomputes everything exactly: external voltages, island
 // potentials from scratch (with the refresh interval scaled to the
 // junction count its amortized cost is O(islands) per event), all
-// channel rates, and the selection tree — each stage sharded across the
-// worker pool when large enough. The tree is rebuilt bottom-up in O(n),
-// which also clears accumulated floating-point drift from incremental
-// updates.
+// channel rates, and the selection tree. The tree is rebuilt bottom-up
+// in O(n), which also clears accumulated floating-point drift from
+// incremental updates.
 func (s *Sim) fullRefresh() {
 	sp := s.obs.Span("solver.fullRefresh", s.t)
 	preCalcs := s.stats.RateCalcs
@@ -501,9 +457,9 @@ func (s *Sim) dpAt(node, src, dst int, q float64) float64 {
 // the threshold, and spill to neighbours of flagged junctions. The
 // flag test reads only the tested junction's own accumulated factor and
 // cached dW — never another junction's refreshed rates — so flagged
-// junctions are collected first and recomputed as one batch (in
-// parallel when large), which changes nothing about which junctions
-// flag or what their new rates are.
+// junctions are collected first and recomputed as one batch, which
+// changes nothing about which junctions flag or what their new rates
+// are.
 func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int) []int {
 	src, dst := int(s.chSrc[ci]), int(s.chDst[ci])
 	q := chQ[s.chKinds[ci]]

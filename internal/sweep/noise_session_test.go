@@ -44,7 +44,6 @@ func TestNoiseSessionReuseBitIdentical(t *testing.T) {
 	xs := []float64{0.02, 0.035, 0.04}
 
 	reused, junc := noiseSession(t, cfg)
-	defer reused.Close()
 	var reusedStats []noise.RunStats
 	for i, x := range xs {
 		if _, err := reused.RunPoint(x, 0, i); err != nil {
@@ -66,7 +65,6 @@ func TestNoiseSessionReuseBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatal("fresh session reports no noise stats")
 		}
-		fresh.Close()
 		got := reusedStats[i]
 		if got.Events != want.Events || got.Windows != want.Windows ||
 			math.Float64bits(got.T) != math.Float64bits(want.T) ||
@@ -93,7 +91,6 @@ func TestNoiseSessionReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	noisy, _ := noiseSession(t, cfg)
-	defer noisy.Close()
 	for i, x := range xs {
 		pt, err := noisy.RunPoint(x, 0, i)
 		if err != nil {

@@ -51,13 +51,6 @@ func NewSession(base *circuit.Circuit, junc int, over OverrideFunc, cfg Config) 
 	return &Session{sim: sim, junc: junc, over: over, cfg: cfg}, nil
 }
 
-// Close releases the underlying simulation's worker pool.
-func (s *Session) Close() {
-	if s != nil && s.sim != nil {
-		s.sim.Close()
-	}
-}
-
 // EnableNoise attaches a streaming noise/FCS recorder (internal/noise)
 // to the session's simulation: every subsequent RunPoint accumulates
 // counting-window cumulants and spectral sums for the configured
@@ -114,7 +107,6 @@ func forEachSessionPoint(ctx context.Context, newSession SessionFunc, n int, cfg
 				}
 				return
 			}
-			defer sess.Close()
 			for i := range work {
 				if ctx.Err() != nil {
 					errs[i] = ctx.Err()

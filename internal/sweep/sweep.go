@@ -117,15 +117,10 @@ func parallelism(cfg Config) int {
 }
 
 // pointOptions derives the per-point solver options: deterministic seed
-// from the flat point index, and serial execution by default (the sweep
-// already runs one simulation per CPU; per-point worker pools would
-// only oversubscribe).
+// from the flat point index.
 func pointOptions(cfg Config, idx int) solver.Options {
 	opt := cfg.Options
 	opt.Seed += uint64(idx)
-	if opt.Parallel == 0 {
-		opt.Parallel = 1
-	}
 	return opt
 }
 
@@ -138,7 +133,6 @@ func runPoint(build BuildFunc, x float64, idx int, cfg Config) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	defer s.Close()
 	return measurePoint(s, junc, x, cfg)
 }
 
@@ -207,7 +201,6 @@ func runPoint2D(build Build2DFunc, x, y float64, idx int, cfg Config) (Point, er
 	if err != nil {
 		return Point{}, err
 	}
-	defer s.Close()
 	return measurePoint(s, junc, x, cfg)
 }
 
