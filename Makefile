@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test unit race bench zero-alloc e2e-smoke rate-engine bench-compare potential-engine obs-overhead sweep-engine noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
+.PHONY: all build test unit race bench zero-alloc e2e-smoke rate-engine bench-compare potential-engine obs-overhead noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
 
 all: build test
 
@@ -10,9 +10,8 @@ build:
 # The default test flow: static checks (go vet plus the semsimlint
 # analyzer suite), documentation verification, the full unit suite, the
 # semsimdebug invariant build, then the race detector over the packages
-# with internal concurrency (the sweep/bench fan-outs and the batch job
-# engine), and a compile-and-smoke pass over the end-to-end benchmark
-# harness.
+# with internal concurrency (the jobs runner, the bench delay fan-out),
+# and a compile-and-smoke pass over the end-to-end benchmark harness.
 test: vet lint docs-verify unit debug race zero-alloc e2e-smoke
 
 unit:
@@ -24,8 +23,11 @@ unit:
 debug:
 	go test -tags semsimdebug ./...
 
+# The packages that start goroutines (the jobs runner and engine, the
+# bench delay averaging, obs servers and progress) plus the solver they
+# drive. CI runs this target, so the list lives only here.
 race:
-	go test -race ./internal/solver/... ./internal/sweep/... ./internal/bench/... ./internal/obs/... ./internal/jobs/...
+	go test -race ./internal/solver/... ./internal/bench/... ./internal/obs/... ./internal/jobs/...
 
 # Documentation is executable: every ```deck example in docs/DECK.md
 # must parse, round-trip through the canonical writer and compile, the
@@ -86,15 +88,6 @@ potential-engine:
 obs-overhead:
 	go run ./cmd/experiments obs-overhead
 	go run ./cmd/benchcmp -obs results/BENCH_obs_overhead.json
-
-# Amortized sweep-engine benchmark (compile-once session reuse vs
-# per-point rebuild on a 64x64 c1908 map; adaptive mesh refinement vs
-# a uniform fine SET diamond lattice)
-# -> results/BENCH_sweep_engine.json, then gate it: >= 5x points/s from
-# session reuse and >= 4x fewer simulated points from refinement.
-sweep-engine:
-	go run ./cmd/experiments sweep-engine
-	go run ./cmd/benchcmp -sweep results/BENCH_sweep_engine.json
 
 # Streaming noise-recording overhead on c432 (plain current recording
 # vs counting-window cumulants on every junction vs the full spectral

@@ -10,12 +10,6 @@
 //	                            always-on modes (metrics, jobmetrics)
 //	                            must cost < 5% and every mode must have
 //	                            run the identical trajectory
-//	benchcmp -sweep SNAP.json   gate a sweep-engine snapshot: the
-//	                            compile-once session path must be >= 5x
-//	                            the per-point rebuild path in points/s,
-//	                            and adaptive refinement must simulate
-//	                            >= 4x fewer points than the uniform
-//	                            fine lattice
 //	benchcmp -noise SNAP.json   gate a noise-overhead snapshot: the
 //	                            counting-window and spectral recording
 //	                            modes must cost < 5% over plain current
@@ -52,14 +46,6 @@ const obsBudgetPct = 5.0
 // relative to plain current recording.
 const noiseBudgetPct = 5.0
 
-// Sweep-engine floors: compile-once reuse must beat per-point rebuild
-// by sweepMinSpeedup in points/s, and refinement must simulate
-// sweepMinSavings times fewer points than the uniform fine lattice.
-const (
-	sweepMinSpeedup = 5.0
-	sweepMinSavings = 4.0
-)
-
 func run(args []string) error {
 	if len(args) >= 1 && args[0] == "-obs" {
 		if len(args) != 2 {
@@ -73,14 +59,8 @@ func run(args []string) error {
 		}
 		return gateNoise(args[1])
 	}
-	if len(args) >= 1 && args[0] == "-sweep" {
-		if len(args) != 2 {
-			return fmt.Errorf("usage: benchcmp -sweep SNAP.json")
-		}
-		return gateSweep(args[1])
-	}
 	if len(args) < 1 || len(args) > 2 {
-		return fmt.Errorf("usage: benchcmp [-obs|-sweep|-noise] [OLD.json] NEW.json")
+		return fmt.Errorf("usage: benchcmp [-obs|-noise] [OLD.json] NEW.json")
 	}
 	newest, err := bench.LoadRateEngineReports(args[len(args)-1])
 	if err != nil {
@@ -140,29 +120,5 @@ func gateNoise(path string) error {
 		return fmt.Errorf("noise recording gate failed (%d violation(s))", len(bad))
 	}
 	fmt.Printf("noise recording under the %.0f%% budget, trajectories identical\n", noiseBudgetPct)
-	return nil
-}
-
-// gateSweep applies the amortized-sweep floors to a sweep-engine
-// snapshot — the gate behind `make sweep-engine` and CI.
-func gateSweep(path string) error {
-	rep, err := bench.LoadSweepEngineReport(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s %dx%d map: amortized %.1f points/s, rebuild %.2f points/s (%.1fx)\n",
-		rep.Benchmark, rep.GridX, rep.GridY,
-		rep.AmortizedPointsPerSec, rep.RebuildPointsPerSec, rep.SpeedupX)
-	fmt.Printf("%s refine depth %d: %d of %d lattice points simulated (%.1fx saving)\n",
-		rep.RefineCircuit, rep.RefineDepth,
-		rep.SimulatedPoints, rep.LatticePoints, rep.RefineSavingsX)
-	if bad := bench.CheckSweepEngine(rep, sweepMinSpeedup, sweepMinSavings); len(bad) > 0 {
-		for _, m := range bad {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", m)
-		}
-		return fmt.Errorf("sweep-engine floors violated (%d violation(s))", len(bad))
-	}
-	fmt.Printf("amortized sweep engine above its floors (%.0fx speedup, %.0fx refinement saving)\n",
-		sweepMinSpeedup, sweepMinSavings)
 	return nil
 }

@@ -2,22 +2,29 @@
 // evaluation section (there are no numbered tables) and the Section
 // IV-A validation numbers. Results print to stdout and are also written
 // as whitespace-separated .dat files under -out (default ./results).
+// The I-V families (fig1b, fig1c), the stability map (fig5) and the
+// noise validation are decks: each subcommand writes the deck text and
+// runs it on the jobs runner, the same path as `semsim deck.cir`.
 //
 // Usage:
 //
-//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|sweep-engine|noise-bench|noise-spectroscopy|all}
+//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|noise-bench|noise-spectroscopy|all}
 //
 // See EXPERIMENTS.md for the mapping to the paper and the measured
 // outcomes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"time"
 
+	"semsim"
 	"semsim/internal/obs"
 )
 
@@ -35,7 +42,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|sweep-engine|noise-bench|noise-spectroscopy|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|noise-bench|noise-spectroscopy|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,8 +87,6 @@ func main() {
 		run("potential-engine", potentialEngine)
 	case "obs-overhead":
 		run("obs-overhead", obsOverhead)
-	case "sweep-engine":
-		run("sweep-engine", sweepEngine)
 	case "noise-bench":
 		run("noise-bench", noiseBench)
 	case "noise-spectroscopy":
@@ -102,6 +107,18 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
+}
+
+// runDeckText parses deck text and runs it through the jobs runner
+// with one task worker per CPU. Results are identical at any worker
+// count.
+func runDeckText(text string) ([]semsim.DeckPoint, error) {
+	d, err := semsim.ParseNetlist(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	return semsim.RunDeckCtx(context.Background(), d, semsim.DeckOverrides{},
+		semsim.DeckRunConfig{Workers: runtime.GOMAXPROCS(0)})
 }
 
 // datFile creates an output file and returns it with a cleanup func.

@@ -42,10 +42,15 @@ type DeckRunConfig = jobs.RunConfig
 // run is incomplete but resumable with DeckRunConfig.Resume.
 var ErrDeckInterrupted = jobs.ErrInterrupted
 
-// RunDeck executes a deck: for each sweep point (or once, without a
-// sweep) it compiles the circuit, runs the configured number of jumps
-// and/or simulated time for each requested run (distinct seeds), and
-// averages the recorded junction currents.
+// RunDeck executes a deck sequentially: for each sweep or map point (or
+// once, without either) it runs the configured number of jumps and/or
+// simulated time for each requested run, and averages the recorded
+// junction currents. The circuit is compiled once and its solver
+// re-seeded per (point, run) task, bit-identical to a fresh build. Each
+// task's seed mixes the deck's `seed` with the point index and the run
+// number (see the `seed` directive in docs/DECK.md); a map point's
+// index is its fine-lattice index. Map decks with `refine` run in
+// waves: the coarse grid, then each refinement level's points.
 func RunDeck(d *Deck) ([]DeckPoint, error) {
 	return RunDeckWith(d, DeckOverrides{})
 }

@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"semsim/internal/netlist"
 	"semsim/internal/noise"
@@ -153,21 +154,26 @@ func withOverrides(d *netlist.Deck, ov Overrides) *netlist.Deck {
 	return &folded
 }
 
+// seedScheme names how runDeckPoint derives task seeds. It is part of
+// every deck key, so checkpoints and done markers written under another
+// derivation are never found, let alone resumed.
+const seedScheme = "rng.Derive(seed,fine,run)"
+
 // deckKey fingerprints everything that determines a run's trajectory
 // and its recorded state: SHA-256 over the deck's canonical Format
-// output (circuit, spec with the folded overrides, seeds) plus the
-// noise counting window, truncated to 128 bits of hex. Checkpoint files
-// embed and verify the key and the result cache is keyed on it, so a
-// resumed or cached submission only picks up state that provably
-// belongs to the same work. The key also names every checkpoint
-// file, and 128 bits keep those paths short while leaving collisions
-// out of reach.
+// output (circuit, spec with the folded overrides, seeds), the task
+// seed derivation and the noise counting window, truncated to 128 bits
+// of hex. Checkpoint files embed and verify the key and the result
+// cache is keyed on it, so a resumed or cached submission only picks up
+// state that provably belongs to the same work. The key also names
+// every checkpoint file, and 128 bits keep those paths short while
+// leaving collisions out of reach.
 func deckKey(d *netlist.Deck, ov Overrides) (string, error) {
 	var buf bytes.Buffer
 	if err := d.Format(&buf); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&buf, "|fw=%016x", math.Float64bits(ov.FanoWindow))
+	fmt.Fprintf(&buf, "|seeds=%s|fw=%016x", seedScheme, math.Float64bits(ov.FanoWindow))
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:16]), nil
 }
@@ -196,19 +202,19 @@ type deckPoint struct {
 
 // deckPoints expands the deck's sweep or map directive into the ordered
 // initial operating points ([one unbiased point] when the deck sets
-// neither). Sweep iteration matches the original RunDeck loop exactly —
-// accumulation order is part of the bit-identity contract. Map decks
-// start from the coarse grid placed at fine-aligned lattice indices;
-// refinement waves append more points later (planRefine).
+// neither). Map decks start from the coarse grid placed at fine-aligned
+// lattice indices; refinement waves append more points later
+// (planRefine).
 func deckPoints(spec *netlist.Spec) []deckPoint {
 	if sw := spec.Sweep; sw != nil {
-		var pts []deckPoint
-		for v := -sw.Max; v <= sw.Max+sw.Step/2; v += sw.Step {
+		vs := sweepValues(sw.Max, sw.Step)
+		pts := make([]deckPoint, len(vs))
+		for i, v := range vs {
 			over := map[int]float64{sw.Node: v}
 			if sw.Mirror >= 0 {
 				over[sw.Mirror] = -v
 			}
-			pts = append(pts, deckPoint{X: v, Fine: len(pts), over: over})
+			pts[i] = deckPoint{X: v, Fine: i, over: over}
 		}
 		return pts
 	}
@@ -220,10 +226,7 @@ func deckPoints(spec *netlist.Spec) []deckPoint {
 		var pts []deckPoint
 		for fy := 0; fy < len(fineYs); fy += stride {
 			for fx := 0; fx < fnx; fx += stride {
-				pts = append(pts, deckPoint{
-					X: fineXs[fx], Y: fineYs[fy], Fine: fy*fnx + fx,
-					over: map[int]float64{mp.X.Node: fineXs[fx], mp.Y.Node: fineYs[fy]},
-				})
+				pts = append(pts, mapPoint(mp, fineXs, fineYs, fy*fnx+fx))
 			}
 		}
 		return pts
@@ -231,53 +234,76 @@ func deckPoints(spec *netlist.Spec) []deckPoint {
 	return []deckPoint{{over: map[int]float64{}}}
 }
 
-// planRefine folds completed map-deck results onto the fine lattice and
-// plans the next refinement level's points via sweep.RefinePlan. level
-// is the number of levels already simulated (0 = only the coarse grid);
-// the returned slice is empty once refinement is exhausted — and an
-// empty level proves every deeper level empty too, because deeper cells
-// need corners only a refined shallower level could have simulated.
-// The fold uses the deck's first recorded junction (blockaded points
-// count as zero current). Pure arithmetic on deterministic inputs, so
-// the plan — like everything scheduled from it — is worker-count- and
-// schedule-invariant.
+// sweepValues lists a `sweep` directive's source values -max, -max+step,
+// ... up to +max. The point count is that of the accumulating loop
+// (v += step while v <= max+step/2), so no deck changes its number of
+// points, but each value is computed from its index and carries no
+// accumulated rounding. A grid that ends on +max is symmetric: its
+// upper half is the exact negation of its lower half and an odd grid's
+// centre is exactly 0, so mirrored points cancel bitwise.
+func sweepValues(max, step float64) []float64 {
+	n := 0
+	for v := -max; v <= max+step/2; v += step {
+		n++
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = -max + float64(i)*step
+	}
+	if n > 1 && math.Abs(vs[n-1]-max) <= 1e-9*step {
+		for i := 0; i < n/2; i++ {
+			vs[n-1-i] = -vs[i]
+		}
+		if n%2 == 1 {
+			vs[n/2] = 0
+		}
+	}
+	return vs
+}
+
+// mapPoint is the map-deck operating point at fine-lattice index fine.
+func mapPoint(mp *netlist.MapSpec, fineXs, fineYs []float64, fine int) deckPoint {
+	x, y := fineXs[fine%len(fineXs)], fineYs[fine/len(fineXs)]
+	return deckPoint{X: x, Y: y, Fine: fine, over: map[int]float64{mp.X.Node: x, mp.Y.Node: y}}
+}
+
+// planRefine folds completed map-deck results into per-point currents
+// keyed by fine-lattice index and plans the next refinement level's
+// points via sweep.RefinePlan, in memory and time proportional to the
+// points simulated so far — never to the fine lattice, which a deep
+// `refine` makes enormous. level is the number of levels already
+// simulated (0 = only the coarse grid); the returned slice is empty
+// once refinement is exhausted — and an empty level proves every deeper
+// level empty too, because deeper cells need corners only a refined
+// shallower level could have simulated. The fold uses the deck's first
+// recorded junction (blockaded runs count as zero current). Pure
+// arithmetic on deterministic inputs, so the plan — like everything
+// scheduled from it — is worker-count- and schedule-invariant.
 func planRefine(spec *netlist.Spec, fineXs, fineYs []float64, pts []deckPoint, results [][]runResult, level int) []deckPoint {
 	mp := spec.Map
 	if mp == nil || level >= mp.Depth {
 		return nil
-	}
-	fnx, fny := len(fineXs), len(fineYs)
-	I := make([][]float64, fny)
-	sim := make([][]bool, fny)
-	for iy := range I {
-		I[iy] = make([]float64, fnx)
-		sim[iy] = make([]bool, fnx)
 	}
 	runs := spec.Runs
 	if runs < 1 {
 		runs = 1
 	}
 	j0 := spec.RecordJuncs[0]
+	cur := make(map[int]float64, len(pts))
 	for i, p := range pts {
-		fx, fy := p.Fine%fnx, p.Fine/fnx
-		var cur float64
+		var c float64
 		for run := 0; run < runs; run++ {
 			if r := results[i][run]; !r.Blockaded {
-				cur += r.Current[j0] / float64(runs)
+				c += r.Current[j0] / float64(runs)
 			}
 		}
-		I[fy][fx] = cur
-		sim[fy][fx] = true
+		cur[p.Fine] = c
 	}
 	cell := 1 << (mp.Depth - level) // cell size of the last simulated level
-	plan := sweep.RefinePlan(I, sim, cell, mp.Threshold)
+	plan := sweep.RefinePlan(len(fineXs), len(fineYs), cur, cell, mp.Threshold)
 	out := make([]deckPoint, len(plan))
-	for i, fp := range plan {
-		fx, fy := fp[0], fp[1]
-		out[i] = deckPoint{
-			X: fineXs[fx], Y: fineYs[fy], Fine: fy*fnx + fx,
-			over: map[int]float64{mp.X.Node: fineXs[fx], mp.Y.Node: fineYs[fy]},
-		}
+	for i, fine := range plan {
+		out[i] = mapPoint(mp, fineXs, fineYs, fine)
 	}
 	return out
 }
@@ -377,10 +403,12 @@ func noiseJuncs(spec *netlist.Spec) []int {
 }
 
 // ExecuteDeck runs every (point, run) task of a deck and returns the
-// folded operating points. Each worker compiles the deck once and
-// re-seeds its solver per task (compile-once sessions, bit-identical to
+// folded operating points: the one in-process executor for I-V sweeps
+// and stability maps. Each worker compiles the deck once and re-seeds
+// its solver per task (compile-once sessions, bit-identical to
 // rebuilding). Map decks execute in waves: the coarse grid first, then
-// adaptively planned refinement points level by level. With cfg.Dir
+// adaptively planned refinement points level by level. Each wave's
+// points feed the global observer's progress meter. With cfg.Dir
 // set, each task checkpoints periodically and — with cfg.Resume —
 // continues from any valid checkpoint it finds, making long sweeps
 // crash-safe; completed tasks delete their files unless cfg.KeepDone.
@@ -414,10 +442,20 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 		sessions[w] = &deckSession{}
 	}
 
+	// Progress: each wave announces its points (sweep.points_total) and
+	// a point counts as done (sweep.points_done) when its last run
+	// lands, which drives the -progress meter's points x/y and ETA.
+	o := obs.Global()
 	var results [][]runResult
-	runWave := func(start int) error {
+	runWave := func(start, level int) error {
+		o.SweepTotal(len(pts) - start)
+		left := make([]atomic.Int32, len(pts)-start) // runs still out, per point
 		for i := start; i < len(pts); i++ {
 			results = append(results, make([]runResult, runs))
+			left[i-start].Store(int32(runs))
+			if spec.Map != nil {
+				o.RefineDepth(level)
+			}
 		}
 		type task struct{ point, run int }
 		tasks := make([]task, 0, (len(pts)-start)*runs)
@@ -437,6 +475,9 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 				return fmt.Errorf("point %d (v=%g) run %d: %w", pts[t.point].Fine, pts[t.point].X, t.run, err)
 			}
 			results[t.point][t.run] = res
+			if left[t.point-start].Add(-1) == 0 {
+				o.SweepPointDone()
+			}
 			return nil
 		}
 
@@ -501,7 +542,7 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 		fineYs = sweep.RefineAxis(mp.Y.Values(), mp.Depth)
 	}
 	for start, level := 0, 0; ; level++ {
-		if err := runWave(start); err != nil {
+		if err := runWave(start, level); err != nil {
 			return nil, err
 		}
 		start = len(pts)
@@ -509,13 +550,16 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 		if len(next) == 0 {
 			break
 		}
-		if o := obs.Global(); o != nil {
+		if o != nil {
 			o.Registry().Counter("jobs.refine_waves").Add(1)
 		}
 		pts = append(pts, next...)
 	}
+	if spec.Map != nil {
+		o.SweepSkipped(len(fineXs)*len(fineYs) - len(pts))
+	}
 
-	if o := obs.Global(); o != nil {
+	if o != nil {
 		o.Registry().Counter("jobs.decks_executed").Add(1)
 	}
 	if cfg.Dir != "" && !cfg.KeepDone {

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -200,9 +201,10 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 }
 
 // The session-reuse path (per-worker compiled deck + solver Reset) must
-// be bit-identical to building a fresh solver per task.
+// be bit-identical to building a fresh solver per task — currents and,
+// on a noise-recording deck, the recorder's statistics too.
 func TestRunDeckPointSessionMatchesFresh(t *testing.T) {
-	for _, src := range []string{testDeck, mapDeck} {
+	for _, src := range []string{testDeck, mapDeck, noiseTestDeck} {
 		d := parseDeck(t, src)
 		key, err := deckKey(d, Overrides{})
 		if err != nil {
@@ -227,6 +229,11 @@ func TestRunDeckPointSessionMatchesFresh(t *testing.T) {
 					t.Fatalf("point %d junction %d: session current %g != fresh %g (bit-exact)",
 						pt.Fine, j, reused.Current[j], c)
 				}
+			}
+			// %v prints each float in its shortest round-trip form, so
+			// equal text means bit-equal statistics.
+			if f, r := fmt.Sprintf("%v", fresh.Noise), fmt.Sprintf("%v", reused.Noise); f != r {
+				t.Fatalf("point %d: session noise statistics differ:\nfresh  %s\nreused %s", pt.Fine, f, r)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"semsim/internal/netlist"
 	"semsim/internal/noise"
 	"semsim/internal/obs"
+	"semsim/internal/rng"
 	"semsim/internal/solver"
 )
 
@@ -295,7 +296,7 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string
 		Adaptive:     spec.Adaptive,
 		Alpha:        spec.Alpha,
 		RefreshEvery: spec.RefreshEvery,
-		Seed:         spec.Seed + uint64(pt.Fine)*1009 + uint64(run)*104729,
+		Seed:         rng.Derive(spec.Seed, uint64(pt.Fine), uint64(run)),
 		RateTables:   spec.RateTables,
 	}
 	var (

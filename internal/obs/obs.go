@@ -70,7 +70,6 @@ type Observer struct {
 	cinvTrunc      *Gauge
 	cholFill       *Gauge
 	sessionResets  *Counter
-	sessionBuilds  *Counter
 	pointsDone     *Counter
 	pointsTotal    *Gauge
 	pointsSkipped  *Gauge
@@ -117,7 +116,6 @@ func New(cfg Config) *Observer {
 	o.cinvTrunc = o.reg.Gauge("circuit.cinv_truncation_ratio")
 	o.cholFill = o.reg.Gauge("circuit.chol_fill_ratio")
 	o.sessionResets = o.reg.Counter("solver.session_resets")
-	o.sessionBuilds = o.reg.Counter("sweep.session_builds")
 	o.pointsDone = o.reg.Counter("sweep.points_done")
 	o.pointsTotal = o.reg.Gauge("sweep.points_total")
 	o.pointsSkipped = o.reg.Gauge("sweep.points_skipped")
@@ -337,22 +335,13 @@ func (o *Observer) EngineShape(nnz int, truncRatio, fill float64) {
 
 // SessionReset records one solver session reset: a reused Sim rewound
 // onto a new seed and bias point instead of being rebuilt from scratch.
-// The ratio of solver.session_resets to sweep.points_done is the
-// compile-once amortization the sweep engine achieves.
+// The ratio of solver.session_resets to jobs.session_builds is the
+// compile-once amortization deck execution achieves.
 func (o *Observer) SessionReset() {
 	if o == nil {
 		return
 	}
 	o.sessionResets.Add(1)
-}
-
-// SessionBuild records one full session construction (circuit compile +
-// solver build): the denominator of the compile-once amortization.
-func (o *Observer) SessionBuild() {
-	if o == nil {
-		return
-	}
-	o.sessionBuilds.Add(1)
 }
 
 // SweepTotal adds a batch of announced sweep points to the progress

@@ -29,11 +29,8 @@ func New(seed uint64) *Source {
 	var src Source
 	sm := seed
 	for i := range src.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
+		sm += golden
+		src.s[i] = mix64(sm)
 	}
 	// A pathological all-zero state cannot occur: splitmix64 output is a
 	// bijection of its (distinct) inputs, but guard anyway.
@@ -41,6 +38,34 @@ func New(seed uint64) *Source {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
 	return &src
+}
+
+// golden is splitmix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function: a bijection of uint64 whose
+// output bits each depend on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Derive maps a base seed and an ordered tuple of keys (a task's point
+// index, its run number, ...) to the seed of that task's stream:
+// counter-style key mixing in the spirit of Salmon et al., "Parallel
+// Random Numbers: As Easy as 1, 2, 3" (SC'11). The base and then each
+// key in turn are folded into a running state through splitmix64's
+// mixer, so nearby tuples land on unrelated seeds. Linear offsets such
+// as base + i do not: there (base, 1) and (base+1, 0) are the same
+// stream. For fixed keys Derive is a bijection of base, so distinct
+// base seeds never share a task stream.
+func Derive(base uint64, keys ...uint64) uint64 {
+	h := mix64(base + golden)
+	for _, k := range keys {
+		h = mix64((h ^ k) + golden)
+	}
+	return h
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +253,39 @@ func BenchmarkBatchFloat64(b *testing.B) {
 		sink += r.Float64()
 	}
 	_ = sink
+}
+
+// Derive must give every (seed, fine index, run) task of a deck its own
+// stream over the ranges decks use, and must break the aliases of the
+// linear schemes it replaced: seed+idx made (s, point 1) the stream of
+// (s+1, point 0), and seed+1009·fine+104729·run made (s, fine 1, run 0)
+// the stream of (s+1009, fine 0, run 0).
+func TestDeriveNoCollisions(t *testing.T) {
+	const seeds, fines, runs = 64, 4096, 8
+	vs := make([]uint64, 0, seeds*fines*runs)
+	for s := uint64(0); s < seeds; s++ {
+		for f := uint64(0); f < fines; f++ {
+			for r := uint64(0); r < runs; r++ {
+				vs = append(vs, Derive(s, f, r))
+			}
+		}
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	for i := 1; i < len(vs); i++ {
+		if vs[i] == vs[i-1] {
+			t.Fatalf("two (seed, fine, run) tasks derive the same seed %#x", vs[i])
+		}
+	}
+	for s := uint64(0); s < seeds; s++ {
+		if Derive(s, 1) == Derive(s+1, 0) {
+			t.Fatalf("seed %d point 1 aliases seed %d point 0", s, s+1)
+		}
+		if Derive(s, 1, 0) == Derive(s+1009, 0, 0) {
+			t.Fatalf("seed %d fine 1 aliases seed %d fine 0", s, s+1009)
+		}
+	}
+	// Key order matters: (fine, run) = (1, 2) and (2, 1) are different tasks.
+	if Derive(7, 1, 2) == Derive(7, 2, 1) {
+		t.Fatal("Derive ignores key order")
+	}
 }

@@ -1,47 +1,22 @@
+// Package sweep plans the operating points of I-V sweeps and stability
+// maps (the paper's Fig. 1 and Fig. 5): the dyadic fine lattice of a
+// refined map, each refinement level's points, and the interpolation
+// that fills the lattice points refinement skipped. It runs nothing;
+// decks carry sweeps and maps to the jobs runner, which executes every
+// (point, run) task.
+//
+// The interesting structure of a Coulomb-diamond map — diamond edges
+// and resonance lines — occupies a thin set of the (Vg, Vds) plane.
+// Adaptive mesh refinement simulates a coarse grid everywhere and
+// spends fine-lattice points only where neighbouring currents disagree.
 package sweep
 
 import (
-	"context"
-	"fmt"
+	"math"
 	"sort"
-
-	"semsim/internal/obs"
 )
 
-// RefineConfig tunes adaptive mesh refinement for stability maps. The
-// interesting structure of a Coulomb-diamond map — diamond edges and
-// resonance lines — occupies a thin set of the (Vg, Vds) plane; AMR
-// simulates a coarse grid everywhere and spends fine-grid points only
-// where neighbouring currents disagree.
-type RefineConfig struct {
-	// Depth is the number of dyadic refinement levels: each level halves
-	// the cell size, so the fine lattice is 2^Depth times denser per axis
-	// than the coarse grid. 0 disables refinement.
-	Depth int
-	// Threshold is the refinement trigger as a fraction of the global
-	// current range: a cell whose corner currents span at least
-	// Threshold × (max I − min I) is subdivided. 0 means the default 0.1.
-	Threshold float64
-	// MaxPoints caps the total number of simulated fine points
-	// (0 = unlimited). Refinement candidates are truncated in fine-index
-	// order, so the cap is deterministic too.
-	MaxPoints int
-}
-
 const defaultRefineThreshold = 0.1
-
-// RefinedMap is an adaptively refined stability map on the fine
-// lattice. Simulated marks points that ran a Monte Carlo simulation;
-// the rest of I is filled by dyadic interpolation between simulated
-// neighbours. PointsTotal−PointsSimulated is the refinement saving
-// versus a uniform fine grid.
-type RefinedMap struct {
-	Xs, Ys          []float64   // fine-lattice axes
-	I               [][]float64 // current, row-major I[iy][ix]
-	Simulated       [][]bool    // true where I was simulated, not interpolated
-	PointsSimulated int
-	PointsTotal     int // len(Xs) * len(Ys)
-}
 
 // RefineAxis subdivides each interval of vs into 2^depth equal steps.
 // Coarse values land exactly (bitwise) on their aligned fine indices
@@ -64,211 +39,94 @@ func RefineAxis(vs []float64, depth int) []float64 {
 	return out
 }
 
-// Map2DRefined computes a stability map with compile-once solver reuse
-// and adaptive mesh refinement: the coarse xs×ys grid is simulated
-// everywhere, then cells with high current contrast are subdivided
-// level by level down to rc.Depth. Results are deterministic and
-// invariant to worker count and scheduling: every simulated point's
-// seed derives from its fine-lattice index, and each level's refinement
-// decisions depend only on completed values from earlier levels. A
-// simulated refined point is bit-identical to the same point in a
-// uniform Map2DSession over the fine lattice.
-func Map2DRefined(newSession SessionFunc, xs, ys []float64, cfg Config, rc RefineConfig) (*RefinedMap, error) {
-	return Map2DRefinedCtx(context.Background(), newSession, xs, ys, cfg, rc)
-}
-
-// Map2DRefinedCtx is Map2DRefined with cooperative cancellation.
-func Map2DRefinedCtx(ctx context.Context, newSession SessionFunc, xs, ys []float64, cfg Config, rc RefineConfig) (*RefinedMap, error) {
-	defer obs.GlobalSpan("sweep.map2d_refined").End()
-	if rc.Depth < 0 || rc.Depth > 12 {
-		return nil, fmt.Errorf("sweep: refine depth %d out of range [0, 12]", rc.Depth)
-	}
-	if rc.Depth > 0 && (len(xs) < 2 || len(ys) < 2) {
-		return nil, fmt.Errorf("sweep: refinement needs at least a 2x2 coarse grid, got %dx%d", len(xs), len(ys))
-	}
-	thr := rc.Threshold
-	if thr <= 0 {
-		thr = defaultRefineThreshold
-	}
-	fineXs := RefineAxis(xs, rc.Depth)
-	fineYs := RefineAxis(ys, rc.Depth)
-	fnx, fny := len(fineXs), len(fineYs)
-	m := &RefinedMap{
-		Xs: fineXs, Ys: fineYs,
-		I:           make([][]float64, fny),
-		Simulated:   make([][]bool, fny),
-		PointsTotal: fnx * fny,
-	}
-	for iy := 0; iy < fny; iy++ {
-		m.I[iy] = make([]float64, fnx)
-		m.Simulated[iy] = make([]bool, fnx)
-	}
-
-	type fpt struct{ fx, fy int }
-	simulate := func(level int, pts []fpt) error {
-		obs.Global().SweepTotal(len(pts))
-		for range pts {
-			obs.Global().RefineDepth(level)
-		}
-		err := forEachSessionPoint(ctx, newSession, len(pts), cfg, func(s *Session, i int) error {
-			p := pts[i]
-			idx := p.fy*fnx + p.fx
-			pt, err := s.RunPoint(fineXs[p.fx], fineYs[p.fy], idx)
-			if err != nil {
-				return &PointError{Index: idx, X: fineXs[p.fx], Y: fineYs[p.fy], Is2D: true, Err: err}
-			}
-			m.I[p.fy][p.fx] = pt.I
-			m.Simulated[p.fy][p.fx] = true
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		m.PointsSimulated += len(pts)
-		return nil
-	}
-
-	// Level 0: the full coarse grid, at fine-lattice-aligned indices.
-	stride := 1 << rc.Depth
-	coarse := make([]fpt, 0, len(xs)*len(ys))
-	for fy := 0; fy < fny; fy += stride {
-		for fx := 0; fx < fnx; fx += stride {
-			coarse = append(coarse, fpt{fx, fy})
-		}
-	}
-	if err := simulate(0, coarse); err != nil {
-		return nil, err
-	}
-
-	// Refinement levels: subdivide cells of the previous level whose
-	// corner currents span more than the threshold fraction of the
-	// global range. Only cells with all four corners simulated are
-	// candidates, so refinement recurses exactly where earlier levels
-	// found contrast.
-	for level := 1; level <= rc.Depth; level++ {
-		cell := 1 << (rc.Depth - level + 1) // previous level's cell size
-		plan := RefinePlan(m.I, m.Simulated, cell, thr)
-		if len(plan) == 0 {
-			break
-		}
-		pts := make([]fpt, len(plan))
-		for i, p := range plan {
-			pts[i] = fpt{p[0], p[1]}
-		}
-		if rc.MaxPoints > 0 && m.PointsSimulated+len(pts) > rc.MaxPoints {
-			keep := rc.MaxPoints - m.PointsSimulated
-			if keep < 0 {
-				keep = 0
-			}
-			pts = pts[:keep]
-		}
-		if len(pts) == 0 {
-			break
-		}
-		if err := simulate(level, pts); err != nil {
-			return nil, err
-		}
-	}
-
-	fillInterpolated(m, rc.Depth)
-	obs.Global().SweepSkipped(m.PointsTotal - m.PointsSimulated)
-	return m, nil
-}
-
-// RefinePlan plans one refinement level: given the current fine-lattice
-// grid and its simulated mask, it returns the {fx, fy} points the next
-// level should simulate. Cells of size cell (in fine-lattice units)
-// whose four corners are all simulated and whose corner currents span
-// at least threshold × the global range of simulated currents
-// contribute their four edge midpoints and centre; shared edges between
-// neighbouring refined cells are deduplicated and the result is sorted
-// by fine flat index. Pure arithmetic on deterministic inputs, so the
-// plan — and everything scheduled from it — is worker-count- and
-// schedule-invariant. Shared with the jobs batch layer, which plans
-// levels for `map`+`refine` decks from folded task results.
-func RefinePlan(I [][]float64, simulated [][]bool, cell int, threshold float64) [][2]int {
+// RefinePlan plans one refinement level of a map on a fnx×fny fine
+// lattice. simulated holds the current of every point simulated so far,
+// keyed by fine flat index fy*fnx + fx. Cells of size cell (in
+// fine-lattice units, aligned to multiples of cell) whose four corners
+// are all simulated and whose corner currents span at least threshold ×
+// the global range of simulated currents contribute their four edge
+// midpoints and centre; points shared by neighbouring refined cells
+// appear once, and the plan lists fine flat indices in ascending order.
+// Memory and time are proportional to the simulated points, never to
+// the lattice. Pure arithmetic on deterministic inputs, so the plan —
+// and everything scheduled from it — is worker-count- and
+// schedule-invariant.
+func RefinePlan(fnx, fny int, simulated map[int]float64, cell int, threshold float64) []int {
 	if threshold <= 0 {
 		threshold = defaultRefineThreshold
 	}
-	fny := len(I)
-	if fny == 0 {
+	if len(simulated) == 0 {
 		return nil
 	}
-	fnx := len(I[0])
-	half := cell / 2
-	lo, hi, any := 0.0, 0.0, false
-	for fy := 0; fy < fny; fy++ {
-		for fx := 0; fx < fnx; fx++ {
-			if !simulated[fy][fx] {
-				continue
-			}
-			v := I[fy][fx]
-			if !any || v < lo {
-				lo = v
-			}
-			if !any || v > hi {
-				hi = v
-			}
-			any = true
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range simulated {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
 		}
 	}
 	cut := threshold * (hi - lo)
-	want := make(map[int][2]int)
-	for fy := 0; fy+cell < fny; fy += cell {
-		for fx := 0; fx+cell < fnx; fx += cell {
-			if !simulated[fy][fx] || !simulated[fy][fx+cell] ||
-				!simulated[fy+cell][fx] || !simulated[fy+cell][fx+cell] {
-				continue
+	half := cell / 2
+	want := map[int]bool{}
+	// Every candidate cell is found once, from its top-left corner.
+	for idx, v := range simulated {
+		fx, fy := idx%fnx, idx/fnx
+		if fx%cell != 0 || fy%cell != 0 || fx+cell >= fnx || fy+cell >= fny {
+			continue
+		}
+		cLo, cHi := v, v
+		corners := true
+		for _, c := range [3]int{idx + cell, idx + cell*fnx, idx + cell*fnx + cell} {
+			w, ok := simulated[c]
+			if !ok {
+				corners = false
+				break
 			}
-			cLo := I[fy][fx]
-			cHi := cLo
-			for _, v := range [3]float64{I[fy][fx+cell], I[fy+cell][fx], I[fy+cell][fx+cell]} {
-				if v < cLo {
-					cLo = v
-				}
-				if v > cHi {
-					cHi = v
-				}
-			}
-			span := cHi - cLo
-			if span < cut || span <= 0 {
-				continue
-			}
-			for _, p := range [5][2]int{
-				{fx + half, fy}, {fx, fy + half}, {fx + cell, fy + half},
-				{fx + half, fy + cell}, {fx + half, fy + half},
-			} {
-				if !simulated[p[1]][p[0]] {
-					want[p[1]*fnx+p[0]] = p
-				}
+			cLo, cHi = min(cLo, w), max(cHi, w)
+		}
+		span := cHi - cLo
+		if !corners || span < cut || span <= 0 {
+			continue
+		}
+		for _, p := range [5]int{
+			idx + half, idx + half*fnx, idx + half*fnx + cell,
+			idx + cell*fnx + half, idx + half*fnx + half,
+		} {
+			if _, ok := simulated[p]; !ok {
+				want[p] = true
 			}
 		}
 	}
 	if len(want) == 0 {
 		return nil
 	}
-	out := make([][2]int, 0, len(want))
-	for _, p := range want {
+	out := make([]int, 0, len(want))
+	for p := range want {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i][1]*fnx+out[i][0] < out[j][1]*fnx+out[j][0]
-	})
+	sort.Ints(out)
 	return out
 }
 
-// fillInterpolated fills every unsimulated fine point by successive
-// dyadic subdivision: coarsest cells first, edge midpoints as the mean
-// of their two endpoints and centres as the mean of the four corners.
-// After the pass at cell size s, every point on the s/2 lattice is
-// known, so the recursion bottoms out with the whole lattice filled.
-// Pure arithmetic on deterministic inputs — the filled map is as
-// schedule-invariant as the simulated one.
-func fillInterpolated(m *RefinedMap, depth int) {
-	fnx, fny := len(m.Xs), len(m.Ys)
+// Interpolate fills every unsimulated point of a refined map's fine
+// lattice, I[fy][fx] with simulated marking the points that ran, by
+// successive dyadic subdivision from the coarse cell size 2^depth down:
+// edge midpoints become the mean of their two endpoints and centres the
+// mean of the four corners. After the pass at cell size s every point
+// on the s/2 lattice is known, so the recursion bottoms out with the
+// whole lattice filled. Pure arithmetic on deterministic inputs — the
+// filled map is as schedule-invariant as the simulated one.
+func Interpolate(I [][]float64, simulated [][]bool, depth int) {
+	fny := len(I)
+	if fny == 0 {
+		return
+	}
+	fnx := len(I[0])
 	known := make([][]bool, fny)
 	for iy := range known {
-		known[iy] = append([]bool(nil), m.Simulated[iy]...)
+		known[iy] = append([]bool(nil), simulated[iy]...)
 	}
 	for cell := 1 << depth; cell >= 2; cell >>= 1 {
 		half := cell / 2
@@ -286,13 +144,13 @@ func fillInterpolated(m *RefinedMap, depth int) {
 				}
 				for _, e := range edges {
 					if !known[e.py][e.px] {
-						m.I[e.py][e.px] = 0.5 * (m.I[e.ay][e.ax] + m.I[e.by][e.bx])
+						I[e.py][e.px] = 0.5 * (I[e.ay][e.ax] + I[e.by][e.bx])
 						known[e.py][e.px] = true
 					}
 				}
 				if !known[fy+half][fx+half] {
-					m.I[fy+half][fx+half] = 0.25 * (m.I[fy][fx] + m.I[fy][fx+cell] +
-						m.I[fy+cell][fx] + m.I[fy+cell][fx+cell])
+					I[fy+half][fx+half] = 0.25 * (I[fy][fx] + I[fy][fx+cell] +
+						I[fy+cell][fx] + I[fy+cell][fx+cell])
 					known[fy+half][fx+half] = true
 				}
 			}

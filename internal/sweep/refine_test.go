@@ -1,15 +1,11 @@
 package sweep
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
-
-	"semsim/internal/numeric"
-	"semsim/internal/solver"
 )
-
-func refineCfg(seed uint64) Config {
-	return Config{Options: solver.Options{Temp: 5, Seed: seed}, WarmEvents: 300, Events: 2000}
-}
 
 func TestRefineAxis(t *testing.T) {
 	fine := RefineAxis([]float64{0, 1, 2}, 2)
@@ -32,148 +28,147 @@ func TestRefineAxis(t *testing.T) {
 	}
 }
 
-// Refinement must find the Coulomb-diamond structure: it simulates far
-// fewer points than the uniform fine grid, and every point it does
-// simulate is bit-identical to the uniform fine map's at the same
-// fine-lattice coordinate (same positional seed, same trajectory).
-func TestMap2DRefinedMatchesUniformFine(t *testing.T) {
-	xs := numeric.Linspace(-0.06, 0.06, 5)
-	ys := numeric.Linspace(0, 0.0534, 4)
-	cfg := refineCfg(33)
-	rc := RefineConfig{Depth: 2, Threshold: 0.1}
-	m, err := Map2DRefined(sessionSET(cfg), xs, ys, cfg, rc)
-	if err != nil {
-		t.Fatal(err)
+// densePlan is the dense planner RefinePlan replaced, kept as the
+// reference: it scans every cell of the full fnx×fny lattice.
+func densePlan(I [][]float64, simulated [][]bool, cell int, threshold float64) []int {
+	if threshold <= 0 {
+		threshold = defaultRefineThreshold
 	}
-	if len(m.Xs) != (len(xs)-1)*4+1 || len(m.Ys) != (len(ys)-1)*4+1 {
-		t.Fatalf("fine lattice %dx%d", len(m.Xs), len(m.Ys))
-	}
-	if m.PointsTotal != len(m.Xs)*len(m.Ys) {
-		t.Fatalf("PointsTotal = %d", m.PointsTotal)
-	}
-	if m.PointsSimulated >= m.PointsTotal {
-		t.Fatalf("refinement simulated the whole lattice: %d of %d", m.PointsSimulated, m.PointsTotal)
-	}
-	if m.PointsSimulated < len(xs)*len(ys) {
-		t.Fatalf("refinement simulated fewer than the coarse grid: %d", m.PointsSimulated)
-	}
-	uniform, err := Map2DSession(sessionSET(cfg), m.Xs, m.Ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked int
-	for iy := range m.I {
-		for ix := range m.I[iy] {
-			if !m.Simulated[iy][ix] {
+	fny, fnx := len(I), len(I[0])
+	half := cell / 2
+	lo, hi, any := 0.0, 0.0, false
+	for fy := 0; fy < fny; fy++ {
+		for fx := 0; fx < fnx; fx++ {
+			if !simulated[fy][fx] {
 				continue
 			}
-			if m.I[iy][ix] != uniform[iy][ix] {
-				t.Fatalf("simulated point (%d,%d): refined %g != uniform %g",
-					ix, iy, m.I[iy][ix], uniform[iy][ix])
+			v := I[fy][fx]
+			if !any || v < lo {
+				lo = v
 			}
-			checked++
-		}
-	}
-	if checked != m.PointsSimulated {
-		t.Fatalf("Simulated mask count %d != PointsSimulated %d", checked, m.PointsSimulated)
-	}
-}
-
-// The refined map must be identical at any worker count: refinement
-// decisions are level-synchronized and seeds are positional.
-func TestMap2DRefinedDeterministicUnderParallelism(t *testing.T) {
-	xs := numeric.Linspace(-0.05, 0.05, 4)
-	ys := numeric.Linspace(0, 0.04, 3)
-	rc := RefineConfig{Depth: 2}
-	run := func(par int) *RefinedMap {
-		cfg := refineCfg(17)
-		cfg.Parallel = par
-		m, err := Map2DRefined(sessionSET(cfg), xs, ys, cfg, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	a, b := run(1), run(7)
-	if a.PointsSimulated != b.PointsSimulated {
-		t.Fatalf("simulated point counts differ: %d vs %d", a.PointsSimulated, b.PointsSimulated)
-	}
-	for iy := range a.I {
-		for ix := range a.I[iy] {
-			if a.I[iy][ix] != b.I[iy][ix] || a.Simulated[iy][ix] != b.Simulated[iy][ix] {
-				t.Fatalf("point (%d,%d) differs across parallelism: %g/%v vs %g/%v",
-					ix, iy, a.I[iy][ix], a.Simulated[iy][ix], b.I[iy][ix], b.Simulated[iy][ix])
+			if !any || v > hi {
+				hi = v
 			}
+			any = true
 		}
 	}
-}
-
-func TestMap2DRefinedFillsWholeLattice(t *testing.T) {
-	xs := numeric.Linspace(-0.05, 0.05, 4)
-	ys := numeric.Linspace(0, 0.04, 3)
-	cfg := refineCfg(3)
-	m, err := Map2DRefined(sessionSET(cfg), xs, ys, cfg, RefineConfig{Depth: 3, Threshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interpolated points must lie within the range of the simulated
-	// values (dyadic averaging cannot extrapolate).
-	lo, hi := m.I[0][0], m.I[0][0]
-	for iy := range m.I {
-		for ix := range m.I[iy] {
-			if m.Simulated[iy][ix] {
-				if m.I[iy][ix] < lo {
-					lo = m.I[iy][ix]
+	cut := threshold * (hi - lo)
+	want := map[int]bool{}
+	for fy := 0; fy+cell < fny; fy += cell {
+		for fx := 0; fx+cell < fnx; fx += cell {
+			if !simulated[fy][fx] || !simulated[fy][fx+cell] ||
+				!simulated[fy+cell][fx] || !simulated[fy+cell][fx+cell] {
+				continue
+			}
+			cLo := I[fy][fx]
+			cHi := cLo
+			for _, v := range [3]float64{I[fy][fx+cell], I[fy+cell][fx], I[fy+cell][fx+cell]} {
+				if v < cLo {
+					cLo = v
 				}
-				if m.I[iy][ix] > hi {
-					hi = m.I[iy][ix]
+				if v > cHi {
+					cHi = v
+				}
+			}
+			span := cHi - cLo
+			if span < cut || span <= 0 {
+				continue
+			}
+			for _, p := range [5][2]int{
+				{fx + half, fy}, {fx, fy + half}, {fx + cell, fy + half},
+				{fx + half, fy + cell}, {fx + half, fy + half},
+			} {
+				if !simulated[p[1]][p[0]] {
+					want[p[1]*fnx+p[0]] = true
 				}
 			}
 		}
 	}
-	for iy := range m.I {
-		for ix := range m.I[iy] {
-			if m.I[iy][ix] < lo || m.I[iy][ix] > hi {
-				t.Fatalf("interpolated point (%d,%d)=%g outside simulated range [%g, %g]",
-					ix, iy, m.I[iy][ix], lo, hi)
+	var out []int
+	for p := range want {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// The sparse planner must plan exactly the dense reference's points, in
+// the same order, on random lattices, masks and currents — including
+// masks that are not the output of earlier levels.
+func TestRefinePlanMatchesDenseReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		depth := 1 + r.Intn(3)
+		cell := 1 << (1 + r.Intn(depth))
+		fnx := (1+r.Intn(4))<<depth + 1
+		fny := (1+r.Intn(4))<<depth + 1
+		density := r.Float64()
+		I := make([][]float64, fny)
+		mask := make([][]bool, fny)
+		sim := map[int]float64{}
+		for fy := range I {
+			I[fy] = make([]float64, fnx)
+			mask[fy] = make([]bool, fnx)
+			for fx := range I[fy] {
+				// Coarse-aligned points are simulated more often, so some
+				// cells have all four corners.
+				p := density
+				if fx%cell == 0 && fy%cell == 0 {
+					p = 0.5 + density/2
+				}
+				if r.Float64() < p {
+					v := float64(r.Intn(5)) * 1e-9 // ties and flat cells too
+					I[fy][fx], mask[fy][fx] = v, true
+					sim[fy*fnx+fx] = v
+				}
 			}
+		}
+		thr := []float64{0, 0.1, 0.3, 0.9}[r.Intn(4)]
+		want := densePlan(I, mask, cell, thr)
+		got := RefinePlan(fnx, fny, sim, cell, thr)
+		if len(want) == 0 && len(got) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%dx%d, cell %d, thr %g): sparse plan %v, dense %v", trial, fnx, fny, cell, thr, got, want)
 		}
 	}
 }
 
-func TestMap2DRefinedMaxPoints(t *testing.T) {
-	xs := numeric.Linspace(-0.06, 0.06, 4)
-	ys := numeric.Linspace(0, 0.05, 4)
-	cfg := refineCfg(5)
-	cap := len(xs)*len(ys) + 7
-	m, err := Map2DRefined(sessionSET(cfg), xs, ys, cfg, RefineConfig{Depth: 2, MaxPoints: cap})
-	if err != nil {
-		t.Fatal(err)
+// Interpolation fills the whole lattice, stays within the range of the
+// simulated values (dyadic averaging cannot extrapolate) and leaves the
+// simulated points untouched.
+func TestInterpolateFillsWholeLattice(t *testing.T) {
+	const depth = 3
+	fnx, fny := 3<<depth+1, 2<<depth+1
+	r := rand.New(rand.NewSource(3))
+	I := make([][]float64, fny)
+	sim := make([][]bool, fny)
+	orig := map[[2]int]float64{}
+	lo, hi := 1.0, -1.0
+	for fy := range I {
+		I[fy] = make([]float64, fnx)
+		sim[fy] = make([]bool, fnx)
+		for fx := range I[fy] {
+			coarse := fx%(1<<depth) == 0 && fy%(1<<depth) == 0
+			if coarse || r.Float64() < 0.2 {
+				v := r.Float64()*2 - 1
+				I[fy][fx], sim[fy][fx] = v, true
+				orig[[2]int{fx, fy}] = v
+				lo, hi = min(lo, v), max(hi, v)
+			} else {
+				I[fy][fx] = 99 // must be overwritten
+			}
+		}
 	}
-	if m.PointsSimulated > cap {
-		t.Fatalf("MaxPoints=%d exceeded: simulated %d", cap, m.PointsSimulated)
-	}
-}
-
-func TestMap2DRefinedDepthZero(t *testing.T) {
-	xs := numeric.Linspace(-0.04, 0.04, 5)
-	ys := []float64{0, 0.0267}
-	cfg := refineCfg(11)
-	m, err := Map2DRefined(sessionSET(cfg), xs, ys, cfg, RefineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.PointsSimulated != len(xs)*len(ys) || m.PointsSimulated != m.PointsTotal {
-		t.Fatalf("depth 0 must simulate exactly the coarse grid: %d of %d", m.PointsSimulated, m.PointsTotal)
-	}
-	grid, err := Map2DSession(sessionSET(cfg), xs, ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for iy := range grid {
-		for ix := range grid[iy] {
-			if m.I[iy][ix] != grid[iy][ix] {
-				t.Fatalf("depth-0 refined map differs from Map2DSession at (%d,%d)", ix, iy)
+	Interpolate(I, sim, depth)
+	for fy := range I {
+		for fx, v := range I[fy] {
+			if w, ok := orig[[2]int{fx, fy}]; ok && v != w {
+				t.Fatalf("simulated point (%d,%d) changed: %g -> %g", fx, fy, w, v)
+			}
+			if v < lo || v > hi {
+				t.Fatalf("point (%d,%d)=%g outside simulated range [%g, %g]", fx, fy, v, lo, hi)
 			}
 		}
 	}

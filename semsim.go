@@ -28,11 +28,13 @@
 //	fmt.Println(sim.JunctionCurrent(nd.JuncDrain))
 //
 // Higher-level entry points: ParseNetlist reads the SPICE-like input
-// deck format; ParseLogic and ExpandLogic turn gate-level netlists into
-// nSET/pSET circuits; IV and Map2D sweep bias/gate planes in parallel;
-// MasterSolve provides an exact steady-state reference for single
-// devices; NewSpice is the compact-model transient baseline; and
-// Benchmarks returns the paper's 15-circuit evaluation suite.
+// deck format, and RunDeck and RunDeckCtx execute a deck — an I-V
+// `sweep` or a refined stability `map` — as independent (point, run)
+// tasks, optionally in parallel; ParseLogic and ExpandLogic turn
+// gate-level netlists into nSET/pSET circuits; MasterSolve provides an
+// exact steady-state reference for single devices; NewSpice is the
+// compact-model transient baseline; and Benchmarks returns the paper's
+// 15-circuit evaluation suite.
 package semsim
 
 import (
@@ -160,75 +162,9 @@ func MasterSolveN(c *Circuit, temp float64, radius int) (*MasterResultN, error) 
 	return master.SolveN(c, temp, radius)
 }
 
-// Sweep types: IV curves and 2-D stability maps.
-type (
-	// SweepPoint is one I-V sample.
-	SweepPoint = sweep.Point
-	// SweepConfig tunes per-point Monte Carlo runs.
-	SweepConfig = sweep.Config
-	// BuildFunc makes a circuit for a sweep value and names the
-	// measured junction.
-	BuildFunc = sweep.BuildFunc
-	// Build2DFunc makes a circuit for a grid point.
-	Build2DFunc = sweep.Build2DFunc
-)
-
-// IV sweeps a 1-D family of operating points in parallel (Fig. 1b/1c).
-func IV(build BuildFunc, xs []float64, cfg SweepConfig) ([]SweepPoint, error) {
-	return sweep.IV(build, xs, cfg)
-}
-
-// Map2D computes a current map over a (x, y) grid (Fig. 5).
-func Map2D(build Build2DFunc, xs, ys []float64, cfg SweepConfig) ([][]float64, error) {
-	return sweep.Map2D(build, xs, ys, cfg)
-}
-
-// Compile-once sweep sessions and adaptive mesh refinement: each worker
-// builds one simulator and re-seeds it per point (bit-identical to
-// rebuilding), and stability maps refine the grid only where the
-// current shows contrast. See DESIGN.md §14.
-type (
-	// SweepSession is a reusable compiled circuit + solver for many
-	// operating points.
-	SweepSession = sweep.Session
-	// SweepSessionFunc builds one session per sweep worker.
-	SweepSessionFunc = sweep.SessionFunc
-	// SweepOverrideFunc maps a sweep coordinate to per-node DC overrides.
-	SweepOverrideFunc = sweep.OverrideFunc
-	// RefineConfig tunes adaptive mesh refinement (depth, threshold, cap).
-	RefineConfig = sweep.RefineConfig
-	// RefinedMap is an adaptively refined stability map on the fine
-	// lattice, with its simulated-point mask.
-	RefinedMap = sweep.RefinedMap
-)
-
-// NewSweepSession compiles a circuit once for reuse across many sweep
-// points; junc is the circuit junction to measure and over maps each
-// (x, y) coordinate to DC source overrides (circuit node -> volts).
-func NewSweepSession(base *Circuit, junc int, over SweepOverrideFunc, cfg SweepConfig) (*SweepSession, error) {
-	return sweep.NewSession(base, junc, over, cfg)
-}
-
-// IVSession is IV with compile-once solver reuse per worker.
-func IVSession(newSession SweepSessionFunc, xs []float64, cfg SweepConfig) ([]SweepPoint, error) {
-	return sweep.IVSession(newSession, xs, cfg)
-}
-
-// Map2DSession is Map2D with compile-once solver reuse per worker.
-func Map2DSession(newSession SweepSessionFunc, xs, ys []float64, cfg SweepConfig) ([][]float64, error) {
-	return sweep.Map2DSession(newSession, xs, ys, cfg)
-}
-
-// Map2DRefined computes a stability map with compile-once reuse and
-// adaptive mesh refinement: the coarse xs×ys grid everywhere, fine
-// points only where neighbouring currents disagree. Simulated points
-// are bit-identical to a uniform fine map's, at any worker count.
-func Map2DRefined(newSession SweepSessionFunc, xs, ys []float64, cfg SweepConfig, rc RefineConfig) (*RefinedMap, error) {
-	return sweep.Map2DRefined(newSession, xs, ys, cfg, rc)
-}
-
 // RefineAxis subdivides each interval of vs into 2^depth equal steps —
-// the fine lattice a RefinedMap lives on.
+// the fine lattice on which a `map` deck with `refine depth` places its
+// points.
 func RefineAxis(vs []float64, depth int) []float64 { return sweep.RefineAxis(vs, depth) }
 
 // Observability: a metrics registry, a structured run journal with

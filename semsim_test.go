@@ -1,6 +1,7 @@
 package semsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -179,21 +180,45 @@ func TestBenchmarksFacade(t *testing.T) {
 	}
 }
 
+// An I-V sweep through the facade is a deck run on the jobs runner:
+// the Fig. 1b SET with the bias mirrored onto the drain, on two task
+// workers. The curve is blockaded at zero bias and antisymmetric.
 func TestIVFacade(t *testing.T) {
-	build := func(v float64) (*Circuit, int, error) {
-		c, nd := NewSET(SETConfig{
-			R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
-			Vs: v / 2, Vd: -v / 2,
-		})
-		return c, nd.JuncDrain, nil
-	}
-	pts, err := IV(build, []float64{-0.04, 0, 0.04}, SweepConfig{
-		Options: Options{Temp: 5, Seed: 3}, WarmEvents: 500, Events: 4000,
-	})
+	d, err := ParseNetlist(strings.NewReader(`
+junc 1 1 4 1e-6 1e-18
+junc 2 4 2 1e-6 1e-18
+cap 3 4 3e-18
+vdc 1 0
+vdc 2 0
+vdc 3 0
+sweep 1 0.02 0.005
+symm 2
+record 2
+temp 5
+jumps 15000
+seed 100
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].I >= 0 || pts[2].I <= 0 {
-		t.Fatalf("IV endpoint signs wrong: %g %g", pts[0].I, pts[2].I)
+	pts, err := RunDeckCtx(context.Background(), d, DeckOverrides{}, DeckRunConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 9 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	first, mid, last := pts[0].Current[2], pts[4], pts[8].Current[2]
+	if mid.SweepV != 0 {
+		t.Fatalf("midpoint bias = %g, want exactly 0", mid.SweepV)
+	}
+	if math.Abs(mid.Current[2]) > 0.1*math.Abs(last) {
+		t.Fatalf("blockade center current %g vs edge %g", mid.Current[2], last)
+	}
+	if last <= 0 || first >= 0 {
+		t.Fatalf("edge currents have wrong sign: %g, %g", first, last)
+	}
+	if math.Abs(first+last) > 0.15*math.Abs(last) {
+		t.Fatalf("I-V not antisymmetric: %g vs %g", first, last)
 	}
 }
