@@ -294,8 +294,22 @@ func fingerprints(t *testing.T) map[string]string {
 	}
 	put("solver/chain3", "cinv-eps-1e-6", chainSeed, fpSim(s, cc.Circuit))
 
+	// A normal-state SET, one fresh build per seed.
+	setCfg := SETConfig{R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF, Vs: 0.02, Vd: -0.02}
+	for _, seed := range []uint64{3, 4, 5} {
+		c, _ := NewSET(setCfg)
+		s, err := solver.New(c, solver.Options{Temp: 5, Seed: seed, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(5000, 0); err != nil {
+			t.Fatal(err)
+		}
+		put("solver/set", "adaptive", seed, fpSim(s, c))
+	}
+
 	// A session: one build, run, then Reset onto a new seed and bias.
-	c, nd := NewSET(SETConfig{R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF, Vs: 0.02, Vd: -0.02})
+	c, nd := NewSET(setCfg)
 	s, err = solver.New(c, solver.Options{Temp: 5, Seed: 1, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
