@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test unit race bench zero-alloc e2e-smoke rate-engine bench-compare potential-engine obs-overhead noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
+.PHONY: all build test unit race bench zero-alloc e2e-smoke rate-engine bench-compare obs-overhead noise-bench experiments quick-experiments fmt vet lint debug fuzz docs-verify
 
 all: build test
 
@@ -40,10 +40,11 @@ docs-verify: bin/semsimlint
 	go vet -vettool=bin/semsimlint . ./internal/jobs/...
 
 # Disabled observability must stay literally free (nil-receiver hooks
-# at 0 allocs/op), and so must the per-event potential update of both
-# engines (dense row pass and sparse nonzero walk), the solver's whole
-# steady-state event loop (flush, sample, apply, recompute) and the
-# noise/FCS recording path (windows, spectral sums, autocorrelation).
+# at 0 allocs/op), and so must the per-event potential update (the
+# truncated-row walk, with and without the shift record the adaptive
+# test reads), the solver's whole steady-state event loop (flush,
+# sample, apply, recompute) and the noise/FCS recording path (windows,
+# spectral sums, autocorrelation).
 zero-alloc:
 	go test -run TestObsDisabledZeroAlloc -bench=ObsDisabled -benchmem ./internal/obs/
 	go test -run TestPotentialShiftZeroAlloc ./internal/circuit/
@@ -74,12 +75,6 @@ rate-engine:
 # with `go run ./cmd/benchcmp OLD.json NEW.json`.
 bench-compare:
 	go run ./cmd/benchcmp results/BENCH_rate_engine.json
-
-# Machine-readable potential-engine benchmark (exact dense rows vs
-# eps-truncated sparse rows on the four largest circuits)
-# -> results/BENCH_potential_engine.json.
-potential-engine:
-	go run ./cmd/experiments potential-engine
 
 # Observability overhead on c432 (obs off vs metrics-only vs jobs-layer
 # task telemetry vs full tracing, same seed)

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|noise-bench|noise-spectroscopy|all}
+//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|obs-overhead|noise-bench|noise-spectroscopy|all}
 //
 // See EXPERIMENTS.md for the mapping to the paper and the measured
 // outcomes.
@@ -42,7 +42,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|potential-engine|obs-overhead|noise-bench|noise-spectroscopy|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|obs-overhead|noise-bench|noise-spectroscopy|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -83,8 +83,6 @@ func main() {
 		run("ablation", ablation)
 	case "rate-engine":
 		run("rate-engine", rateEngine)
-	case "potential-engine":
-		run("potential-engine", potentialEngine)
 	case "obs-overhead":
 		run("obs-overhead", obsOverhead)
 	case "noise-bench":

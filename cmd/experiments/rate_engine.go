@@ -14,8 +14,8 @@ import (
 // results to BENCH_rate_engine.json: events/sec, rate calculations and
 // wall time of serial runs with exact vs tabulated kernels. Two circuits
 // are timed — c432 (2072 junctions) and c1908 (6988 junctions), both on
-// exact dense C^-1 rows; the file holds an array with one report per
-// circuit.
+// the default truncated C^-1 rows; the file holds an array with one
+// report per circuit.
 func rateEngine() error {
 	type row struct {
 		name   string

@@ -37,7 +37,7 @@ var (
 	temp      = flag.Float64("temp", bench.WorkloadTemp, "temperature in kelvin")
 	seed      = flag.Uint64("seed", 1, "Monte Carlo seed")
 	adaptive  = flag.Bool("adaptive", false, "use the adaptive solver")
-	cinvEps   = flag.Float64("cinv-eps", 0, "build C^-1 as sparse rows truncated at eps*rowmax, never forming the dense inverse (0 = exact dense rows)")
+	cinvEps   = flag.Float64("cinv-eps", 0, "truncate C^-1 rows at eps*rowmax, finite with 0 <= eps < 1 (0 = the default 1e-14; every run reports its error bound)")
 	vcdPath   = flag.String("vcd", "", "write the watched waveform as VCD to this file")
 	ckptPath  = flag.String("checkpoint", "", "persist periodic atomic snapshots of the run to this file (crash-safe)")
 	ckptEvery = flag.Int("checkpoint-every", 0, "target events between snapshots (0 = default; rounded up to the solver refresh period)")

@@ -41,7 +41,7 @@ import (
 func main() {
 	out := flag.String("o", "", "write results to this file instead of stdout")
 	rateTables := flag.Bool("rate-tables", false, "evaluate normal-state rates through error-bounded interpolation tables (<1e-6 relative error)")
-	cinvEps := flag.Float64("cinv-eps", 0, "build C^-1 as sparse rows truncated at eps*rowmax (solver tracks a provable error bound); 0 keeps the deck's setting")
+	cinvEps := flag.Float64("cinv-eps", 0, "truncate C^-1 rows at eps*rowmax, finite with 0 <= eps < 1 (solver tracks a provable error bound); 0 keeps the deck's setting, whose default is 1e-14")
 	fanoWindow := flag.Float64("fano-window", 0, "fix the noise counting-window width in seconds, overriding deck windows and the auto calibration (never changes the trajectory)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist periodic atomic checkpoints of every run in this directory (crash-safe; created if missing)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "target events between checkpoints (0 = default; rounded up to the solver refresh period)")

@@ -23,7 +23,8 @@
 //
 // The optional "overrides" object takes three keys, each winning over
 // the deck's own setting: "rate_tables" (bool, tabulated rate kernels),
-// "cinv_eps" (number, C^-1 row truncation threshold) and "fano_window"
+// "cinv_eps" (number, C^-1 row truncation threshold, finite with
+// 0 <= eps < 1; anything else is refused with HTTP 400) and "fano_window"
 // (seconds, noise counting-window width). A body with any other key —
 // at the top level or in "overrides" — is refused with HTTP 400 naming
 // the key, so a misspelt override never runs silently dropped.

@@ -32,7 +32,7 @@ type RateEngineReport struct {
 // RunRateEngine times the non-adaptive solver — the configuration whose
 // cost is dominated by rate recomputation — on benchmark b for the
 // given event budget, with exact and with tabulated kernels. The
-// circuit is built with the default exact dense C^-1 rows.
+// circuit is built at the default C^-1 truncation threshold.
 func RunRateEngine(b Benchmark, p logicnet.Params, events, seed uint64) (*RateEngineReport, error) {
 	ex, err := BuildWorkload(b, p)
 	if err != nil {

@@ -38,8 +38,7 @@ func BuildWorkload(b Benchmark, p logicnet.Params) (*logicnet.Expanded, error) {
 }
 
 // BuildWorkloadWith is BuildWorkload with explicit circuit build
-// options: a positive CinvTruncation builds truncated CSR rows and never
-// forms the dense inverse.
+// options, e.g. a C^-1 truncation threshold coarser than the default.
 func BuildWorkloadWith(b Benchmark, p logicnet.Params, bo circuit.BuildOptions) (*logicnet.Expanded, error) {
 	vdd := p.Vdd()
 	drive := map[string]circuit.Source{}

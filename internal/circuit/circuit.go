@@ -169,9 +169,7 @@ type Circuit struct {
 	extIdx     []int       // node id -> external column, -1 for islands
 	ccsr       *matrix.CSR // assembled C in CSR form (always)
 	csigma     []float64   // diagonal of C: per-island total capacitance
-	cinv       *matrix.Sym // dense C^-1; nil when built with CinvTruncation > 0
 	cie        [][]float64 // islands x externals coupling capacitances
-	mext       [][]float64 // Cinv * CIE: islands x externals; nil when cinv is
 	pot        *Potentials // the potential engine
 	nodeJuncs  [][]int     // node id -> junction ids touching it
 	juncNbrs   [][]int     // junction id -> neighbouring junction ids
@@ -288,23 +286,23 @@ func (c *Circuit) checkNode(id int) {
 // there is nothing for a single-electron simulator to do.
 var ErrNoIslands = errors.New("circuit: no islands")
 
-// Build freezes the circuit with the default dense potential engine:
-// assembles and inverts the island capacitance matrix and precomputes
-// adjacency. It returns an error if the circuit is electrically
-// ill-posed (an island with no capacitance, an external without a
-// source, no islands at all).
+// Build freezes the circuit at the default C^-1 truncation threshold:
+// assembles the island capacitance matrix, solves its truncated inverse
+// rows and precomputes adjacency. It returns an error if the circuit is
+// electrically ill-posed (an island with no capacitance, an external
+// without a source, no islands at all).
 func (c *Circuit) Build() error { return c.BuildWith(BuildOptions{}) }
 
-// BuildWith freezes the circuit like Build but lets the caller select
-// the potential engine (see BuildOptions). With CinvTruncation > 0 the
-// dense inverse is never formed, so circuits far beyond the dense
-// memory ceiling become buildable.
+// BuildWith freezes the circuit like Build at the caller's truncation
+// threshold (see BuildOptions), which must pass CheckCinvTruncation.
+// The dense inverse is never formed, so circuits far beyond a dense
+// memory ceiling stay buildable.
 func (c *Circuit) BuildWith(bo BuildOptions) error {
 	if c.built {
 		return errors.New("circuit: Build called twice")
 	}
-	if bo.CinvTruncation < 0 || math.IsNaN(bo.CinvTruncation) {
-		return fmt.Errorf("circuit: invalid C^-1 truncation threshold %g", bo.CinvTruncation)
+	if err := CheckCinvTruncation(bo.CinvTruncation); err != nil {
+		return err
 	}
 	n := len(c.names)
 	c.islandIdx = make([]int, n)
@@ -500,19 +498,8 @@ func (c *Circuit) SourceOf(id int) Source { return c.sources[id] }
 // node id; entries involving external nodes are zero (a voltage source
 // absorbs charge with no potential change), which is exactly the
 // convention Eq. 2 needs. The value comes from the circuit's built
-// potential engine, so it reflects any configured truncation.
+// potential engine, so it reflects the build's truncation.
 func (c *Circuit) Cinv(a, b int) float64 { return c.pot.Cinv(a, b) }
-
-// CinvRow returns row i (island order) of the dense C^-1 for fast bulk
-// updates. It requires the dense inverse and panics on circuits built
-// with CinvTruncation > 0; hot paths should walk the potential engine's
-// truncated rows instead (Potentials.Shift and friends).
-func (c *Circuit) CinvRow(islandRow int) []float64 {
-	if c.cinv == nil {
-		panic("circuit: CinvRow needs the dense inverse (circuit built with cinv truncation)")
-	}
-	return c.cinv.Row(islandRow)
-}
 
 // CSR returns the assembled island capacitance matrix in CSR form
 // (read-only), mainly for tests and diagnostics.

@@ -2,55 +2,67 @@ package circuit
 
 // The potential engine: one object owning every C^-1-mediated quantity
 // the solver reads — per-event potential shifts, full potential solves,
-// free-energy changes and external-input deltas. A circuit owns exactly
-// one engine, the one BuildWith assembled; the truncation threshold ε
-// alone picks its row storage:
-//
-//   - ε = 0 (dense): the exact inverse as full symmetrized rows, O(n)
-//     per event. The reference implementation.
-//   - ε > 0 (sparse): ε-truncated C^-1 rows in CSR form. Each row keeps
-//     only entries with |v| >= ε·‖row‖∞; per-event shifts and refresh
-//     solves walk stored nonzeros only, O(k) per row. The engine
-//     carries a provable per-potential error bound (EventErrorBound /
-//     RefreshErrorBound / InputErrorBound) that the solver accumulates
-//     into its Stats.
+// free-energy changes and external-input deltas. Every build stores
+// C^-1 (and mext = C^-1·C_IE) as ε-truncated rows in CSR form: each row
+// keeps only the entries with |v| >= ε·‖row‖∞, so per-event shifts and
+// refresh solves walk stored nonzeros only, O(k) per row. The engine
+// carries a provable per-potential error bound (EventErrorBound /
+// RefreshErrorBound / InputErrorBound) that the solver accumulates into
+// its Stats; there is no separate exact mode, the bound states how
+// exact a run is.
 //
 // C^-1 entries of a diagonally dominant capacitance matrix decay
-// exponentially with graph distance, which is why a relative threshold
-// as small as 1e-8 already drops the vast majority of entries on the
-// logic benchmarks while the bound stays far below thermal noise.
+// exponentially with graph distance, so the default ε = 1e-14 already
+// drops most entries of the large logic benchmarks while its bound
+// stays below a picovolt, and a relative threshold as coarse as 1e-8
+// drops the vast majority with the bound still far below thermal noise.
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"semsim/internal/matrix"
-	"semsim/internal/units"
 )
 
-// BuildOptions selects the potential engine assembled by BuildWith.
+// DefaultCinvTruncation is the C^-1 truncation threshold ε a build uses
+// when BuildOptions leaves it at 0.
+const DefaultCinvTruncation = 1e-14
+
+// BuildOptions configures the potential engine assembled by BuildWith.
 type BuildOptions struct {
-	// SparsePotentials is ignored: CinvTruncation alone selects the
-	// engine.
+	// SparsePotentials is ignored: every build stores truncated rows.
 	//
 	// Deprecated: kept only while the benchmark harness still sets it.
 	SparsePotentials bool
-	// CinvTruncation is the relative row-truncation threshold ε, and
-	// the only engine selector. 0 (the default) keeps the exact C^-1 as
-	// dense rows. ε > 0 drops the entries of each C^-1 row (and of
-	// mext) smaller in magnitude than ε·‖row‖∞, storing the rest as CSR
-	// as each row is solved; the dense inverse is never formed.
+	// CinvTruncation is the relative row-truncation threshold ε, the
+	// engine's only knob: each C^-1 row (and mext row) drops the entries
+	// smaller in magnitude than ε·‖row‖∞ as it is solved. 0 means
+	// DefaultCinvTruncation; any other value must be finite with
+	// 0 < ε < 1 (see CheckCinvTruncation).
 	CinvTruncation float64
+}
+
+// CheckCinvTruncation reports whether eps is a usable truncation
+// threshold: finite with 0 <= eps < 1, 0 standing for
+// DefaultCinvTruncation. At eps >= 1 a row keeps at most its largest
+// entries, and Coulomb blockade vanishes with the rest.
+func CheckCinvTruncation(eps float64) error {
+	if !(eps >= 0 && eps < 1) {
+		return fmt.Errorf("circuit: C^-1 truncation threshold %g outside [0, 1)", eps)
+	}
+	return nil
 }
 
 // Potentials is the potential engine of one built circuit. It is
 // immutable after construction and safe for concurrent readers.
 type Potentials struct {
 	c   *Circuit
-	eps float64 // C^-1 truncation threshold; > 0 selects the CSR rows
+	eps float64 // C^-1 truncation threshold
 
-	// Sparse backend: ε-truncated C^-1 rows and mext rows, CSR layout.
-	// Row i of C^-1 occupies rowCol/rowVal[rowPtr[i]:rowPtr[i+1]]; the
-	// mext (external-coupling) rows use mPtr/mCol/mVal the same way.
+	// ε-truncated C^-1 rows and mext rows, CSR layout. Row i of C^-1
+	// occupies rowCol/rowVal[rowPtr[i]:rowPtr[i+1]]; the mext
+	// (external-coupling) rows use mPtr/mCol/mVal the same way.
 	rowPtr []int
 	rowCol []int32
 	rowVal []float64
@@ -58,35 +70,30 @@ type Potentials struct {
 	mCol   []int32
 	mVal   []float64
 
-	// Truncation error metadata; all zero for the dense engine.
+	// Truncation error metadata; all zero when nothing was dropped.
 	dropInf    float64 // largest dropped |C^-1 entry| over all rows
 	dropL1     float64 // largest per-row sum of dropped |C^-1 entries|
 	mextDropL1 float64 // largest per-row sum of dropped |mext entries|
 	fill       float64 // sparse Cholesky fill nnz(L)/nnz(tril(C))
 }
 
-// Sparse reports whether the engine walks truncated rows (true) or full
-// dense rows (false).
-func (p *Potentials) Sparse() bool { return p.eps > 0 }
+// Sparse reports true: every engine walks truncated CSR rows.
+//
+// Deprecated: kept only while the benchmark harness still calls it.
+func (p *Potentials) Sparse() bool { return true }
 
-// Eps returns the relative truncation threshold (0 for the dense engine).
+// Eps returns the relative truncation threshold the rows were built at.
 func (p *Potentials) Eps() float64 { return p.eps }
 
 // Truncated reports whether the engine has dropped any nonzero entry,
 // i.e. whether its potentials deviate from the exact solve at all.
 func (p *Potentials) Truncated() bool { return p.dropInf > 0 || p.mextDropL1 > 0 }
 
-// NNZ returns the number of stored C^-1 entries (n^2 for dense).
-func (p *Potentials) NNZ() int {
-	if !p.Sparse() {
-		n := len(p.c.islands)
-		return n * n
-	}
-	return len(p.rowVal)
-}
+// NNZ returns the number of stored C^-1 entries.
+func (p *Potentials) NNZ() int { return len(p.rowVal) }
 
 // TruncationRatio returns stored C^-1 entries as a fraction of the full
-// n^2 (1 for dense engines).
+// n^2.
 func (p *Potentials) TruncationRatio() float64 {
 	n := len(p.c.islands)
 	if n == 0 {
@@ -99,11 +106,10 @@ func (p *Potentials) TruncationRatio() float64 {
 // Cholesky factorization the engine's rows were solved from.
 func (p *Potentials) Fill() float64 { return p.fill }
 
-// at returns C^-1 element (i, j) in island coordinates.
+// at returns stored C^-1 element (i, j) in island coordinates, 0 when
+// dropped, by binary search in row i. Build-time code only: the event
+// loop reads the shift record Shift fills instead.
 func (p *Potentials) at(i, j int) float64 {
-	if !p.Sparse() {
-		return p.c.cinv.At(i, j)
-	}
 	cols := p.rowCol[p.rowPtr[i]:p.rowPtr[i+1]]
 	lo, hi := 0, len(cols)
 	for lo < hi {
@@ -139,11 +145,6 @@ func (p *Potentials) DeltaW(src, dst int, q, vSrc, vDst float64) float64 {
 	return -q*(vDst-vSrc) + self*q*q/2
 }
 
-// DeltaWElectron is DeltaW for a single electron.
-func (p *Potentials) DeltaWElectron(src, dst int, vSrc, vDst float64) float64 {
-	return p.DeltaW(src, dst, units.E, vSrc, vDst)
-}
-
 // PotentialShift returns the island-k potential change caused by moving
 // charge mq from node src to node dst: mq*(Cinv[k][src] - Cinv[k][dst]).
 func (p *Potentials) PotentialShift(k, src, dst int, mq float64) float64 {
@@ -157,66 +158,88 @@ func (p *Potentials) PotentialShift(k, src, dst int, mq float64) float64 {
 	return mq * acc
 }
 
-// Shift applies the potential change of one transfer of charge mq from
-// src to dst to every island potential in v, returning the number of
-// row entries touched (the per-event work the obs layer histograms).
-// The dense path is a fused pass over two full C^-1 rows; the sparse
-// path walks only stored nonzeros.
-func (p *Potentials) Shift(v []float64, src, dst int, mq float64) int {
-	touched := 0
-	if !p.Sparse() {
-		if k := p.c.islandIdx[src]; k >= 0 {
-			row := p.c.cinv.Row(k)
-			for i := range v {
-				v[i] += mq * row[i]
-			}
-			touched += len(v)
-		}
-		if k := p.c.islandIdx[dst]; k >= 0 {
-			row := p.c.cinv.Row(k)
-			for i := range v {
-				v[i] -= mq * row[i]
-			}
-			touched += len(v)
-		}
-		return touched
+// ShiftRecord is an epoch-stamped record of the per-island potential
+// shift one Shift applied. Shift fills it while it walks the event's
+// two C^-1 rows, so a reader gets the exact shift each island received
+// without a C^-1 lookup.
+type ShiftRecord struct {
+	val   []float64
+	stamp []uint32 // val[k] is this epoch's shift iff stamp[k] == epoch
+	epoch uint32
+}
+
+// NewShiftRecord returns an empty record for a circuit of n islands.
+func NewShiftRecord(n int) *ShiftRecord {
+	return &ShiftRecord{val: make([]float64, n), stamp: make([]uint32, n)}
+}
+
+// At returns the shift island k received from the last recorded Shift:
+// 0 for k < 0 (an external node) and for an island outside both rows.
+func (r *ShiftRecord) At(k int32) float64 {
+	if k < 0 || r.stamp[k] != r.epoch {
+		return 0
 	}
+	return r.val[k]
+}
+
+// open starts a new epoch, in which every island reads 0 until Shift
+// records into it.
+func (r *ShiftRecord) open() {
+	r.epoch++
+	if r.epoch == 0 { // uint32 wrap: old stamps must not alias
+		clear(r.stamp)
+		r.epoch = 1
+	}
+}
+
+// Shift applies the potential change of one transfer of charge mq from
+// src to dst to every island potential in v, walking the stored
+// nonzeros of rows C^-1[src] and C^-1[dst], and returns the number of
+// row entries touched (the per-event work the obs layer histograms).
+// A non-nil rec is reopened and records every island's shift as it is
+// applied: Shift into a zero vector leaves exactly rec's values.
+func (p *Potentials) Shift(v []float64, src, dst int, mq float64, rec *ShiftRecord) int {
+	if rec != nil {
+		rec.open()
+	}
+	touched := 0
 	if k := p.c.islandIdx[src]; k >= 0 {
-		lo, hi := p.rowPtr[k], p.rowPtr[k+1]
-		cols, vals := p.rowCol[lo:hi], p.rowVal[lo:hi]
+		touched += p.shiftRow(v, k, mq, rec)
+	}
+	if k := p.c.islandIdx[dst]; k >= 0 {
+		touched += p.shiftRow(v, k, -mq, rec)
+	}
+	return touched
+}
+
+// shiftRow adds mq·C^-1[k] to v over the row's stored nonzeros, and
+// into rec when non-nil.
+func (p *Potentials) shiftRow(v []float64, k int, mq float64, rec *ShiftRecord) int {
+	lo, hi := p.rowPtr[k], p.rowPtr[k+1]
+	cols, vals := p.rowCol[lo:hi], p.rowVal[lo:hi]
+	if rec == nil {
 		for idx, cc := range cols {
 			v[cc] += mq * vals[idx]
 		}
-		touched += hi - lo
+		return hi - lo
 	}
-	if k := p.c.islandIdx[dst]; k >= 0 {
-		lo, hi := p.rowPtr[k], p.rowPtr[k+1]
-		cols, vals := p.rowCol[lo:hi], p.rowVal[lo:hi]
-		for idx, cc := range cols {
-			v[cc] -= mq * vals[idx]
+	for idx, cc := range cols {
+		// The conversion rounds the product, so neither sum below can
+		// be fused into a multiply-add the other does not get.
+		d := float64(mq * vals[idx])
+		v[cc] += d
+		if rec.stamp[cc] != rec.epoch {
+			rec.stamp[cc] = rec.epoch
+			rec.val[cc] = 0
 		}
-		touched += hi - lo
+		rec.val[cc] += d
 	}
-	return touched
+	return hi - lo
 }
 
 // Solve computes the potential solve v = Cinv*q + mext*vext into dst
 // (island order).
 func (p *Potentials) Solve(dst, q, vext []float64) {
-	if !p.Sparse() {
-		for i := range dst {
-			row := p.c.cinv.Row(i)
-			acc := 0.0
-			for k, qk := range q {
-				acc += row[k] * qk
-			}
-			for s, vs := range vext {
-				acc += p.c.mext[i][s] * vs
-			}
-			dst[i] = acc
-		}
-		return
-	}
 	for i := range dst {
 		acc := 0.0
 		for idx := p.rowPtr[i]; idx < p.rowPtr[i+1]; idx++ {
@@ -233,16 +256,6 @@ func (p *Potentials) Solve(dst, q, vext []float64) {
 // change caused by external voltages moving from vext0 to vext1:
 // dv = mext * (v1 - v0).
 func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
-	if !p.Sparse() {
-		for i := range dst {
-			acc := 0.0
-			for s := range vext0 {
-				acc += p.c.mext[i][s] * (vext1[s] - vext0[s])
-			}
-			dst[i] = acc
-		}
-		return
-	}
 	for i := range dst {
 		acc := 0.0
 		for idx := p.mPtr[i]; idx < p.mPtr[i+1]; idx++ {
@@ -259,7 +272,7 @@ func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
 // holds the dropped entries. Then:
 //
 //   - one Shift of charge q perturbs island i by
-//     q*(err[i][src] - err[i][dst]), bounded by 2*q*dropInf;
+//     q*(err[src][i] - err[dst][i]), bounded by 2*q*dropInf;
 //   - a full solve v = Cinv*q + mext*vext is off by
 //     err[i]·q + errM[i]·vext, bounded per island by
 //     dropL1*max|q| + mextDropL1*max|vext|;
@@ -270,21 +283,21 @@ func (p *Potentials) ExternalDelta(dst, vext0, vext1 []float64) {
 // full refresh, incremented by the event/input terms in between.
 
 // EventErrorBound bounds the per-island potential error introduced by
-// one Shift of charge q. Zero for exact engines.
+// one Shift of charge q. Zero when nothing was dropped.
 func (p *Potentials) EventErrorBound(q float64) float64 {
 	return 2 * q * p.dropInf
 }
 
 // RefreshErrorBound bounds the per-island error of a full Solve
 // given the largest island charge magnitude and external voltage
-// magnitude. Zero for exact engines.
+// magnitude. Zero when nothing was dropped.
 func (p *Potentials) RefreshErrorBound(qmax, vmax float64) float64 {
 	return p.dropL1*qmax + p.mextDropL1*vmax
 }
 
 // InputErrorBound bounds the per-island error of one ExternalDelta
-// given the largest source-voltage change magnitude. Zero for exact
-// engines.
+// given the largest source-voltage change magnitude. Zero when nothing
+// was dropped.
 func (p *Potentials) InputErrorBound(dvmax float64) float64 {
 	return p.mextDropL1 * dvmax
 }
@@ -321,36 +334,40 @@ func truncRow(cols []int32, vals []float64, row []float64, eps float64) ([]int32
 	return cols, vals, dropSum, dropMax
 }
 
+// csrRows lays per-row slices out as one CSR row set, each array
+// allocated once at its final size.
+func csrRows(cols [][]int32, vals [][]float64) (ptr []int, col []int32, val []float64) {
+	ptr = make([]int, len(cols)+1)
+	for i, c := range cols {
+		ptr[i+1] = ptr[i] + len(c)
+	}
+	nnz := ptr[len(cols)]
+	col, val = make([]int32, 0, nnz), make([]float64, 0, nnz)
+	for i := range cols {
+		col = append(col, cols[i]...)
+		val = append(val, vals[i]...)
+	}
+	return ptr, col, val
+}
+
 // buildPotentials is the one C^-1 build: C is factored once under an
 // RCM ordering and every C^-1 row comes from one sparse solve,
-// O(n·nnz(L)) in total. ε = bo.CinvTruncation picks the row storage.
-// At ε = 0 the rows are kept dense and symmetrized as the circuit's
-// cinv, and mext is derived from them. At ε > 0 each row is truncated
-// into CSR as it is solved and the dense inverse is never formed.
+// O(n·nnz(L)) in total. Each row, and its mext row, is truncated at
+// ε = bo.CinvTruncation (DefaultCinvTruncation when 0) as it is solved;
+// the dense inverse is never formed.
 func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
 	chol, err := matrix.FactorCSR(c.ccsr, matrix.RCM(c.ccsr))
 	if err != nil {
 		return nil, err
 	}
-	p := &Potentials{c: c}
+	p := &Potentials{c: c, eps: bo.CinvTruncation}
+	if p.eps == 0 {
+		p.eps = DefaultCinvTruncation
+	}
 	if l := c.ccsr.LowerNNZ(); l > 0 {
 		p.fill = float64(chol.NNZ()) / float64(l)
 	}
-	cie := c.cieNonzeros()
-	if bo.CinvTruncation > 0 {
-		p.truncateRows(chol, cie, bo.CinvTruncation)
-		return p, nil
-	}
-	// The island charge balance is q_e = C_II*v_I - C_IE*v_E (the C_IE
-	// column holds the positive coupling capacitances), so
-	// v_I = Cinv*q_e + (Cinv*C_IE)*v_E. Precompute mext = Cinv*C_IE.
-	c.cinv = chol.Inverse()
-	ni, ne := len(c.islands), len(c.externals)
-	c.mext = make([][]float64, ni)
-	for i := range c.mext {
-		c.mext[i] = make([]float64, ne)
-		cie.mulRow(c.mext[i], c.cinv.Row(i))
-	}
+	p.truncateRows(chol, c.cieNonzeros())
 	return p, nil
 }
 
@@ -388,36 +405,43 @@ func (cp couplings) mulRow(dst, row []float64) {
 	}
 }
 
-// truncateRows makes p the truncated engine at eps: each C^-1 row is
-// computed by one sparse solve, truncated and stored, together with
-// its mext row.
-func (p *Potentials) truncateRows(chol *matrix.SparseChol, cie couplings, eps float64) {
+// truncateRows fills p's rows at p.eps. The island charge balance is
+// q_e = C_II*v_I - C_IE*v_E (the C_IE column holds the positive
+// coupling capacitances), so v_I = Cinv*q_e + (Cinv*C_IE)*v_E: each
+// C^-1 row comes from one sparse solve and its mext row from C_IE.
+// Both are truncated through reused scratch into exact-size copies,
+// laid out as CSR once every row is known, so no stored array ever
+// grows by appending.
+func (p *Potentials) truncateRows(chol *matrix.SparseChol, cie couplings) {
 	ni, ne := len(p.c.islands), len(p.c.externals)
-	p.eps = eps
-	p.rowPtr, p.mPtr = make([]int, ni+1), make([]int, ni+1)
+	cols, vals := make([][]int32, ni), make([][]float64, ni)
+	mcols, mvals := make([][]int32, ni), make([][]float64, ni)
 	row := make([]float64, ni)
 	w := make([]float64, ni)
 	mrow := make([]float64, ne)
+	var sc []int32
+	var sv []float64
 	for i := 0; i < ni; i++ {
 		chol.InverseRow(i, row, w)
 		cie.mulRow(mrow, row)
 		var ds, dm float64
-		p.rowCol, p.rowVal, ds, dm = truncRow(p.rowCol, p.rowVal, row, eps)
-		p.rowPtr[i+1] = len(p.rowCol)
+		sc, sv, ds, dm = truncRow(sc[:0], sv[:0], row, p.eps)
+		cols[i], vals[i] = slices.Clone(sc), slices.Clone(sv)
 		if ds > p.dropL1 {
 			p.dropL1 = ds
 		}
 		if dm > p.dropInf {
 			p.dropInf = dm
 		}
-		p.mCol, p.mVal, ds, dm = truncRow(p.mCol, p.mVal, mrow, eps)
-		p.mPtr[i+1] = len(p.mCol)
+		sc, sv, ds, _ = truncRow(sc[:0], sv[:0], mrow, p.eps)
+		mcols[i], mvals[i] = slices.Clone(sc), slices.Clone(sv)
 		if ds > p.mextDropL1 {
 			p.mextDropL1 = ds
 		}
 	}
+	p.rowPtr, p.rowCol, p.rowVal = csrRows(cols, vals)
+	p.mPtr, p.mCol, p.mVal = csrRows(mcols, mvals)
 }
 
-// Potentials returns the circuit's potential engine: dense at
-// CinvTruncation = 0, truncated CSR rows otherwise.
+// Potentials returns the circuit's potential engine.
 func (c *Circuit) Potentials() *Potentials { return c.pot }

@@ -2,15 +2,24 @@ package circuit
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"semsim/internal/matrix"
 	"semsim/internal/units"
 )
 
 // buildChain constructs an n-island uniform tunnel-junction array
 // (source - n islands - drain, each island gated) under the given build
-// options — the locality-rich topology the sparse engine targets.
+// options — the locality-rich topology truncated rows exploit.
 func buildChain(t *testing.T, n int, bo BuildOptions) (*Circuit, []int) {
+	t.Helper()
+	return buildGatedChain(t, n, 0.3*aF, bo)
+}
+
+// buildGatedChain is buildChain with an explicit gate capacitance: the
+// smaller it is, the slower C^-1 rows decay along the chain.
+func buildGatedChain(t *testing.T, n int, cg float64, bo BuildOptions) (*Circuit, []int) {
 	t.Helper()
 	c := New()
 	src := c.AddNode("src", External)
@@ -26,7 +35,7 @@ func buildChain(t *testing.T, n int, bo BuildOptions) (*Circuit, []int) {
 	prev := src
 	for i, isl := range isls {
 		c.AddJunction(prev, isl, 1e6, (1+0.1*float64(i%7))*aF)
-		c.AddCap(isl, gate, 0.3*aF)
+		c.AddCap(isl, gate, cg)
 		prev = isl
 	}
 	c.AddJunction(prev, drn, 1e6, 1.2*aF)
@@ -44,23 +53,49 @@ func chainElectrons(n int) []int {
 	return ns
 }
 
-// TestNativeSparseBuildMatchesDense: a circuit built natively sparse
-// (no dense inverse ever formed) must agree with the dense build to
-// solver accuracy, and its potential error must respect the bound.
+// exactPotentials is the test-local exact reference for the island
+// potentials at electron counts ns and time tt: it solves
+// C v = q + C_IE v_ext with the dense Cholesky factorization, never
+// touching the truncated rows.
+func exactPotentials(t *testing.T, c *Circuit, ns []int, tt float64) []float64 {
+	t.Helper()
+	n := c.NumIslands()
+	m := matrix.NewSym(n)
+	for i := 0; i < n; i++ {
+		cols, vals := c.CSR().Row(i)
+		for k, j := range cols {
+			m.SetSym(i, int(j), vals[k])
+		}
+	}
+	ch, err := matrix.Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := c.ChargeVector(nil, ns)
+	vext := c.ExternalVoltages(nil, tt)
+	for i, row := range c.cie {
+		for s, cap := range row {
+			v[i] += cap * vext[s]
+		}
+	}
+	ch.Solve(v)
+	return v
+}
+
+// TestNativeSparseBuildMatchesDense: the truncated rows of every build,
+// at the default threshold and at coarser ones, must agree with the
+// exact dense solve to within the engine's own error bound.
 func TestNativeSparseBuildMatchesDense(t *testing.T) {
 	const n = 60
-	cd, _ := buildChain(t, n, BuildOptions{})
-	for _, eps := range []float64{1e-14, 1e-6, 1e-3} {
+	ref, _ := buildChain(t, n, BuildOptions{})
+	ns := chainElectrons(n)
+	vd := exactPotentials(t, ref, ns, 0)
+	for _, eps := range []float64{0, 1e-6, 1e-3} {
 		cs, _ := buildChain(t, n, BuildOptions{CinvTruncation: eps})
-		if cs.cinv != nil {
-			t.Fatal("native sparse build formed the dense inverse")
-		}
 		pe := cs.Potentials()
-		ns := chainElectrons(n)
-		vd := cd.IslandPotentials(nil, ns, 0)
 		vs := cs.IslandPotentials(nil, ns, 0)
-		q := cd.ChargeVector(nil, ns)
-		vext := cd.ExternalVoltages(nil, 0)
+		q := cs.ChargeVector(nil, ns)
+		vext := cs.ExternalVoltages(nil, 0)
 		qmax, vmax := 0.0, 0.0
 		for _, x := range q {
 			qmax = math.Max(qmax, math.Abs(x))
@@ -70,11 +105,11 @@ func TestNativeSparseBuildMatchesDense(t *testing.T) {
 		}
 		bound := pe.RefreshErrorBound(qmax, vmax)
 		// Allow rounding headroom on top of the truncation bound: the
-		// sparse solve and the dense inverse round differently.
+		// row solves and the dense factorization round differently.
 		slack := 1e-11 * math.Max(vmax, 1)
 		for i := range vd {
 			if d := math.Abs(vd[i] - vs[i]); d > bound+slack {
-				t.Fatalf("eps=%g island %d: |dense-sparse| = %g exceeds bound %g", eps, i, d, bound)
+				t.Fatalf("eps=%g island %d: |exact-truncated| = %g exceeds bound %g", eps, i, d, bound)
 			}
 		}
 		if eps >= 1e-3 && !pe.Truncated() {
@@ -89,32 +124,48 @@ func TestNativeSparseBuildMatchesDense(t *testing.T) {
 	}
 }
 
-// TestEpsSelectsEngine: the truncation threshold alone picks the
-// engine. A positive ε builds truncated CSR rows without forming the
-// dense inverse; ε = 0 builds the dense engine whatever the deprecated
-// SparsePotentials field says.
+// TestEpsSelectsEngine: the truncation threshold alone sets the rows.
+// A positive ε truncates at ε; ε = 0 builds at DefaultCinvTruncation
+// whatever the deprecated SparsePotentials field says, exactly like an
+// explicit 1e-14; a threshold outside [0, 1) is rejected.
 func TestEpsSelectsEngine(t *testing.T) {
 	c, _ := buildChain(t, 40, BuildOptions{CinvTruncation: 1e-6})
 	pe := c.Potentials()
-	if !pe.Sparse() || pe.Eps() != 1e-6 || c.cinv != nil || c.mext != nil {
-		t.Fatalf("eps=1e-6 build: sparse=%v eps=%g dense inverse formed=%v",
-			pe.Sparse(), pe.Eps(), c.cinv != nil)
+	if !pe.Sparse() || pe.Eps() != 1e-6 {
+		t.Fatalf("eps=1e-6 build: sparse=%v eps=%g", pe.Sparse(), pe.Eps())
 	}
 	if !pe.Truncated() || pe.NNZ() >= 40*40 {
 		t.Fatalf("eps=1e-6 build on a 40-island chain dropped nothing (nnz %d)", pe.NNZ())
 	}
+	explicit, _ := buildChain(t, 40, BuildOptions{CinvTruncation: 1e-14})
+	ns := chainElectrons(40)
+	want := explicit.IslandPotentials(nil, ns, 0)
 	for _, bo := range []BuildOptions{{}, {SparsePotentials: true}} {
 		c, _ := buildChain(t, 40, bo)
 		pe := c.Potentials()
-		if pe.Sparse() || pe.Eps() != 0 || pe.Truncated() || c.cinv == nil || pe.NNZ() != 40*40 {
-			t.Fatalf("%+v: sparse=%v eps=%g truncated=%v nnz=%d, want the dense engine",
-				bo, pe.Sparse(), pe.Eps(), pe.Truncated(), pe.NNZ())
+		if pe.Eps() != DefaultCinvTruncation || pe.NNZ() != explicit.Potentials().NNZ() {
+			t.Fatalf("%+v: eps=%g nnz=%d, want the eps=1e-14 rows (nnz %d)",
+				bo, pe.Eps(), pe.NNZ(), explicit.Potentials().NNZ())
+		}
+		for i, v := range c.IslandPotentials(nil, ns, 0) {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: island %d potential %v, eps=1e-14 build %v", bo, i, v, want[i])
+			}
+		}
+	}
+	for _, eps := range []float64{-1e-9, 1, 2, math.Inf(1), math.NaN()} {
+		c := New()
+		g := c.AddNode("g", External)
+		c.SetSource(g, DC(0))
+		c.AddJunction(g, c.AddNode("i", Island), 1e6, aF)
+		if err := c.BuildWith(BuildOptions{CinvTruncation: eps}); err == nil {
+			t.Errorf("BuildWith accepted truncation threshold %g", eps)
 		}
 	}
 }
 
-// TestPotentialShiftZeroAlloc: the per-event hot paths of both engines
-// must not allocate.
+// TestPotentialShiftZeroAlloc: the per-event hot paths must not
+// allocate, including the recording walk the adaptive test reads.
 func TestPotentialShiftZeroAlloc(t *testing.T) {
 	for _, eps := range []float64{0, 1e-6} {
 		c, isls := buildChain(t, 64, BuildOptions{CinvTruncation: eps})
@@ -125,22 +176,80 @@ func TestPotentialShiftZeroAlloc(t *testing.T) {
 		q := c.ChargeVector(nil, ns)
 		vext := c.ExternalVoltages(nil, 0)
 		dv := make([]float64, ni)
-		name := "dense"
-		if pe.Sparse() {
-			name = "sparse"
-		}
+		rec := NewShiftRecord(ni)
 		sink := 0.0
 		allocs := testing.AllocsPerRun(100, func() {
-			pe.Shift(v, isls[3], isls[4], units.E)
-			pe.Shift(v, isls[4], isls[3], units.E)
+			pe.Shift(v, isls[3], isls[4], units.E, nil)
+			pe.Shift(v, isls[4], isls[3], units.E, rec)
+			sink += rec.At(2) + rec.At(-1)
 			sink += pe.PotentialShift(2, isls[3], isls[4], units.E)
-			sink += pe.DeltaWElectron(isls[3], isls[4], v[3], v[4])
+			sink += pe.DeltaW(isls[3], isls[4], units.E, v[3], v[4])
 			pe.Solve(dv, q, vext)
 			pe.ExternalDelta(dv, vext, vext)
 		})
 		if allocs != 0 {
-			t.Errorf("%s engine hot path allocates %.1f/op", name, allocs)
+			t.Errorf("eps=%g: hot path allocates %.1f/op", pe.Eps(), allocs)
 		}
 		_ = sink
+	}
+}
+
+// TestShiftRecordsAppliedShift: Shift into a zero vector leaves exactly
+// the per-island shift it recorded, bit for bit, and an island outside
+// both rows reads 0 — so the adaptive test's b(i) accumulates the shift
+// each island received, not a C^-1 column that truncation made
+// asymmetric. A second recorded Shift forgets the first.
+func TestShiftRecordsAppliedShift(t *testing.T) {
+	const n = 60
+	for _, eps := range []float64{1e-14, 1e-3} {
+		c, isls := buildChain(t, n, BuildOptions{CinvTruncation: eps})
+		pe := c.Potentials()
+		rec := NewShiftRecord(n)
+		events := [][2]int{
+			{isls[10], isls[11]},
+			{isls[40], c.Externals()[1]}, // island -> drain
+			{c.Externals()[0], isls[0]},  // source -> island
+		}
+		for _, ev := range events {
+			v := make([]float64, n)
+			pe.Shift(v, ev[0], ev[1], units.E, rec)
+			touched := 0
+			for k := range v {
+				if got := rec.At(int32(k)); math.Float64bits(got) != math.Float64bits(v[k]) {
+					t.Fatalf("eps=%g event %v island %d: recorded %v, applied %v", eps, ev, k, got, v[k])
+				}
+				if v[k] != 0 {
+					touched++
+				}
+			}
+			if eps == 1e-3 && touched == n {
+				t.Fatalf("eps=%g event %v: every island moved; the test lost its untouched islands", eps, ev)
+			}
+			if rec.At(-1) != 0 {
+				t.Fatal("an external node read a nonzero shift")
+			}
+		}
+	}
+}
+
+// TestBuildAllocatesRowsOnce: a build at the default threshold
+// allocates at most 3x the bytes of the rows it stores plus O(n)
+// scratch. Rows grown by appending into the stored arrays would
+// allocate several times their final size on a chain whose rows decay
+// slowly.
+func TestBuildAllocatesRowsOnce(t *testing.T) {
+	const n = 1500
+	buildGatedChain(t, 8, 0.01*aF, BuildOptions{}) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, _ := buildGatedChain(t, n, 0.01*aF, BuildOptions{})
+	runtime.ReadMemStats(&after)
+	pe := c.Potentials()
+	stored := 12*(len(pe.rowVal)+len(pe.mVal)) + 8*(len(pe.rowPtr)+len(pe.mPtr))
+	const scratchPerIsland = 1024
+	alloc := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d islands: %d stored C^-1 entries, %.2f MB stored, %.2f MB allocated", n, pe.NNZ(), float64(stored)/1e6, float64(alloc)/1e6)
+	if limit := 3*stored + scratchPerIsland*n; alloc > limit {
+		t.Fatalf("build allocated %d bytes for %d stored row bytes (limit %d)", alloc, stored, limit)
 	}
 }

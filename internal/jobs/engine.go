@@ -229,6 +229,9 @@ func (e *Engine) Submit(d *netlist.Deck, ov Overrides) (*Job, error) {
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
+	if err := ov.check(); err != nil {
+		return nil, err
+	}
 	if ov.FanoWindow == 0 {
 		// Daemon-default counting window: folded in before the deck key
 		// is derived, so checkpointed noise state stays bound to the τ

@@ -92,6 +92,10 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 			writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
 			return
 		}
+		if err := req.Overrides.check(); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		d, err := netlist.Parse(strings.NewReader(req.Deck))
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "deck does not parse: %v", err)

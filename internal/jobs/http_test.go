@@ -225,6 +225,42 @@ func TestHTTPRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A cinv_eps override outside [0, 1) is refused with a 400 before any
+// work is queued: 2 would drop all of C^-1, and a negative value used
+// to be dropped silently.
+func TestHTTPRejectsCinvEpsOutOfRange(t *testing.T) {
+	e := newEngine(EngineConfig{Workers: 1},
+		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
+			return runResult{Current: map[int]float64{1: 0, 2: 0}}, nil
+		})
+	t.Cleanup(e.Close)
+	srv := httptest.NewServer(NewHandler(e, nil))
+	t.Cleanup(srv.Close)
+
+	deck, err := json.Marshal(testDeck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []string{"2", "-1", "1"} {
+		body := fmt.Sprintf(`{"deck": %s, "overrides": {"cinv_eps": %s}}`, deck, eps)
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cinv_eps") {
+			t.Errorf("cinv_eps %s: HTTP %d %s, want 400 naming cinv_eps", eps, resp.StatusCode, msg)
+		}
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions queued %d jobs", len(jobs))
+	}
+	if _, err := ExecuteDeck(context.Background(), parseDeck(t, testDeck), Overrides{CinvEps: -1}, RunConfig{}); err == nil {
+		t.Fatal("ExecuteDeck accepted a negative cinv_eps override")
+	}
+}
+
 // Cancel over HTTP lands the job in canceled and the result endpoint
 // reports it.
 func TestHTTPCancel(t *testing.T) {

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"semsim/internal/circuit"
 	"semsim/internal/netlist"
 	"semsim/internal/noise"
 	"semsim/internal/obs"
@@ -63,9 +64,10 @@ type Overrides struct {
 	// interpolation tables (< 1e-6 relative error), as the deck's
 	// rate-tables directive does.
 	RateTables bool `json:"rate_tables,omitempty"`
-	// CinvEps, when > 0, replaces the deck's cinv-eps value: the circuit
-	// is built with C^-1 rows truncated at CinvEps*rowmax, and the run
-	// carries a provable potential error bound.
+	// CinvEps, when nonzero, replaces the deck's cinv-eps value: the
+	// circuit is built with C^-1 rows truncated at CinvEps*rowmax, and
+	// the run carries a provable potential error bound. Like the
+	// directive it must be finite with 0 <= CinvEps < 1.
 	CinvEps float64 `json:"cinv_eps,omitempty"`
 	// FanoWindow, when > 0, fixes the counting-window width τ (seconds)
 	// of every noise-recorded junction, overriding deck windows and the
@@ -139,6 +141,15 @@ type RunConfig struct {
 // of work, rare enough that snapshot I/O is noise.
 const defaultCheckpointEvery = 1 << 15
 
+// check rejects overrides no deck could spell: a C^-1 truncation
+// threshold outside [0, 1).
+func (ov Overrides) check() error {
+	if err := circuit.CheckCinvTruncation(ov.CinvEps); err != nil {
+		return fmt.Errorf("jobs: cinv_eps override: %w", err)
+	}
+	return nil
+}
+
 // withOverrides returns d, or a copy of d whose spec carries the
 // overrides that change the trajectory (C^-1 truncation, rate tables).
 // Keying, compiling and running then read that one spec.
@@ -159,21 +170,28 @@ func withOverrides(d *netlist.Deck, ov Overrides) *netlist.Deck {
 // derivation are never found, let alone resumed.
 const seedScheme = "rng.Derive(seed,fine,run)"
 
+// cinvEngine names how every build stores C^-1: truncated rows, at
+// 1e-14 unless the deck says otherwise, with the adaptive test reading
+// the shift each event applied. It is part of every deck key, so
+// results and checkpoints written by an earlier engine (dense rows for
+// decks without cinv-eps) are never served or resumed.
+const cinvEngine = "truncated-rows(default=1e-14,applied-shift-test)"
+
 // deckKey fingerprints everything that determines a run's trajectory
 // and its recorded state: SHA-256 over the deck's canonical Format
 // output (circuit, spec with the folded overrides, seeds), the task
-// seed derivation and the noise counting window, truncated to 128 bits
-// of hex. Checkpoint files embed and verify the key and the result
-// cache is keyed on it, so a resumed or cached submission only picks up
-// state that provably belongs to the same work. The key also names
-// every checkpoint file, and 128 bits keep those paths short while
-// leaving collisions out of reach.
+// seed derivation, the C^-1 engine and the noise counting window,
+// truncated to 128 bits of hex. Checkpoint files embed and verify the
+// key and the result cache is keyed on it, so a resumed or cached
+// submission only picks up state that provably belongs to the same
+// work. The key also names every checkpoint file, and 128 bits keep
+// those paths short while leaving collisions out of reach.
 func deckKey(d *netlist.Deck, ov Overrides) (string, error) {
 	var buf bytes.Buffer
 	if err := d.Format(&buf); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&buf, "|seeds=%s|fw=%016x", seedScheme, math.Float64bits(ov.FanoWindow))
+	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s|fw=%016x", seedScheme, cinvEngine, math.Float64bits(ov.FanoWindow))
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:16]), nil
 }
@@ -417,6 +435,9 @@ func noiseJuncs(spec *netlist.Spec) []int {
 // returns ErrInterrupted.
 func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConfig) ([]Point, error) {
 	if err := validateDeck(d); err != nil {
+		return nil, err
+	}
+	if err := ov.check(); err != nil {
 		return nil, err
 	}
 	d = withOverrides(d, ov)

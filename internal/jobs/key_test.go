@@ -47,6 +47,21 @@ func TestDeckKeyCollisionResistant(t *testing.T) {
 	}
 }
 
+// TestDeckKeyNamesCinvEngine: the deck key carries the C^-1 engine, so
+// done markers and checkpoints written when a deck without cinv-eps ran
+// on dense rows are never served or resumed by the truncated-row
+// engine. The pinned key is multiIslandDeck's under the dense engine.
+func TestDeckKeyNamesCinvEngine(t *testing.T) {
+	const denseEngineKey = "e8be9d216df7d3866536c48b4e790766"
+	k, err := deckKey(parseDeck(t, multiIslandDeck), Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == denseEngineKey {
+		t.Fatalf("deck key %s is the dense engine's", k)
+	}
+}
+
 // multiIslandDeck is a three-island gated chain swept symmetrically.
 const multiIslandDeck = `
 junc 1 1 2 1e-6 1e-18
@@ -95,8 +110,8 @@ func TestCinvEpsOverrideMatchesDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pe := cc.Circuit.Potentials(); !pe.Sparse() || pe.Eps() != 1e-6 {
-		t.Fatalf("override build: sparse=%v eps=%g, want the truncated engine at 1e-6", pe.Sparse(), pe.Eps())
+	if eps := cc.Circuit.Potentials().Eps(); eps != 1e-6 {
+		t.Fatalf("override build truncates at %g, want 1e-6", eps)
 	}
 
 	got, err := ExecuteDeck(context.Background(), over, ov, RunConfig{})

@@ -29,13 +29,6 @@ import (
 // terminal chatter. Packages outside the hot set (CLIs, bench, the
 // experiment drivers) print freely.
 //
-// Inside internal/solver the pass additionally forbids calls to
-// circuit.CinvRow: raw C^-1 row access in the event loop bypasses the
-// potential engine, silently assumes the dense inverse exists (it does
-// not on natively truncated builds), and loses the truncation
-// error-bound accounting. Every per-event C^-1 walk belongs on
-// circuit.Potentials.
-//
 // Independently of the hot set, the pass enforces the publish-path
 // contract in EVERY package: a function marked with a
 // `//semsim:publish` doc-comment line (the event bus's Publish and
@@ -115,10 +108,6 @@ func checkObsCall(pass *Pass, call *ast.CallExpr) {
 	obj := pass.Info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil {
 		return
-	}
-	if obj.Name() == "CinvRow" && strings.HasSuffix(obj.Pkg().Path(), "internal/circuit") &&
-		pathHasSuffixAny(pass.Path, []string{"internal/solver"}) {
-		pass.Reportf(call.Pos(), "circuit.CinvRow in internal/solver: per-event C^-1 access must go through the potential engine (circuit.Potentials)")
 	}
 	switch obj.Pkg().Path() {
 	case "fmt":

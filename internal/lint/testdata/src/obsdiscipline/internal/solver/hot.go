@@ -9,8 +9,6 @@ import (
 	"log"      // want "import of log in hot simulator package"
 	"log/slog" // want "import of log/slog in hot simulator package"
 	"os"
-
-	"obsdiscipline/internal/circuit"
 )
 
 var logger = log.New(os.Stderr, "solver: ", 0) // want "log.New in hot simulator package"
@@ -26,14 +24,6 @@ func step(ev int, dw float64) {
 	logger.Printf("worker output %d", ev)  // want "log.Printf in hot simulator package"
 	println("debug", ev)                   // want "println built-in in hot simulator package"
 	print("x")                             // want "print built-in in hot simulator package"
-}
-
-// Raw C^-1 row access bypasses the potential engine (and its
-// truncation error accounting); the engine methods are the legal path.
-func apply(c *circuit.Circuit, pe *circuit.Potentials, v []float64) float64 {
-	row := c.CinvRow(0) // want "circuit.CinvRow in internal/solver: per-event C\\^-1 access must go through the potential engine"
-	pe.Shift(v, 1, 2, 1e-19)
-	return row[0] + pe.PotentialShift(0, 1, 2, 1e-19)
 }
 
 // Legal output shapes: formatting values, error construction, and

@@ -362,8 +362,7 @@ func (nl *Netlist) Expand(p Params, drive map[string]circuit.Source) (*Expanded,
 }
 
 // ExpandWith is Expand with explicit circuit build options, e.g. a C^-1
-// truncation threshold, which builds truncated CSR rows and never forms
-// the dense inverse.
+// truncation threshold coarser than the default 1e-14.
 func (nl *Netlist) ExpandWith(p Params, drive map[string]circuit.Source, bo circuit.BuildOptions) (*Expanded, error) {
 	c := circuit.New()
 	ex := &Expanded{Circuit: c, Wire: map[string]int{}, InputNode: map[string]int{}, Params: p}

@@ -10,7 +10,7 @@
 // SPD whenever every island has nonzero total capacitance). Its inverse
 // appears directly in the free-energy expression (Eq. 2 of the paper)
 // and in every node-potential update, so we factor once per circuit and
-// store the explicit inverse rows.
+// solve its inverse rows one at a time (SparseChol.InverseRow).
 package matrix
 
 import (

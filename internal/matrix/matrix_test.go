@@ -52,7 +52,8 @@ func TestSolveReconstructs(t *testing.T) {
 }
 
 // invertSPD computes the explicit inverse of m the one way the package
-// offers: a sparse RCM-ordered Cholesky factor and its Inverse.
+// offers: a sparse RCM-ordered Cholesky factor, one InverseRow solve per
+// row. The rows are stored as solved, without symmetrization.
 func invertSPD(m *Sym) (*Sym, error) {
 	n := m.N()
 	var ts []Triplet
@@ -68,7 +69,12 @@ func invertSPD(m *Sym) (*Sym, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ch.Inverse(), nil
+	inv := NewSym(n)
+	w := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ch.InverseRow(i, inv.Row(i), w)
+	}
+	return inv, nil
 }
 
 func TestInverseIdentity(t *testing.T) {
@@ -100,16 +106,38 @@ func TestInverseIdentity(t *testing.T) {
 	}
 }
 
+// TestInverseIsSymmetric: a row solve and its transpose round
+// differently, so the inverse rows are symmetric to rounding, not bit
+// for bit; both must also match the dense Cholesky reference.
 func TestInverseIsSymmetric(t *testing.T) {
-	m := randSPD(20, rng.New(3))
+	const n = 20
+	m := randSPD(n, rng.New(3))
 	inv, err := invertSPD(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			if inv.At(i, j) != inv.At(j, i) {
-				t.Fatalf("inverse not exactly symmetric at (%d,%d)", i, j)
+	ch, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := 0.0
+	for i := 0; i < n; i++ {
+		scale = math.Max(scale, math.Abs(inv.At(i, i)))
+	}
+	tol := 1e-13 * scale
+	ref := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range ref {
+			ref[i] = 0
+		}
+		ref[j] = 1
+		ch.Solve(ref) // column j of the dense reference inverse
+		for i := 0; i < n; i++ {
+			if d := math.Abs(inv.At(i, j) - inv.At(j, i)); d > tol {
+				t.Fatalf("inverse rows differ from their transpose at (%d,%d) by %g > %g", i, j, d, tol)
+			}
+			if d := math.Abs(inv.At(i, j) - ref[i]); d > tol {
+				t.Fatalf("inverse (%d,%d) = %g, dense reference %g", i, j, inv.At(i, j), ref[i])
 			}
 		}
 	}

@@ -469,28 +469,6 @@ func (c *SparseChol) InverseRow(i int, out, w []float64) {
 	}
 }
 
-// Inverse returns the explicit inverse of the factored matrix, one
-// InverseRow solve per row. A row solve and its transpose round
-// differently, so the result is symmetrized (v = (a+b)/2): downstream
-// code relies on the inverse being exactly symmetric. The solves run
-// serially; the cost is O(n·nnz(L)) time and the n^2 result.
-func (c *SparseChol) Inverse() *Sym {
-	n := c.n
-	inv := NewSym(n)
-	w := make([]float64, n)
-	for i := 0; i < n; i++ {
-		c.InverseRow(i, inv.data[i*n:(i+1)*n], w)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := 0.5 * (inv.data[i*n+j] + inv.data[j*n+i])
-			inv.data[i*n+j] = v
-			inv.data[j*n+i] = v
-		}
-	}
-	return inv
-}
-
 // solvePermuted runs both triangular sweeps on a right-hand side already
 // in permuted coordinates, skipping the leading zeros of the forward
 // sweep (from solving against e_{k0}).

@@ -5,14 +5,18 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"semsim/internal/circuit"
+	"semsim/internal/matrix"
 )
 
 // FuzzNetlistParse drives the deck parser with arbitrary input. Any
 // input may be rejected with an error, but never a panic; input the
 // parser accepts must survive the canonical round trip: Format output
 // reparses cleanly, formats identically the second time, and Compile
-// either errors or yields a circuit — also at a near-exact C^-1
-// truncation threshold, whose potentials must match the exact build's.
+// either errors or yields a circuit — also at the default C^-1
+// truncation threshold, whose potentials must match an exact dense
+// solve.
 func FuzzNetlistParse(f *testing.F) {
 	f.Add(paperDeck)
 	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ntemp 1\n")
@@ -24,6 +28,8 @@ func FuzzNetlistParse(f *testing.F) {
 	f.Add("junc x y z\n")
 	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\nsparse\n") // retired directive: rejected
 	f.Add("junc 1 1 2 1e-6 1e-18\ncap 2 3 2e-18\nvdc 1 0.01\nvdc 3 0\ncinv-eps 1e-9\n")
+	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ncinv-eps 2\n")   // threshold >= 1: rejected
+	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ncinv-eps inf\n") // non-finite: rejected
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Parse(strings.NewReader(src))
 		if err != nil {
@@ -51,41 +57,80 @@ func FuzzNetlistParse(f *testing.F) {
 		if c == nil {
 			t.Fatal("Compile returned neither circuit nor error")
 		}
-		// Every compilable deck must also compile at a near-exact
-		// truncation threshold, and its island potentials must match the
-		// exact dense build's within the truncated engine's own error
-		// bound plus rounding headroom (the two builds solve the same
-		// rows; only the dense one symmetrizes them).
-		dd, dt := *d, *d
-		dd.Spec.CinvEps, dt.Spec.CinvEps = 0, 1e-14
-		cd, err := dd.Compile(nil)
-		if err != nil {
-			t.Fatalf("exact compile failed where cinv-eps %g succeeded: %v\ninput:\n%s", d.Spec.CinvEps, err, src)
-		}
+		// Every compilable deck must also compile at the default
+		// truncation threshold, and its island potentials must match an
+		// exact dense solve within the engine's own error bound plus
+		// rounding headroom.
+		dt := *d
+		dt.Spec.CinvEps = 0
 		ct, err := dt.Compile(nil)
 		if err != nil {
-			t.Fatalf("cinv-eps 1e-14 compile failed where cinv-eps %g succeeded: %v\ninput:\n%s", d.Spec.CinvEps, err, src)
+			t.Fatalf("default cinv-eps compile failed where cinv-eps %g succeeded: %v\ninput:\n%s", d.Spec.CinvEps, err, src)
 		}
 		const at = 1e-10
-		ni := cd.Circuit.NumIslands()
+		ni := ct.Circuit.NumIslands()
 		ns := make([]int, ni)
 		for i := range ns {
 			ns[i] = i%3 - 1
 		}
 		qmax, vmax := 0.0, 0.0
-		for _, x := range cd.Circuit.ChargeVector(nil, ns) {
+		for _, x := range ct.Circuit.ChargeVector(nil, ns) {
 			qmax = math.Max(qmax, math.Abs(x))
 		}
-		for _, x := range cd.Circuit.ExternalVoltages(nil, at) {
+		for _, x := range ct.Circuit.ExternalVoltages(nil, at) {
 			vmax = math.Max(vmax, math.Abs(x))
 		}
 		tol := ct.Circuit.Potentials().RefreshErrorBound(qmax, vmax) + 1e-11*math.Max(vmax, 1)
-		vd := cd.Circuit.IslandPotentials(nil, ns, at)
+		vd, ok := exactPotentials(ct.Circuit, ns, at)
+		if !ok {
+			t.Fatalf("the dense reference cannot factor a capacitance matrix the build factored\ninput:\n%s", src)
+		}
 		vt := ct.Circuit.IslandPotentials(nil, ns, at)
 		for i := range vd {
 			if diff := math.Abs(vd[i] - vt[i]); !(diff <= tol) {
-				t.Errorf("island %d: exact potential %v, cinv-eps 1e-14 %v (|diff| %g > %g)\ninput:\n%s", i, vd[i], vt[i], diff, tol, src)
+				t.Errorf("island %d: exact potential %v, default cinv-eps %v (|diff| %g > %g)\ninput:\n%s", i, vd[i], vt[i], diff, tol, src)
 			}
 		}
 	})
+}
+
+// exactPotentials is the test-local exact reference for a built
+// circuit's island potentials: it assembles C densely from the element
+// list and solves C v = q + C_IE·v_ext by dense Cholesky. ok is false
+// when the dense factorization rejects C.
+func exactPotentials(c *circuit.Circuit, ns []int, tt float64) (v []float64, ok bool) {
+	m := matrix.NewSym(c.NumIslands())
+	v = c.ChargeVector(nil, ns)
+	vext := c.ExternalVoltages(nil, tt)
+	ext := map[int]int{}
+	for s, id := range c.Externals() {
+		ext[id] = s
+	}
+	add := func(a, b int, cap float64) {
+		ia, ib := c.IslandIndex(a), c.IslandIndex(b)
+		switch {
+		case ia >= 0 && ib >= 0:
+			m.AddSym(ia, ia, cap)
+			m.AddSym(ib, ib, cap)
+			m.AddSym(ia, ib, -cap)
+		case ia >= 0:
+			m.AddSym(ia, ia, cap)
+			v[ia] += cap * vext[ext[b]]
+		case ib >= 0:
+			m.AddSym(ib, ib, cap)
+			v[ib] += cap * vext[ext[a]]
+		}
+	}
+	for _, j := range c.Junctions() {
+		add(j.A, j.B, j.C)
+	}
+	for _, cp := range c.AllCapacitors() {
+		add(cp.A, cp.B, cp.C)
+	}
+	ch, err := matrix.Factor(m)
+	if err != nil {
+		return nil, false
+	}
+	ch.Solve(v)
+	return v, true
 }

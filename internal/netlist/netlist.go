@@ -32,7 +32,7 @@
 //	seed 42                      RNG seed
 //	adaptive 0.05                adaptive solver with threshold alpha
 //	refresh 1024                 full recalculation period
-//	cinv-eps 1e-9                truncate C^-1 rows at eps*rowmax (sparse rows)
+//	cinv-eps 1e-9                truncate C^-1 rows at eps*rowmax (default 1e-14)
 //	rate-tables                  tabulated normal-state tunnel kernels
 //
 // Node 0 is always ground (an external at 0 V). Nodes with a source are
@@ -105,9 +105,10 @@ type Spec struct {
 	//
 	// Deprecated: kept only while the benchmark harness still reads it.
 	Sparse bool
-	// CinvEps is the relative C^-1 row-truncation threshold, the only
-	// potential-engine selector: 0 builds exact dense rows, > 0
-	// truncated sparse rows with a provable error bound.
+	// CinvEps is the relative C^-1 row-truncation threshold, the
+	// potential engine's only knob: finite with 0 <= eps < 1, 0 meaning
+	// the default 1e-14. Every build stores truncated rows and carries a
+	// provable error bound.
 	CinvEps float64
 	// RateTables routes normal-state rates through the error-bounded
 	// interpolation tables. An engine knob rather than physics, but
@@ -579,7 +580,7 @@ func (d *Deck) directive(f []string, ln int) error {
 		}
 		d.Spec.RefreshEvery = n
 	case "sparse":
-		return bad("the sparse directive is retired: cinv-eps alone picks the potential engine (omit it for exact dense rows, cinv-eps <eps> for truncated sparse rows)")
+		return bad("the sparse directive is retired: every build stores truncated C^-1 rows and cinv-eps alone sets the threshold (omit it for the default 1e-14)")
 	case "parallel":
 		return bad("the parallel directive is retired: every run is serial; use -workers (semsim, semsimd) to run a deck's (point, run) tasks concurrently")
 	case "rate-tables":
@@ -592,8 +593,8 @@ func (d *Deck) directive(f []string, ln int) error {
 			return err
 		}
 		v, err := num(f[1])
-		if err != nil || v < 0 {
-			return bad("cinv-eps: malformed threshold (want >= 0)")
+		if err != nil || circuit.CheckCinvTruncation(v) != nil {
+			return bad("cinv-eps: malformed threshold (want finite 0 <= eps < 1)")
 		}
 		d.Spec.CinvEps = v
 	default:

@@ -241,6 +241,25 @@ func TestSparseDirectiveRetired(t *testing.T) {
 	}
 }
 
+// TestCinvEpsRange: the cinv-eps threshold must be finite with
+// 0 <= eps < 1. A threshold of 1 or more, or +Inf, would drop all of
+// C^-1 but each row's largest entries and erase Coulomb blockade, so
+// the parser rejects it at its line before anything is built.
+func TestCinvEpsRange(t *testing.T) {
+	const base = "junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\n"
+	for _, eps := range []string{"2", "inf", "+Inf", "1", "-1e-9", "nan"} {
+		_, err := Parse(strings.NewReader(base + "cinv-eps " + eps + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("cinv-eps %s: error %v, want a line-3 parse error", eps, err)
+		}
+	}
+	for _, eps := range []string{"0", "1e-14", "0.5"} {
+		if _, err := Parse(strings.NewReader(base + "cinv-eps " + eps + "\n")); err != nil {
+			t.Errorf("cinv-eps %s rejected: %v", eps, err)
+		}
+	}
+}
+
 func TestParseMapDirective(t *testing.T) {
 	deck := `
 junc 1 1 3 1e-6 1e-18

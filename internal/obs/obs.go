@@ -279,9 +279,9 @@ func (o *Observer) FenwickFlush(batch int, rebuilt bool, simT float64) {
 }
 
 // EventTouched records how many stored C^-1 nonzeros one applied event's
-// potential shift walked — n² for the dense engine, the two truncated
-// row lengths for the sparse one. The histogram makes the locality win
-// of truncation directly visible on /metrics.
+// potential shift walked: the lengths of its two truncated rows. The
+// histogram makes the locality win of truncation directly visible on
+// /metrics.
 func (o *Observer) EventTouched(n int) {
 	if o == nil {
 		return
@@ -312,7 +312,8 @@ func (o *Observer) NoiseWindow(junc int, n uint64, q, simT float64) {
 }
 
 // CinvBound publishes the solver's running truncation-error bound (volts)
-// at refresh and input-change boundaries. Always zero for exact engines.
+// at refresh and input-change boundaries. Zero when the build dropped
+// no C^-1 entry.
 func (o *Observer) CinvBound(v float64) {
 	if o == nil {
 		return

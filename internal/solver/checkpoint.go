@@ -14,8 +14,11 @@ import (
 // version 0, i.e. JSON from before the header existed — so a stale or
 // foreign checkpoint fails loudly instead of resuming into a subtly
 // different simulation. Since version 2 the options hash covers the
-// circuit engine's C^-1 truncation threshold.
-const CheckpointVersion = 2
+// circuit engine's C^-1 truncation threshold. Version 3 marks the
+// engine change under which an explicit threshold hashes as before but
+// the adaptive test reads the shift each event applied, so a version-2
+// snapshot would continue under another b(i).
+const CheckpointVersion = 3
 
 // Checkpoint is a resumable snapshot of a simulation's dynamic state.
 // It is plain data (JSON-serializable) and deliberately excludes the

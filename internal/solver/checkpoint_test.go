@@ -2,6 +2,7 @@ package solver
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"semsim/internal/circuit"
@@ -144,6 +145,13 @@ func TestRestoreRejectsWrongVersion(t *testing.T) {
 	cp.Version = CheckpointVersion + 1
 	if err := s.Restore(cp); err == nil {
 		t.Fatal("future checkpoint version accepted")
+	}
+	// Version 2 predates the truncated-row engine's adaptive test: its
+	// options hash can match at an explicit cinv-eps, so the version
+	// alone must refuse it.
+	cp.Version = 2
+	if err := s.Restore(cp); err == nil || !strings.Contains(err.Error(), "checkpoint version 2") {
+		t.Fatalf("version-2 checkpoint: %v, want the version error", err)
 	}
 }
 

@@ -84,11 +84,11 @@ func (s *Sim) debugCheckFenwick() {
 // potentials against a fresh solve through the same potential engine
 // using the same external voltages, before a full refresh overwrites
 // them. Incremental updates are exact arithmetic with respect to the
-// engine's (possibly truncated) rows, so only rounding-level drift is
-// tolerated; a sign error or wrong C^-1 row shows up at millivolt
-// scale. Using s.pe for the fresh solve keeps the tolerance valid for
-// truncated engines too: truncation error is a property of the rows,
-// identical on both sides of the comparison.
+// engine's truncated rows, so only rounding-level drift is tolerated;
+// a sign error or wrong C^-1 row shows up at millivolt scale. Using
+// s.pe for the fresh solve keeps the tolerance independent of the
+// threshold: truncation error is a property of the rows, identical on
+// both sides of the comparison.
 func (s *Sim) debugCheckPotentialDrift() {
 	ni := s.c.NumIslands()
 	if ni == 0 {

@@ -79,9 +79,9 @@ type Options struct {
 	//
 	// Deprecated: kept only while the benchmark harness still sets it.
 	Parallel int
-	// SparsePotentials is ignored: the circuit's build threshold
-	// (circuit.BuildOptions.CinvTruncation) alone picks the potential
-	// engine, and New uses the circuit's engine as built.
+	// SparsePotentials is ignored: every circuit stores truncated C^-1
+	// rows at its build threshold (circuit.BuildOptions.CinvTruncation),
+	// and New uses the circuit's engine as built.
 	//
 	// Deprecated: kept only while the benchmark harness still sets it.
 	SparsePotentials bool
@@ -172,8 +172,8 @@ type Stats struct {
 	// CinvErrorBound bounds the current per-island potential error
 	// (volts) introduced by C^-1 truncation: reset to the refresh bound
 	// at every full refresh and grown by per-event and input-change
-	// terms in between. Exactly zero on circuits built at
-	// CinvTruncation 0.
+	// terms in between. Exactly zero on circuits whose build dropped
+	// nothing (every single-island circuit, for one).
 	CinvErrorBound float64
 }
 
@@ -195,9 +195,8 @@ type Sim struct {
 	opt Options
 	rnd *rng.Batch
 
-	// pe is the circuit's potential engine, which all C^-1-mediated
-	// arithmetic goes through (dense rows or truncated CSR rows, as
-	// built).
+	// pe is the circuit's potential engine (truncated CSR C^-1 rows),
+	// which all C^-1-mediated arithmetic goes through.
 	pe *circuit.Potentials
 
 	t    float64
@@ -220,6 +219,13 @@ type Sim struct {
 	chDst []int32
 	//statecover:immutable channel topology, compiled once from the circuit
 	chMid []int32 // intermediate island for cotunneling, else -1
+	// chSelfHalfQ2 is each channel's C^-1 self-term of dW at its own
+	// charge q, (Cinv[s][s] - 2 Cinv[s][d] + Cinv[d][d]) q^2 / 2, with
+	// the float ops of Potentials.DeltaW, so apply reads the event's dW
+	// without a C^-1 lookup.
+	//
+	//statecover:immutable per-channel constants, compiled once from the circuit
+	chSelfHalfQ2 []float64
 
 	fen *fenwick
 
@@ -231,11 +237,8 @@ type Sim struct {
 
 	// Flat per-junction constants for the rate kernels: node ids, island
 	// or external index per endpoint (-1 for the other), the exact-mode
-	// denominator e^2 R, and the constant C^-1 self-term of dW,
-	// (Cinv[s][s] - 2 Cinv[s][d] + Cinv[d][d]) e^2 / 2. The self-term
-	// is precomputed with the exact float ops of Potentials.DeltaW over
-	// the immutable C^-1, so cached dW values are bit-identical to
-	// recomputed ones.
+	// denominator e^2 R, and the constant C^-1 self-term of dW, the A->B
+	// channel's chSelfHalfQ2.
 	//
 	//statecover:immutable per-junction constants, compiled once from the circuit
 	juncA, juncB       []int32
@@ -340,16 +343,13 @@ type Sim struct {
 	//statecover:derived per-update scratch, dead between adaptive updates
 	flagged []int // junctions flagged this update, recalculated in batch
 
-	// Per-event memo of the event's potential shift per island: the
-	// adaptive test reads each island's shift once per event instead of
-	// recomputing PotentialShift per tested junction endpoint.
+	// dp records the potential shift the last event applied to each
+	// island: Potentials.Shift fills it while walking the event's two
+	// C^-1 rows, and the adaptive test reads it, so b(i) accumulates
+	// exactly the applied shift. Nil for non-adaptive runs.
 	//
-	//statecover:derived per-event memo, dead between events
-	dpVal []float64
-	//statecover:derived epoch-stamped memo validity array, dead between events
-	dpStamp []uint32
-	//statecover:derived epoch counter paired with dpStamp; any consistent value is valid
-	dpEpoch uint32
+	//statecover:derived per-event record, dead between events
+	dp *circuit.ShiftRecord
 
 	// Input-change scratch (no per-change allocation).
 	//
@@ -439,8 +439,9 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	s.buildSecondaryCache()
 	s.collectBreakpoints()
 	s.fen = newFenwick(len(s.chKinds))
-	s.dpVal = make([]float64, c.NumIslands())
-	s.dpStamp = make([]uint32, c.NumIslands())
+	if opt.Adaptive {
+		s.dp = circuit.NewShiftRecord(c.NumIslands())
+	}
 	s.vextScratch = make([]float64, len(s.vext))
 	s.dvIsl = make([]float64, c.NumIslands())
 	s.dvExt = make([]float64, len(s.vext))
@@ -559,6 +560,11 @@ func (s *Sim) buildChannels() {
 			s.secChans = append(s.secChans, add(chCooper, j, -1, jn.B, -1, jn.A))
 		}
 	}
+	s.chSelfHalfQ2 = make([]float64, len(s.chKinds))
+	for ci, kind := range s.chKinds {
+		q := chQ[kind]
+		s.chSelfHalfQ2[ci] = s.cinvSelf(int(s.chSrc[ci]), int(s.chDst[ci])) * q * q / 2
+	}
 }
 
 // buildJunctionCache precomputes the flat per-junction constants the
@@ -579,7 +585,7 @@ func (s *Sim) buildJunctionCache() {
 		s.juncAIsl[j], s.juncAExt[j] = s.nodeRef(jn.A)
 		s.juncBIsl[j], s.juncBExt[j] = s.nodeRef(jn.B)
 		s.juncDenom[j] = units.E * units.E * jn.R
-		s.juncSelfHalfE2[j] = s.cinvSelf(jn.A, jn.B) * units.E * units.E / 2
+		s.juncSelfHalfE2[j] = s.chSelfHalfQ2[2*j]
 	}
 }
 
@@ -612,9 +618,9 @@ func (s *Sim) buildSecondaryCache() {
 		if mid >= 0 {
 			s.secMidIsl[i], s.secMidExt[i] = s.nodeRef(mid)
 		}
+		s.secSelfSD[i] = s.chSelfHalfQ2[ci]
 		switch s.chKinds[ci] {
 		case chCotunnel:
-			s.secSelfSD[i] = s.cinvSelf(src, dst) * units.E * units.E / 2
 			s.secSelfSM[i] = s.cinvSelf(src, mid) * units.E * units.E / 2
 			s.secSelfMD[i] = s.cinvSelf(mid, dst) * units.E * units.E / 2
 			r1 := s.c.Junction(int(s.chJunc[ci])).R
@@ -622,7 +628,6 @@ func (s *Sim) buildSecondaryCache() {
 			s.secR1[i], s.secR2[i] = r1, r2
 			s.secPref[i] = units.Hbar / (12 * math.Pi * units.E * units.E * units.E * units.E * r1 * r2)
 		case chCooper:
-			s.secSelfSD[i] = s.cinvSelf(src, dst) * (2 * units.E) * (2 * units.E) / 2
 			s.appendCooperEscape(i, src, dst)
 		}
 		s.coopStart[i+1] = int32(len(s.coopJunc))

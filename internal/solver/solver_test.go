@@ -454,9 +454,10 @@ func TestNewValidation(t *testing.T) {
 
 // TestNewUsesBuiltEngine: the circuit's build picks the potential
 // engine. The deprecated CinvTruncation option may only repeat the
-// build's threshold, and the deprecated SparsePotentials is ignored.
+// build's threshold (1e-14 for a default build), and the deprecated
+// SparsePotentials is ignored.
 func TestNewUsesBuiltEngine(t *testing.T) {
-	dense, _ := setAt(0.02, -0.02, 0, 0)
+	def, _ := setAt(0.02, -0.02, 0, 0)
 	trunc, _ := setAt(0.02, -0.02, 0, 1e-6)
 	for _, tc := range []struct {
 		name string
@@ -464,9 +465,10 @@ func TestNewUsesBuiltEngine(t *testing.T) {
 		opt  Options
 		ok   bool
 	}{
-		{"dense", dense, Options{Temp: 5}, true},
-		{"dense/sparse-ignored", dense, Options{Temp: 5, SparsePotentials: true}, true},
-		{"dense/foreign-eps", dense, Options{Temp: 5, CinvTruncation: 1e-6}, false},
+		{"default", def, Options{Temp: 5}, true},
+		{"default/sparse-ignored", def, Options{Temp: 5, SparsePotentials: true}, true},
+		{"default/same-eps", def, Options{Temp: 5, CinvTruncation: circuit.DefaultCinvTruncation}, true},
+		{"default/foreign-eps", def, Options{Temp: 5, CinvTruncation: 1e-6}, false},
 		{"truncated", trunc, Options{Temp: 5}, true},
 		{"truncated/same-eps", trunc, Options{Temp: 5, CinvTruncation: 1e-6}, true},
 		{"truncated/foreign-eps", trunc, Options{Temp: 5, CinvTruncation: 1e-3}, false},

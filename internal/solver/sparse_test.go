@@ -1,7 +1,7 @@
-// Tests of the truncated (ε > 0) potential engine inside the solver:
-// its runs must carry a positive, honest error bound while staying
-// statistically indistinguishable from the dense engine at truncation
-// thresholds far below thermal noise.
+// Tests of the truncated potential engine inside the solver: a run at
+// a coarse threshold must carry a positive, honest error bound while
+// staying statistically indistinguishable from a default-threshold
+// (ε = 1e-14) run at truncation thresholds far below thermal noise.
 package solver_test
 
 import (
@@ -16,8 +16,8 @@ import (
 // accumulated error bound in Stats and on the obs registry, and at a
 // threshold of 1e-9 (potential perturbations nine decades below the
 // junction voltages) the sampled event sequence must still match the
-// dense run — the same argument as the rate-table test, with three
-// decades more margin.
+// default-threshold run — the same argument as the rate-table test,
+// with three decades more margin.
 func TestTruncatedRunCarriesBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MC workload in -short mode")
@@ -26,7 +26,7 @@ func TestTruncatedRunCarriesBound(t *testing.T) {
 	exT, _ := workloadAt(t, "74LS153", 1e-9)
 	const events = 2000
 	base := solver.Options{Temp: bench.WorkloadTemp, Seed: 47, Adaptive: true, RefreshEvery: 64}
-	dense := runWorkload(t, ex, b, base, events)
+	ref := runWorkload(t, ex, b, base, events)
 
 	o := obs.New(obs.Config{})
 	truncOpt := base
@@ -47,24 +47,24 @@ func TestTruncatedRunCarriesBound(t *testing.T) {
 		t.Fatalf("engine-shape gauges not published: %v / %v",
 			snap.Gauges["circuit.cinv_nnz"], snap.Gauges["circuit.cinv_truncation_ratio"])
 	}
-	if trunc.stats.Events != dense.stats.Events {
-		t.Fatalf("event counts diverged at eps=1e-9: dense %d vs truncated %d",
-			dense.stats.Events, trunc.stats.Events)
+	if trunc.stats.Events != ref.stats.Events {
+		t.Fatalf("event counts diverged at eps=1e-9: default %d vs truncated %d",
+			ref.stats.Events, trunc.stats.Events)
 	}
-	for j := range dense.current {
-		d := dense.current[j] - trunc.current[j]
+	for j := range ref.current {
+		d := ref.current[j] - trunc.current[j]
 		if d < 0 {
 			d = -d
 		}
 		scale := 1e-12
-		if a := dense.current[j]; a > scale || -a > scale {
+		if a := ref.current[j]; a > scale || -a > scale {
 			scale = a
 			if scale < 0 {
 				scale = -scale
 			}
 		}
 		if d > 1e-3*scale {
-			t.Fatalf("junction %d current: dense %g vs truncated %g", j, dense.current[j], trunc.current[j])
+			t.Fatalf("junction %d current: default %g vs truncated %g", j, ref.current[j], trunc.current[j])
 		}
 	}
 }

@@ -15,13 +15,12 @@ import (
 //
 // Island potentials are updated incrementally after every event:
 // moving charge mq from src to dst shifts island k by
-// mq*(Cinv[k][src] - Cinv[k][dst]). All C^-1 arithmetic goes through
-// the potential engine s.pe: the dense engine does a fused pass over
-// two full C^-1 rows, O(islands) adds per event; the sparse engine
-// walks only the stored nonzeros of the two ε-truncated rows, O(k).
-// With ε = 0 both engines compute the same floats in the same order,
-// so trajectories are bit-identical. (An earlier lazy-replay scheme
-// deferred these adds per island; its bookkeeping dominated the
+// mq*(Cinv[src][k] - Cinv[dst][k]). All C^-1 arithmetic goes through
+// the potential engine s.pe, which walks only the stored nonzeros of
+// the two ε-truncated rows, O(k) per event. On adaptive runs the same
+// walk records each island's shift (s.dp), which the adaptive test
+// reads instead of looking C^-1 entries up. (An earlier lazy-replay
+// scheme deferred these adds per island; its bookkeeping dominated the
 // adaptive solver's cost on the largest benchmarks.)
 
 // nodeV returns the potential of any node.
@@ -350,9 +349,8 @@ func (s *Sim) recalcSecondary() {
 
 // --- Refresh paths ---
 
-// refreshPotentials recomputes every island potential from scratch: an
-// O(islands^2) matrix-vector product on the dense engine, O(stored nnz)
-// on the sparse one.
+// refreshPotentials recomputes every island potential from scratch, in
+// O(stored nnz) over the truncated rows.
 func (s *Sim) refreshPotentials() {
 	if s.qScratch == nil {
 		s.qScratch = make([]float64, s.c.NumIslands())
@@ -423,48 +421,18 @@ func (s *Sim) nonAdaptiveUpdate() {
 	s.obs.RateCalcs(s.stats.RateCalcs - preCalcs)
 }
 
-// bumpDPEpoch opens a new per-event memo epoch for dpAt.
-func (s *Sim) bumpDPEpoch() {
-	s.dpEpoch++
-	if s.dpEpoch == 0 { // uint32 wrap: old stamps must not alias
-		for i := range s.dpStamp {
-			s.dpStamp[i] = 0
-		}
-		s.dpEpoch = 1
-	}
-}
-
-// dpAt returns the potential shift the current event imposes on a node
-// (zero for externals), memoized per island for the duration of one
-// adaptive update: each island's PotentialShift row walk runs at most
-// once per event no matter how many tested junctions share the island.
-//
-//semsim:hot
-func (s *Sim) dpAt(node, src, dst int, q float64) float64 {
-	k := s.c.IslandIndex(node)
-	if k < 0 {
-		return 0
-	}
-	if s.dpStamp[k] != s.dpEpoch {
-		s.dpStamp[k] = s.dpEpoch
-		s.dpVal[k] = s.pe.PotentialShift(k, src, dst, q)
-	}
-	return s.dpVal[k]
-}
-
 // adaptiveUpdate implements Algorithm 1 after the event on channel ci:
 // test the event junction(s), flag those whose potential change exceeds
-// the threshold, and spill to neighbours of flagged junctions. The
-// flag test reads only the tested junction's own accumulated factor and
+// the threshold, and spill to neighbours of flagged junctions. A tested
+// junction's potential change is read from the shift record apply's
+// row walk filled (0 for an endpoint the event did not move). The flag
+// test reads only the tested junction's own accumulated factor and
 // cached dW — never another junction's refreshed rates — so flagged
 // junctions are collected first and recomputed as one batch, which
 // changes nothing about which junctions flag or what their new rates
 // are.
 func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int) []int {
-	src, dst := int(s.chSrc[ci]), int(s.chDst[ci])
-	q := chQ[s.chKinds[ci]]
 	junc := int(s.chJunc[ci])
-	s.bumpDPEpoch()
 	queue = queue[:0]
 	push := func(j int) {
 		if visited[j] != stamp {
@@ -486,7 +454,7 @@ func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int
 			levelEnd = len(queue)
 		}
 		j := queue[head]
-		b := s.b0[j] + s.dpAt(int(s.juncA[j]), src, dst, q) - s.dpAt(int(s.juncB[j]), src, dst, q)
+		b := s.b0[j] + s.dp.At(s.juncAIsl[j]) - s.dp.At(s.juncBIsl[j])
 		s.stats.Tested++
 		thr := math.Min(math.Abs(s.dwFw[j]), math.Abs(s.dwBw[j]))
 		flag := units.E*math.Abs(b) >= s.opt.Alpha*thr
@@ -625,13 +593,14 @@ func (s *Sim) apply(ci int) float64 {
 	q := chQ[kind]
 	// Free energy released by this event (evaluated with the exact
 	// pre-event potentials; thermal fluctuations can make it negative).
-	dw := s.pe.DeltaW(src, dst, q, s.nodeV(src), s.nodeV(dst))
+	// Potentials.DeltaW with the channel's cached self-term.
+	dw := -q*(s.nodeV(dst)-s.nodeV(src)) + s.chSelfHalfQ2[ci]
 	s.stats.Dissipated += -dw
 	s.c.ApplyTransfer(s.n, src, dst, chCarriers[kind])
-	touched := s.pe.Shift(s.v, src, dst, q)
+	touched := s.pe.Shift(s.v, src, dst, q, s.dp)
 	s.obs.EventTouched(touched)
 	// Truncated rows shift each potential with a bounded per-event
-	// error; exact engines contribute exactly zero here.
+	// error; a build that dropped nothing contributes exactly zero.
 	s.stats.CinvErrorBound += s.pe.EventErrorBound(q)
 	switch kind {
 	case chCotunnel:

@@ -37,8 +37,7 @@ func ExpandLogic(nl *LogicNetlist, p LogicParams, drive map[string]Source) (*Exp
 }
 
 // ExpandLogicWith is ExpandLogic with explicit circuit build options,
-// e.g. a C^-1 truncation threshold, which builds truncated sparse rows
-// instead of the dense inverse on large benchmarks.
+// e.g. a C^-1 truncation threshold coarser than the default 1e-14.
 func ExpandLogicWith(nl *LogicNetlist, p LogicParams, drive map[string]Source, bo BuildOptions) (*ExpandedLogic, error) {
 	return nl.ExpandWith(p, drive, bo)
 }

@@ -106,10 +106,12 @@ type SETNodes = circuit.SETNodes
 // and sources, then call Build.
 func NewCircuit() *Circuit { return circuit.New() }
 
-// BuildOptions selects the potential engine assembled by
-// Circuit.BuildWith. CinvTruncation alone picks it: 0 (the zero value)
-// keeps the exact C^-1 as dense rows, a positive threshold stores
-// truncated sparse rows and never forms the dense inverse.
+// BuildOptions configures the potential engine assembled by
+// Circuit.BuildWith. Every build stores C^-1 as truncated sparse rows;
+// CinvTruncation, the only knob, sets the relative threshold: 0 (the
+// zero value) means the default 1e-14, any other value must be finite
+// with 0 < ε < 1. Each run's Stats.CinvErrorBound states how exact it
+// is.
 type BuildOptions = circuit.BuildOptions
 
 // NewSET builds a standalone single-electron transistor (Fig. 1a).
