@@ -217,22 +217,18 @@ func (p *Potentials) Shift(v []float64, src, dst int, mq float64, rec *ShiftReco
 func (p *Potentials) shiftRow(v []float64, k int, mq float64, rec *ShiftRecord) int {
 	lo, hi := p.rowPtr[k], p.rowPtr[k+1]
 	cols, vals := p.rowCol[lo:hi], p.rowVal[lo:hi]
-	if rec == nil {
-		for idx, cc := range cols {
-			v[cc] += mq * vals[idx]
-		}
-		return hi - lo
-	}
 	for idx, cc := range cols {
 		// The conversion rounds the product, so neither sum below can
 		// be fused into a multiply-add the other does not get.
 		d := float64(mq * vals[idx])
 		v[cc] += d
-		if rec.stamp[cc] != rec.epoch {
-			rec.stamp[cc] = rec.epoch
-			rec.val[cc] = 0
+		if rec != nil {
+			if rec.stamp[cc] != rec.epoch {
+				rec.stamp[cc] = rec.epoch
+				rec.val[cc] = 0
+			}
+			rec.val[cc] += d
 		}
-		rec.val[cc] += d
 	}
 	return hi - lo
 }

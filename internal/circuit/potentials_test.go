@@ -239,7 +239,6 @@ func TestShiftRecordsAppliedShift(t *testing.T) {
 // slowly.
 func TestBuildAllocatesRowsOnce(t *testing.T) {
 	const n = 1500
-	buildGatedChain(t, 8, 0.01*aF, BuildOptions{}) // warm up
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c, _ := buildGatedChain(t, n, 0.01*aF, BuildOptions{})
