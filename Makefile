@@ -43,8 +43,8 @@ docs-verify: bin/semsimlint
 # at 0 allocs/op), and so must the per-event potential update (the
 # truncated-row walk, with and without the shift record the adaptive
 # test reads), the solver's whole steady-state event loop (flush,
-# sample, apply, recompute) and the noise/FCS recording path (windows,
-# spectral sums, autocorrelation).
+# sample, apply, recompute) and the noise/FCS recording path (windows
+# and spectral sums).
 zero-alloc:
 	go test -run TestObsDisabledZeroAlloc -bench=ObsDisabled -benchmem ./internal/obs/
 	go test -run TestPotentialShiftZeroAlloc ./internal/circuit/

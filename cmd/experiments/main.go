@@ -115,8 +115,7 @@ func runDeckText(text string) ([]semsim.DeckPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return semsim.RunDeckCtx(context.Background(), d, semsim.DeckOverrides{},
-		semsim.DeckRunConfig{Workers: runtime.GOMAXPROCS(0)})
+	return semsim.RunDeckCtx(context.Background(), d, semsim.DeckRunConfig{Workers: runtime.GOMAXPROCS(0)})
 }
 
 // datFile creates an output file and returns it with a cleanup func.

@@ -7,6 +7,12 @@
 //	semsim [-o out.dat] input.cir
 //	semsim < input.cir
 //
+// The deck carries every simulation setting: rate tables, the C^-1
+// truncation threshold and the noise counting windows are its
+// rate-tables, cinv-eps and record fano directives (docs/DECK.md).
+// The flags only choose how the run executes: checkpointing, task
+// workers and observability.
+//
 // Output columns: the swept source value (volts) followed by the
 // time-averaged current (amperes) of each recorded junction. Decks
 // with `record noise` / `record fano` directives additionally get the
@@ -40,9 +46,6 @@ import (
 
 func main() {
 	out := flag.String("o", "", "write results to this file instead of stdout")
-	rateTables := flag.Bool("rate-tables", false, "evaluate normal-state rates through error-bounded interpolation tables (<1e-6 relative error)")
-	cinvEps := flag.Float64("cinv-eps", 0, "truncate C^-1 rows at eps*rowmax, finite with 0 <= eps < 1 (solver tracks a provable error bound); 0 keeps the deck's setting, whose default is 1e-14")
-	fanoWindow := flag.Float64("fano-window", 0, "fix the noise counting-window width in seconds, overriding deck windows and the auto calibration (never changes the trajectory)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist periodic atomic checkpoints of every run in this directory (crash-safe; created if missing)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "target events between checkpoints (0 = default; rounded up to the solver refresh period)")
 	resume := flag.Bool("resume", false, "continue from checkpoints found in -checkpoint-dir (bit-identical to an uninterrupted run)")
@@ -52,7 +55,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	follow := flag.String("follow", "", "stream a semsimd job's live events instead of running a deck (job URL, e.g. http://host:8723/api/v1/jobs/j000001)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-rate-tables] [-cinv-eps e] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
+		fmt.Fprintf(os.Stderr, "usage: semsim [-o out.dat] [-checkpoint-dir d] [-resume] [-workers n] [-obs-addr :6060] [-trace run.json] [-progress] [input.cir]\n       semsim -follow http://host:8723/api/v1/jobs/{id}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -119,11 +122,7 @@ func main() {
 			os.Exit(1)
 		}()
 	}
-	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckOverrides{
-		RateTables: *rateTables,
-		CinvEps:    *cinvEps,
-		FanoWindow: *fanoWindow,
-	}, semsim.DeckRunConfig{
+	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckRunConfig{
 		Dir:     *ckptDir,
 		Every:   *ckptEvery,
 		Resume:  *resume,

@@ -11,7 +11,7 @@
 //
 // API (see docs/DECK.md for the deck format):
 //
-//	POST /api/v1/jobs             {"deck": "...", "overrides": {...}}
+//	POST /api/v1/jobs             {"deck": "..."}
 //	GET  /api/v1/jobs             list all jobs
 //	GET  /api/v1/jobs/{id}        job status
 //	GET  /api/v1/jobs/{id}/result folded sweep points (when done)
@@ -21,13 +21,13 @@
 //	GET  /healthz                 liveness
 //	GET  /metrics /trace /heatmap /debug/pprof/   observability
 //
-// The optional "overrides" object takes three keys, each winning over
-// the deck's own setting: "rate_tables" (bool, tabulated rate kernels),
-// "cinv_eps" (number, C^-1 row truncation threshold, finite with
-// 0 <= eps < 1; anything else is refused with HTTP 400) and "fano_window"
-// (seconds, noise counting-window width). A body with any other key —
-// at the top level or in "overrides" — is refused with HTTP 400 naming
-// the key, so a misspelt override never runs silently dropped.
+// The deck carries every setting of the job: rate tables, the C^-1
+// truncation threshold and the noise counting windows are its
+// rate-tables, cinv-eps and record fano directives. A deck that does
+// not parse (cinv-eps 2, say) is refused with HTTP 422. A body with any
+// key besides "deck" — including the retired "overrides" object — is
+// refused with HTTP 400 naming the key, so no setting is ever silently
+// dropped.
 //
 // /metrics content-negotiates: the stable JSON snapshot by default, the
 // Prometheus text exposition for scrapers (Accept: text/plain or
@@ -65,7 +65,6 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock timeout (0 = unlimited)")
 	retries := flag.Int("retries", 0, "retries per task for transient failures (0 = default of 2, negative disables)")
 	resultCache := flag.Bool("result-cache", false, "keep per-task done markers after jobs finish so identical decks resubmitted later reuse completed results (needs -dir)")
-	fanoWindow := flag.Float64("fano-window", 0, "default counting-window width in seconds for noise-recording decks whose submission sets none (0 = deck windows / auto calibration)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a graceful shutdown may take before aborting")
 	traceOn := flag.Bool("trace-journal", false, "record the run journal (served at /trace)")
 	traceJSONL := flag.String("trace-jsonl", "", "additionally append every journal event to this JSONL file (implies -trace-journal)")
@@ -107,7 +106,6 @@ func main() {
 		JobTimeout:      *jobTimeout,
 		MaxRetries:      *retries,
 		ResultCache:     *resultCache,
-		FanoWindow:      *fanoWindow,
 		Obs:             o,
 	})
 

@@ -60,7 +60,7 @@ func main() {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckOverrides{}, semsim.DeckRunConfig{Workers: w})
+	pts, err := semsim.RunDeckCtx(context.Background(), deck, semsim.DeckRunConfig{Workers: w})
 	if err != nil {
 		fatal(err)
 	}

@@ -24,14 +24,6 @@ func ParseNetlist(r io.Reader) (*Deck, error) { return netlist.Parse(r) }
 // runs, and the measured event count.
 type DeckPoint = jobs.Point
 
-// DeckOverrides adjusts engine settings on top of the deck's own
-// directives (command-line flags win over the file): tabulated rate
-// kernels, the C^-1 truncation threshold and the noise counting
-// window. Tabulated kernels and truncation are
-// folded into the deck before it is keyed and compiled, so an override
-// runs exactly the deck that spells the same directives.
-type DeckOverrides = jobs.Overrides
-
 // DeckRunConfig tunes RunDeckCtx: checkpoint directory and cadence,
 // resume, task concurrency, and a drain channel. The zero value
 // matches RunDeck exactly.
@@ -45,19 +37,15 @@ var ErrDeckInterrupted = jobs.ErrInterrupted
 // RunDeck executes a deck sequentially: for each sweep or map point (or
 // once, without either) it runs the configured number of jumps and/or
 // simulated time for each requested run, and averages the recorded
-// junction currents. The circuit is compiled once and its solver
-// re-seeded per (point, run) task, bit-identical to a fresh build. Each
-// task's seed mixes the deck's `seed` with the point index and the run
-// number (see the `seed` directive in docs/DECK.md); a map point's
-// index is its fine-lattice index. Map decks with `refine` run in
-// waves: the coarse grid, then each refinement level's points.
+// junction currents. Every setting comes from the deck's own
+// directives (docs/DECK.md). The circuit is compiled once and its
+// solver re-seeded per (point, run) task, bit-identical to a fresh
+// build. Each task's seed mixes the deck's `seed` with the point index
+// and the run number (see the `seed` directive in docs/DECK.md); a map
+// point's index is its fine-lattice index. Map decks with `refine` run
+// in waves: the coarse grid, then each refinement level's points.
 func RunDeck(d *Deck) ([]DeckPoint, error) {
-	return RunDeckWith(d, DeckOverrides{})
-}
-
-// RunDeckWith is RunDeck with engine overrides applied to every point.
-func RunDeckWith(d *Deck, ov DeckOverrides) ([]DeckPoint, error) {
-	return jobs.ExecuteDeck(context.Background(), d, ov, jobs.RunConfig{})
+	return RunDeckCtx(context.Background(), d, DeckRunConfig{})
 }
 
 // RunDeckCtx is the full-control deck executor: cancelable through
@@ -66,6 +54,7 @@ func RunDeckWith(d *Deck, ov DeckOverrides) ([]DeckPoint, error) {
 // (point, run) tasks up to cfg.Workers with deterministic folding —
 // the result is bit-identical at any worker count. See the jobs
 // package for the determinism argument.
-func RunDeckCtx(ctx context.Context, d *Deck, ov DeckOverrides, cfg DeckRunConfig) ([]DeckPoint, error) {
-	return jobs.ExecuteDeck(ctx, d, ov, cfg)
+func RunDeckCtx(ctx context.Context, d *Deck, cfg DeckRunConfig) ([]DeckPoint, error) {
+	// ExecuteDeck's third parameter is an empty, ignored stub.
+	return jobs.ExecuteDeck(ctx, d, struct{}{}, cfg)
 }

@@ -195,7 +195,7 @@ func fingerprints(t *testing.T) map[string]string {
 
 	// Deck paths.
 	iv := fpParse(t, fpDeckIV)
-	pts, err := jobs.ExecuteDeck(ctx, iv, jobs.Overrides{}, jobs.RunConfig{Workers: 2})
+	pts, err := RunDeckCtx(ctx, iv, DeckRunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,20 +206,20 @@ func fingerprints(t *testing.T) map[string]string {
 	dir := t.TempDir()
 	closed := make(chan struct{})
 	close(closed)
-	_, err = jobs.ExecuteDeck(ctx, iv, jobs.Overrides{}, jobs.RunConfig{
+	_, err = RunDeckCtx(ctx, iv, DeckRunConfig{
 		Dir: dir, Every: 1, Resume: true, Workers: 2, Stop: closed,
 	})
-	if !errors.Is(err, jobs.ErrInterrupted) {
+	if !errors.Is(err, ErrDeckInterrupted) {
 		t.Fatalf("interrupted execution: %v", err)
 	}
-	pts, err = jobs.ExecuteDeck(ctx, iv, jobs.Overrides{}, jobs.RunConfig{Dir: dir, Resume: true, Workers: 2})
+	pts, err = RunDeckCtx(ctx, iv, DeckRunConfig{Dir: dir, Resume: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	put("deck/set-iv-cotunnel-fano", "resumed-w2", iv.Spec.Seed, fpPoints(pts))
 
 	mp := fpParse(t, fpDeckMap)
-	pts, err = jobs.ExecuteDeck(ctx, mp, jobs.Overrides{}, jobs.RunConfig{Workers: 2})
+	pts, err = RunDeckCtx(ctx, mp, DeckRunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func fingerprints(t *testing.T) map[string]string {
 
 	e := jobs.NewEngine(jobs.EngineConfig{Workers: 2})
 	defer e.Close()
-	j, err := e.Submit(fpParse(t, fpDeckMap), jobs.Overrides{})
+	j, err := e.Submit(fpParse(t, fpDeckMap))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"semsim/internal/matrix"
 	"semsim/internal/numeric"
@@ -336,8 +337,22 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 	// Assemble C as triplets (junctions first, then capacitors, matching
 	// the historical dense accumulation order: CSRFromTriplets sums
 	// duplicates in input order, so every matrix entry is the same float
-	// the AddSym loop used to produce).
+	// the AddSym loop used to produce). The same pass groups the islands
+	// each element joins (union-find over island rows) and marks a group
+	// grounded when an element ties it to an external node.
 	ts := make([]matrix.Triplet, 0, 4*(len(c.junctions)+len(c.caps)))
+	group := make([]int, ni) // union-find parent of each island row
+	for i := range group {
+		group[i] = i
+	}
+	root := func(i int) int {
+		for group[i] != i {
+			group[i] = group[group[i]]
+			i = group[i]
+		}
+		return i
+	}
+	grounded := make([]bool, ni) // meaningful at group roots
 	addCap := func(a, b int, cap float64) {
 		ia, ib := c.islandIdx[a], c.islandIdx[b]
 		if ia >= 0 {
@@ -350,10 +365,16 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 		case ia >= 0 && ib >= 0:
 			ts = append(ts, matrix.Triplet{I: ia, J: ib, V: -cap},
 				matrix.Triplet{I: ib, J: ia, V: -cap})
+			if ra, rb := root(ia), root(ib); ra != rb {
+				group[rb] = ra
+				grounded[ra] = grounded[ra] || grounded[rb]
+			}
 		case ia >= 0:
 			c.cie[ia][c.extIdx[b]] += cap
+			grounded[root(ia)] = true
 		case ib >= 0:
 			c.cie[ib][c.extIdx[a]] += cap
+			grounded[root(ib)] = true
 		}
 	}
 	for _, j := range c.junctions {
@@ -361,6 +382,21 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 	}
 	for _, cp := range c.caps {
 		addCap(cp.A, cp.B, cp.C)
+	}
+	// An island group with no capacitance to any external node makes C
+	// singular (its rows sum to zero), even where rounding leaves the
+	// last Cholesky pivot positive. Name the first island of each such
+	// group; FactorCSR's pivot test stays as the backstop.
+	var floating []string
+	for i := range group {
+		if r := root(i); !grounded[r] {
+			grounded[r] = true // report each group once
+			floating = append(floating, c.names[c.islands[i]])
+		}
+	}
+	if len(floating) > 0 {
+		return fmt.Errorf("circuit: capacitance matrix is singular: no capacitance to any external node from the island group(s) of %s: %w",
+			strings.Join(floating, ", "), matrix.ErrNotPositiveDefinite)
 	}
 	c.ccsr = matrix.CSRFromTriplets(ni, ni, ts)
 	c.csigma = make([]float64, ni)

@@ -1,9 +1,12 @@
 package circuit
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"semsim/internal/matrix"
 	"semsim/internal/units"
 )
 
@@ -256,6 +259,70 @@ func TestBuildErrors(t *testing.T) {
 	c4, _ := paperSET(0, 0, 0)
 	if err := c4.Build(); err == nil {
 		t.Fatal("second Build did not error")
+	}
+}
+
+// TestBuildRejectsFloatingGroup: an island group with no capacitance
+// to any external node makes C singular even when every island has
+// capacitance. The disparate-caps chain below (the fuzz seed
+// seed-ungrounded-disparate-caps, islands in its compiled order)
+// leaves FactorCSR's last pivot positive after rounding, so only the
+// build's own group check catches it; a second floating group beside
+// a grounded island is named too.
+func TestBuildRejectsFloatingGroup(t *testing.T) {
+	c := New()
+	n1 := c.AddNode("n1", Island)
+	n2 := c.AddNode("n2", Island)
+	n7 := c.AddNode("n7", Island)
+	c.AddJunction(n1, n7, 1, 1e-8)
+	c.AddJunction(n2, n1, 1, 901)
+	err := c.Build()
+	if !errors.Is(err, matrix.ErrNotPositiveDefinite) {
+		t.Fatalf("floating chain built: %v, want an error wrapping ErrNotPositiveDefinite", err)
+	}
+	if !strings.Contains(err.Error(), "group(s) of n1:") {
+		t.Errorf("error %q does not name island n1 alone", err)
+	}
+
+	c2 := New()
+	g := c2.AddNode("g", External)
+	c2.SetSource(g, DC(0.01))
+	i := c2.AddNode("i", Island)
+	f1 := c2.AddNode("f1", Island)
+	f2 := c2.AddNode("f2", Island)
+	c2.AddJunction(g, i, 1e6, aF)
+	c2.AddJunction(f1, f2, 1e6, aF)
+	err = c2.Build()
+	if !errors.Is(err, matrix.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "group(s) of f1:") {
+		t.Fatalf("floating pair beside a grounded island: %v, want an error naming f1 once", err)
+	}
+}
+
+// TestBuildWeaklyGroundedGroup: a group tied to an external node only
+// through a 1e-24 F capacitor is grounded — C is ill-conditioned but
+// positive definite — and builds with meaningful potentials. The tie
+// is listed before the capacitor that joins its island to the rest of
+// the group, so the grounding must carry over when the groups merge.
+func TestBuildWeaklyGroundedGroup(t *testing.T) {
+	c := New()
+	g := c.AddNode("g", External)
+	c.SetSource(g, DC(0.01))
+	var isl [3]int
+	for k := range isl {
+		isl[k] = c.AddNode("", Island)
+	}
+	c.AddJunction(isl[0], isl[1], 1e6, aF)
+	c.AddCap(isl[2], g, 1e-24)
+	c.AddCap(isl[1], isl[2], aF)
+	if err := c.Build(); err != nil {
+		t.Fatalf("weakly grounded chain rejected: %v", err)
+	}
+	// With no charge every island floats at the lead's potential.
+	v := c.IslandPotentials(nil, make([]int, 3), 0)
+	for k, x := range v {
+		if math.Abs(x-0.01) > 1e-9 {
+			t.Errorf("island %d at %g V, want the lead's 0.01 V", k, x)
+		}
 	}
 }
 

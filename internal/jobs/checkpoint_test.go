@@ -107,7 +107,7 @@ func TestLoadRejectsCorruptCheckpoints(t *testing.T) {
 			// silently: losing checkpointed work without saying so would
 			// mask data loss.
 			d := parseDeck(t, testDeck)
-			key, err := deckKey(d, Overrides{})
+			key, err := deckKey(d)
 			if err != nil {
 				t.Fatal(err)
 			}

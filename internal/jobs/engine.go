@@ -54,20 +54,15 @@ type EngineConfig struct {
 	// RetryBackoff is the base delay before the first retry, doubling
 	// per attempt (0 = 250ms).
 	RetryBackoff time.Duration
-	// FanoWindow is the daemon-default counting-window width τ
-	// (seconds) for noise-recording decks, applied to submissions that
-	// leave Overrides.FanoWindow unset. 0 keeps the deck's windows (or
-	// the per-run auto calibration).
-	FanoWindow float64
 	// Obs receives engine metrics (jobs submitted/done/failed, retries);
 	// nil falls back to the process-global observer.
 	Obs *obs.Observer
 	// ResultCache keeps per-task done markers in CheckpointDir after a
 	// job completes instead of deleting them. Markers are keyed by deck
-	// content, so a later job over an identical deck (same directives,
-	// same trajectory-relevant overrides) reuses every completed
-	// (point, run) result instead of re-simulating — a daemon-scoped
-	// result cache, sound because trajectories are deterministic.
+	// content, so a later job over an identical deck reuses every
+	// completed (point, run) result instead of re-simulating — a
+	// daemon-scoped result cache, sound because trajectories are
+	// deterministic.
 	ResultCache bool
 }
 
@@ -77,7 +72,6 @@ type Job struct {
 	id       string
 	deck     *netlist.Deck
 	deckText string
-	ov       Overrides
 	key      string
 	pts      []deckPoint
 	runs     int
@@ -197,7 +191,7 @@ func newEngine(cfg EngineConfig, runTask func(ctx context.Context, t task, cfg R
 	e.runTask = runTask
 	if e.runTask == nil {
 		e.runTask = func(ctx context.Context, t task, cfg RunConfig) (runResult, error) {
-			return runDeckPoint(ctx, t.job.deck, t.job.ov, t.job.key, t.job.pts[t.point], t.run, cfg)
+			return runDeckPoint(ctx, t.job.deck, t.job.key, t.job.pts[t.point], t.run, cfg)
 		}
 	}
 	for w := 0; w < cfg.Workers; w++ {
@@ -225,21 +219,11 @@ func (e *Engine) count(name string) {
 // whose previous job was interrupted (or crashed) resumes from the
 // persisted checkpoints automatically — the checkpoint key is derived
 // from the deck content, not the job id.
-func (e *Engine) Submit(d *netlist.Deck, ov Overrides) (*Job, error) {
+func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
-	if err := ov.check(); err != nil {
-		return nil, err
-	}
-	if ov.FanoWindow == 0 {
-		// Daemon-default counting window: folded in before the deck key
-		// is derived, so checkpointed noise state stays bound to the τ
-		// it was accumulated under.
-		ov.FanoWindow = e.cfg.FanoWindow
-	}
-	d = withOverrides(d, ov)
-	key, err := deckKey(d, ov)
+	key, err := deckKey(d)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +253,6 @@ func (e *Engine) Submit(d *netlist.Deck, ov Overrides) (*Job, error) {
 		id:        fmt.Sprintf("j%06d", e.seq),
 		deck:      d,
 		deckText:  text.String(),
-		ov:        ov,
 		key:       key,
 		pts:       pts,
 		runs:      runs,

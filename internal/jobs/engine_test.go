@@ -21,7 +21,7 @@ func scriptedEngine(t *testing.T, cfg EngineConfig, fn func(ctx context.Context,
 
 func submit(t *testing.T, e *Engine) *Job {
 	t.Helper()
-	j, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEngineShutdownDrains(t *testing.T) {
 	if _, err := e.Result(j); err == nil || !strings.Contains(err.Error(), "resubmit") {
 		t.Fatalf("interrupted job error %v does not point at resume", err)
 	}
-	if _, err := e.Submit(parseDeck(t, testDeck), Overrides{}); err == nil {
+	if _, err := e.Submit(parseDeck(t, testDeck)); err == nil {
 		t.Fatal("shut-down engine accepted a submission")
 	}
 }
@@ -187,7 +187,7 @@ func TestEngineSubmitValidates(t *testing.T) {
 			return runResult{Current: map[int]float64{}}, nil
 		})
 	bad := parseDeck(t, strings.Replace(testDeck, "record 1 2", "", 1))
-	if _, err := e.Submit(bad, Overrides{}); err == nil {
+	if _, err := e.Submit(bad); err == nil {
 		t.Fatal("deck without record lines accepted")
 	}
 	if len(e.Jobs()) != 0 {
@@ -209,7 +209,7 @@ func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 
 	jobsList := make([]*Job, len(decks))
 	for i, src := range decks {
-		j, err := e.Submit(parseDeck(t, src), Overrides{})
+		j, err := e.Submit(parseDeck(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}

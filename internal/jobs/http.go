@@ -12,13 +12,11 @@ import (
 )
 
 // SubmitRequest is the POST /api/v1/jobs body: the deck text (the
-// SPICE-like input-file dialect, see docs/DECK.md) plus optional engine
-// overrides.
+// SPICE-like input-file dialect, see docs/DECK.md), which carries
+// every setting of the job.
 type SubmitRequest struct {
 	// Deck is the full input deck as text.
 	Deck string `json:"deck"`
-	// Overrides are engine knobs applied on top of the deck.
-	Overrides Overrides `json:"overrides"`
 }
 
 // SubmitResponse answers a job submission.
@@ -85,15 +83,12 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
 		dec := json.NewDecoder(r.Body)
-		// A misspelt override must not be dropped silently: the job
-		// would run other work than the client asked for.
+		// A setting outside the deck (a retired "overrides" object, a
+		// misspelt key) must not be dropped silently: the job would run
+		// other work than the client asked for.
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
-			return
-		}
-		if err := req.Overrides.check(); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		d, err := netlist.Parse(strings.NewReader(req.Deck))
@@ -101,7 +96,7 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 			writeErr(w, http.StatusUnprocessableEntity, "deck does not parse: %v", err)
 			return
 		}
-		j, err := e.Submit(d, req.Overrides)
+		j, err := e.Submit(d)
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 			return

@@ -181,9 +181,26 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-// A submission naming a field the API does not know — a misspelt
-// override, or one that no longer exists — is refused with a 400 that
-// names the field, instead of running with the field dropped.
+// postBody POSTs a raw JSON body to the submit route and returns the
+// status code and response text.
+func postBody(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(blob)
+}
+
+// A submission naming a field the API does not know — a misspelt key,
+// or the retired "overrides" object, empty or not — is refused with a
+// 400 that names the field, instead of running with the field dropped.
+// Every setting of a job lives in its deck.
 func TestHTTPRejectsUnknownFields(t *testing.T) {
 	e := newEngine(EngineConfig{Workers: 1},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
@@ -197,37 +214,30 @@ func TestHTTPRejectsUnknownFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(body string) (int, string) {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(blob)
-	}
-	for _, field := range []string{"cinv-eps", "rate-tables", "parallel"} {
-		code, msg := post(fmt.Sprintf(`{"deck": %s, "overrides": {%q: 1}}`, deck, field))
-		if code != http.StatusBadRequest || !strings.Contains(msg, field) {
-			t.Errorf("override %q: HTTP %d %s, want 400 naming the field", field, code, msg)
+	for _, ov := range []string{
+		`{}`,
+		`{"rate_tables": true, "cinv_eps": 1e-9, "fano_window": 1e-9}`,
+		`{"parallel": 1}`,
+	} {
+		code, msg := postBody(t, srv.URL, fmt.Sprintf(`{"deck": %s, "overrides": %s}`, deck, ov))
+		if code != http.StatusBadRequest || !strings.Contains(msg, "overrides") {
+			t.Errorf("overrides %s: HTTP %d %s, want 400 naming the field", ov, code, msg)
 		}
 	}
-	if code, msg := post(fmt.Sprintf(`{"dek": %s}`, deck)); code != http.StatusBadRequest || !strings.Contains(msg, "dek") {
+	if code, msg := postBody(t, srv.URL, fmt.Sprintf(`{"dek": %s}`, deck)); code != http.StatusBadRequest || !strings.Contains(msg, "dek") {
 		t.Errorf("top-level typo: HTTP %d %s, want 400 naming the field", code, msg)
 	}
-	valid := fmt.Sprintf(`{"deck": %s, "overrides": {"rate_tables": true, "cinv_eps": 1e-9, "fano_window": 1e-9}}`, deck)
-	if code, msg := post(valid); code != http.StatusAccepted {
-		t.Errorf("valid overrides: HTTP %d %s, want 202", code, msg)
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions queued %d jobs", len(jobs))
+	}
+	if code, msg := postBody(t, srv.URL, fmt.Sprintf(`{"deck": %s}`, deck)); code != http.StatusAccepted {
+		t.Errorf("deck only: HTTP %d %s, want 202", code, msg)
 	}
 }
 
-// A cinv_eps override outside [0, 1) is refused with a 400 before any
-// work is queued: 2 would drop all of C^-1, and a negative value used
-// to be dropped silently.
+// A deck whose cinv-eps lies outside [0, 1) does not parse, so its
+// submission is refused with a 422 naming the directive before any
+// work is queued: 2 would drop all of C^-1.
 func TestHTTPRejectsCinvEpsOutOfRange(t *testing.T) {
 	e := newEngine(EngineConfig{Workers: 1},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
@@ -237,27 +247,18 @@ func TestHTTPRejectsCinvEpsOutOfRange(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e, nil))
 	t.Cleanup(srv.Close)
 
-	deck, err := json.Marshal(testDeck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []string{"2", "-1", "1"} {
-		body := fmt.Sprintf(`{"deck": %s, "overrides": {"cinv_eps": %s}}`, deck, eps)
-		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	for _, eps := range []string{"2", "-1", "1", "inf"} {
+		deck, err := json.Marshal(testDeck + "cinv-eps " + eps + "\n")
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cinv_eps") {
-			t.Errorf("cinv_eps %s: HTTP %d %s, want 400 naming cinv_eps", eps, resp.StatusCode, msg)
+		code, msg := postBody(t, srv.URL, fmt.Sprintf(`{"deck": %s}`, deck))
+		if code != http.StatusUnprocessableEntity || !strings.Contains(msg, "cinv-eps") {
+			t.Errorf("cinv-eps %s: HTTP %d %s, want 422 naming cinv-eps", eps, code, msg)
 		}
 	}
 	if jobs := e.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submissions queued %d jobs", len(jobs))
-	}
-	if _, err := ExecuteDeck(context.Background(), parseDeck(t, testDeck), Overrides{CinvEps: -1}, RunConfig{}); err == nil {
-		t.Fatal("ExecuteDeck accepted a negative cinv_eps override")
 	}
 }
 
@@ -321,7 +322,7 @@ func TestHTTPResumeAcrossEngineRestart(t *testing.T) {
 	}
 
 	e1 := NewEngine(EngineConfig{Workers: 2, CheckpointDir: dir, CheckpointEvery: 1})
-	j1, err := e1.Submit(parseDeck(t, testDeck), Overrides{})
+	j1, err := e1.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestHTTPResumeAcrossEngineRestart(t *testing.T) {
 
 	e2 := NewEngine(EngineConfig{Workers: 2, CheckpointDir: dir, CheckpointEvery: 1})
 	t.Cleanup(e2.Close)
-	j2, err := e2.Submit(parseDeck(t, testDeck), Overrides{})
+	j2, err := e2.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}

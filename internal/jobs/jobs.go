@@ -40,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"semsim/internal/circuit"
 	"semsim/internal/netlist"
 	"semsim/internal/noise"
 	"semsim/internal/obs"
@@ -53,30 +52,12 @@ import (
 // failure.
 var ErrInterrupted = errors.New("jobs: run interrupted; state checkpointed for resume")
 
-// Overrides adjusts engine knobs on top of the deck's own directives —
-// command-line or API settings that win over the deck. FanoWindow
-// never changes the trajectory. RateTables and CinvEps do,
-// within bounded errors; Submit and ExecuteDeck fold them into a copy
-// of the deck's spec before keying and compiling, so an overridden
-// deck is the same work as a deck that spells the directives itself.
-type Overrides struct {
-	// RateTables routes normal-state rates through the error-bounded
-	// interpolation tables (< 1e-6 relative error), as the deck's
-	// rate-tables directive does.
-	RateTables bool `json:"rate_tables,omitempty"`
-	// CinvEps, when nonzero, replaces the deck's cinv-eps value: the
-	// circuit is built with C^-1 rows truncated at CinvEps*rowmax, and
-	// the run carries a provable potential error bound. Like the
-	// directive it must be finite with 0 <= CinvEps < 1.
-	CinvEps float64 `json:"cinv_eps,omitempty"`
-	// FanoWindow, when > 0, fixes the counting-window width τ (seconds)
-	// of every noise-recorded junction, overriding deck windows and the
-	// auto calibration. It never changes the trajectory — windows only
-	// shape the statistics derived from the event stream — but it is
-	// part of the deck key: checkpointed noise accumulators depend on
-	// it, so resumed state must have been produced under the same τ.
-	FanoWindow float64 `json:"fano_window,omitempty"`
-}
+// Overrides is an empty stub: every setting of a deck run lives in
+// the deck itself (rate-tables, cinv-eps and record fano directives).
+//
+// Deprecated: ExecuteDeck ignores it. It is kept only while the
+// benchmark harness still passes one.
+type Overrides struct{}
 
 // Point is one operating point of an executed deck: the swept source
 // value(s) and the measured currents averaged over the deck's runs.
@@ -119,13 +100,6 @@ type RunConfig struct {
 	// Stop, when closed, asks in-flight runs to checkpoint at the next
 	// refresh boundary and return ErrInterrupted (graceful drain).
 	Stop <-chan struct{}
-	// KeepDone retains per-task done markers after the deck folds instead
-	// of deleting them. Markers are keyed by deck content, so a later
-	// execution of the same deck (any job, same checkpoint dir) reuses
-	// the completed results instead of re-simulating — a local result
-	// cache, sound because trajectories are deterministic.
-	KeepDone bool
-
 	// hooks receives per-task observability callbacks (checkpoint writes,
 	// resumes, per-chunk progress). Only the Engine sets it; nil (the
 	// ExecuteDeck and RunSim paths) disables all task telemetry.
@@ -141,30 +115,6 @@ type RunConfig struct {
 // of work, rare enough that snapshot I/O is noise.
 const defaultCheckpointEvery = 1 << 15
 
-// check rejects overrides no deck could spell: a C^-1 truncation
-// threshold outside [0, 1).
-func (ov Overrides) check() error {
-	if err := circuit.CheckCinvTruncation(ov.CinvEps); err != nil {
-		return fmt.Errorf("jobs: cinv_eps override: %w", err)
-	}
-	return nil
-}
-
-// withOverrides returns d, or a copy of d whose spec carries the
-// overrides that change the trajectory (C^-1 truncation, rate tables).
-// Keying, compiling and running then read that one spec.
-func withOverrides(d *netlist.Deck, ov Overrides) *netlist.Deck {
-	if ov.CinvEps <= 0 && !ov.RateTables {
-		return d
-	}
-	folded := *d
-	if ov.CinvEps > 0 {
-		folded.Spec.CinvEps = ov.CinvEps
-	}
-	folded.Spec.RateTables = folded.Spec.RateTables || ov.RateTables
-	return &folded
-}
-
 // seedScheme names how runDeckPoint derives task seeds. It is part of
 // every deck key, so checkpoints and done markers written under another
 // derivation are never found, let alone resumed.
@@ -179,19 +129,19 @@ const cinvEngine = "truncated-rows(default=1e-14,applied-shift-test)"
 
 // deckKey fingerprints everything that determines a run's trajectory
 // and its recorded state: SHA-256 over the deck's canonical Format
-// output (circuit, spec with the folded overrides, seeds), the task
-// seed derivation, the C^-1 engine and the noise counting window,
-// truncated to 128 bits of hex. Checkpoint files embed and verify the
-// key and the result cache is keyed on it, so a resumed or cached
-// submission only picks up state that provably belongs to the same
-// work. The key also names every checkpoint file, and 128 bits keep
-// those paths short while leaving collisions out of reach.
-func deckKey(d *netlist.Deck, ov Overrides) (string, error) {
+// output (circuit, spec, seeds, noise windows), the task seed
+// derivation and the C^-1 engine, truncated to 128 bits of hex.
+// Checkpoint files embed and verify the key and the result cache is
+// keyed on it, so a resumed or cached submission only picks up state
+// that provably belongs to the same work. The key also names every
+// checkpoint file, and 128 bits keep those paths short while leaving
+// collisions out of reach.
+func deckKey(d *netlist.Deck) (string, error) {
 	var buf bytes.Buffer
 	if err := d.Format(&buf); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s|fw=%016x", seedScheme, cinvEngine, math.Float64bits(ov.FanoWindow))
+	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s", seedScheme, cinvEngine)
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:16]), nil
 }
@@ -429,21 +379,18 @@ func noiseJuncs(spec *netlist.Spec) []int {
 // points feed the global observer's progress meter. With cfg.Dir
 // set, each task checkpoints periodically and — with cfg.Resume —
 // continues from any valid checkpoint it finds, making long sweeps
-// crash-safe; completed tasks delete their files unless cfg.KeepDone.
-// Cancel ctx to abandon the execution immediately, or close cfg.Stop to
-// drain: in-flight tasks persist a final checkpoint and ExecuteDeck
-// returns ErrInterrupted.
-func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConfig) ([]Point, error) {
+// crash-safe; the files of completed tasks are deleted once the deck
+// folds. Cancel ctx to abandon the execution immediately, or close
+// cfg.Stop to drain: in-flight tasks persist a final checkpoint and
+// ExecuteDeck returns ErrInterrupted. The Overrides argument is
+// ignored.
+func ExecuteDeck(ctx context.Context, d *netlist.Deck, _ Overrides, cfg RunConfig) ([]Point, error) {
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
-	if err := ov.check(); err != nil {
-		return nil, err
-	}
-	d = withOverrides(d, ov)
 	spec := d.Spec
 	pts := deckPoints(&spec)
-	key, err := deckKey(d, ov)
+	key, err := deckKey(d)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +435,7 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 		run := func(w int, t task) error {
 			wcfg := cfg
 			wcfg.session = sessions[w]
-			res, err := runDeckPoint(ctx, d, ov, key, pts[t.point], t.run, wcfg)
+			res, err := runDeckPoint(ctx, d, key, pts[t.point], t.run, wcfg)
 			if err != nil {
 				if errors.Is(err, ErrInterrupted) || errors.Is(err, context.Canceled) {
 					return err
@@ -583,11 +530,10 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, ov Overrides, cfg RunConf
 	if o != nil {
 		o.Registry().Counter("jobs.decks_executed").Add(1)
 	}
-	if cfg.Dir != "" && !cfg.KeepDone {
+	if cfg.Dir != "" {
 		// The whole deck folded: the per-task done markers (kept so a
 		// resume after a partial interruption skips finished tasks) have
-		// served their purpose. Best-effort removal. With KeepDone the
-		// markers stay behind as a deck-keyed result cache.
+		// served their purpose. Best-effort removal.
 		for _, p := range pts {
 			for r := 0; r < runs; r++ {
 				os.Remove(checkpointPath(cfg.Dir, key, p.Fine, r))

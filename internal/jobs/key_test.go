@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"bytes"
-	"context"
 	"hash/crc32"
 	"testing"
 )
@@ -31,11 +30,11 @@ func TestDeckKeyCollisionResistant(t *testing.T) {
 		t.Fatal("the pinned decks no longer collide under CRC-32; the test lost its point")
 	}
 
-	ka, err := deckKey(a, Overrides{})
+	ka, err := deckKey(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := deckKey(b, Overrides{})
+	kb, err := deckKey(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +52,28 @@ func TestDeckKeyCollisionResistant(t *testing.T) {
 // engine. The pinned key is multiIslandDeck's under the dense engine.
 func TestDeckKeyNamesCinvEngine(t *testing.T) {
 	const denseEngineKey = "e8be9d216df7d3866536c48b4e790766"
-	k, err := deckKey(parseDeck(t, multiIslandDeck), Overrides{})
+	k, err := deckKey(parseDeck(t, multiIslandDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k == denseEngineKey {
 		t.Fatalf("deck key %s is the dense engine's", k)
+	}
+}
+
+// TestDeckKeyDropsWindowOverride: the deck key no longer carries a
+// noise-window override term (windows live in the deck's record fano
+// lines, which its canonical text already holds), so done markers and
+// checkpoints written under the keys of that scheme are never served
+// or resumed. The pinned key is multiIslandDeck's under that scheme.
+func TestDeckKeyDropsWindowOverride(t *testing.T) {
+	const overrideSchemeKey = "c2b714e8302bff80695653954dc3edb6"
+	k, err := deckKey(parseDeck(t, multiIslandDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == overrideSchemeKey {
+		t.Fatalf("deck key %s is the override scheme's", k)
 	}
 }
 
@@ -82,48 +97,3 @@ seed 5
 temp 5
 adaptive 0.05
 `
-
-// TestCinvEpsOverrideMatchesDirective: a CinvEps override is folded into
-// the deck before keying and compiling, so it runs exactly the deck
-// that spells the same cinv-eps directive — same key, bit-identical
-// points — and builds natively at that threshold.
-func TestCinvEpsOverrideMatchesDirective(t *testing.T) {
-	over := parseDeck(t, multiIslandDeck)
-	spelled := parseDeck(t, multiIslandDeck+"cinv-eps 1e-6\n")
-	ov := Overrides{CinvEps: 1e-6}
-
-	kOver, err := deckKey(withOverrides(over, ov), ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kSpelled, err := deckKey(spelled, Overrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOver != kSpelled {
-		t.Fatalf("override key %s, directive key %s", kOver, kSpelled)
-	}
-	if over.Spec.CinvEps != 0 {
-		t.Fatal("folding the override mutated the caller's deck")
-	}
-	cc, err := withOverrides(over, ov).Compile(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps := cc.Circuit.Potentials().Eps(); eps != 1e-6 {
-		t.Fatalf("override build truncates at %g, want 1e-6", eps)
-	}
-
-	got, err := ExecuteDeck(context.Background(), over, ov, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ExecuteDeck(context.Background(), spelled, Overrides{}, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) < 2 || want[1].Events == 0 {
-		t.Fatalf("deck ran no events: %+v", want)
-	}
-	samePoints(t, want, got, "cinv-eps override vs directive")
-}

@@ -137,7 +137,7 @@ func TestEngineMapJobMatchesExecuteDeck(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		e := NewEngine(EngineConfig{Workers: workers})
-		j, err := e.Submit(parseDeck(t, mapDeck), Overrides{})
+		j, err := e.Submit(parseDeck(t, mapDeck))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 2, CheckpointDir: dir, ResultCache: true})
 	defer e.Close()
 
-	j1, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j1, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 		t.Fatal("ResultCache kept no done markers")
 	}
 
-	j2, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j2, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,18 +206,18 @@ func TestEngineResultCacheAcrossJobs(t *testing.T) {
 func TestRunDeckPointSessionMatchesFresh(t *testing.T) {
 	for _, src := range []string{testDeck, mapDeck, noiseTestDeck} {
 		d := parseDeck(t, src)
-		key, err := deckKey(d, Overrides{})
+		key, err := deckKey(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pts := deckPoints(&d.Spec)
 		ds := &deckSession{}
 		for _, pt := range pts {
-			fresh, err := runDeckPoint(context.Background(), d, Overrides{}, key, pt, 0, RunConfig{})
+			fresh, err := runDeckPoint(context.Background(), d, key, pt, 0, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reused, err := runDeckPoint(context.Background(), d, Overrides{}, key, pt, 0, RunConfig{session: ds})
+			reused, err := runDeckPoint(context.Background(), d, key, pt, 0, RunConfig{session: ds})
 			if err != nil {
 				t.Fatal(err)
 			}

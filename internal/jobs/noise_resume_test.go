@@ -3,7 +3,9 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -131,34 +133,41 @@ func TestNoiseDeckResumeBitIdentical(t *testing.T) {
 	sameNoise(t, ref, got, "resumed")
 }
 
-// TestFanoWindowOverride: the submission-level window override changes
-// the counting statistics' τ but — being measurement-only state — must
-// leave the trajectory (currents, event counts) untouched.
+// TestFanoWindowOverride: record fano windows spelled in the deck
+// override the auto calibration and change the counting statistics'
+// τ but — being measurement-only state — leave the trajectory
+// (currents, event counts) untouched.
 func TestFanoWindowOverride(t *testing.T) {
-	d := parseDeck(t, noiseTestDeck)
-	base, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const tau = 3e-11
-	ov, err := ExecuteDeck(context.Background(), d, Overrides{FanoWindow: tau}, RunConfig{Workers: 1})
+	auto := parseDeck(t, noiseTestDeck)
+	fixedSrc := strings.Replace(noiseTestDeck, "record fano 1 2e-11\nrecord fano 2\n",
+		fmt.Sprintf("record fano 1 %g\nrecord fano 2 %g\n", tau, tau), 1)
+	if fixedSrc == noiseTestDeck {
+		t.Fatal("noiseTestDeck no longer carries the fano lines this test rewrites")
+	}
+	base, err := ExecuteDeck(context.Background(), auto, Overrides{}, RunConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePoints(t, base, ov, "fano-window override")
-	for i, p := range ov {
+	fixed, err := ExecuteDeck(context.Background(), parseDeck(t, fixedSrc), Overrides{}, RunConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, base, fixed, "deck fano windows")
+	for i, p := range fixed {
+		if len(p.Noise) != 2 {
+			t.Fatalf("point %d records %d noise junctions, want 2", i, len(p.Noise))
+		}
 		for j, st := range p.Noise {
 			if math.Abs(st.Window-tau) > tau*1e-12 {
-				t.Errorf("point %d junction %d window %g, want override %g", i, j, st.Window, tau)
+				t.Errorf("point %d junction %d window %g, want the deck's %g", i, j, st.Window, tau)
+			}
+			if base[i].Noise[j].Windows == st.Windows {
+				t.Errorf("point %d junction %d: window counts identical (%d) despite different τ", i, j, st.Windows)
 			}
 		}
 		if base[i].Noise[2].Window == tau {
-			t.Errorf("point %d: base run already used the override window; test proves nothing", i)
+			t.Errorf("point %d: the auto-window run already used %g; test proves nothing", i, tau)
 		}
-	}
-	// Folding with different windows must actually change the counting
-	// statistics (sanity that the override reached the accumulators).
-	if base[0].Noise[1].Windows == ov[0].Noise[1].Windows {
-		t.Errorf("window counts identical (%d) despite different τ", base[0].Noise[1].Windows)
 	}
 }

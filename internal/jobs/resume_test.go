@@ -146,7 +146,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	// look at the foreign file — but a file renamed to collide with the
 	// new key must be rejected by the embedded key check.
 	d2 := parseDeck(t, strings.Replace(testDeck, "seed 11", "seed 12", 1))
-	key2, err := deckKey(d2, Overrides{})
+	key2, err := deckKey(d2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,9 +238,8 @@ func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, 
 // noiseConfig translates the deck's noise/fano directives into a
 // recorder configuration over circuit junction ids. A junction with
 // both directives gets one accumulator carrying the ω grid and the
-// fano window; ov.FanoWindow > 0 fixes every window, overriding deck
-// windows and the auto calibration.
-func noiseConfig(spec *netlist.Spec, ov Overrides, cc *netlist.Compiled) (noise.Config, error) {
+// fano window.
+func noiseConfig(spec *netlist.Spec, cc *netlist.Compiled) (noise.Config, error) {
 	var cfg noise.Config
 	at := map[int]int{} // netlist junction id -> cfg.Juncs index
 	add := func(j int) (int, error) {
@@ -269,26 +268,20 @@ func noiseConfig(spec *netlist.Spec, ov Overrides, cc *netlist.Compiled) (noise.
 		}
 		cfg.Juncs[i].Window = fs.Window
 	}
-	if ov.FanoWindow > 0 {
-		for i := range cfg.Juncs {
-			cfg.Juncs[i].Window = ov.FanoWindow
-		}
-	}
 	return cfg, nil
 }
 
 // runDeckPoint executes one (point, run) task of a deck: install the
 // point's source values, run the warm-up transient, reset measurement,
 // run the measured window, and report the recorded junction currents.
-// The deck's spec, overrides already folded in (withOverrides), sets the
-// build and solver options; ov adds only the noise counting window.
+// The deck's spec sets the build, solver and noise options.
 // With cfg.session set the worker's cached solver is re-seeded in place
 // of a fresh compile — bit-identical either way.
 // With cfg.Dir set it checkpoints periodically and, with cfg.Resume,
 // continues from a valid matching checkpoint file; the file is removed
 // once the task completes (or replaced by a done marker on the Resume
 // path).
-func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string, pt deckPoint, run int, cfg RunConfig) (runResult, error) {
+func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint, run int, cfg RunConfig) (runResult, error) {
 	spec := d.Spec
 	opt := solver.Options{
 		Temp:         spec.Temp,
@@ -325,7 +318,7 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, ov Overrides, key string
 	// refuse to load into a simulation without a matching recorder.
 	njs := noiseJuncs(&spec)
 	if len(njs) > 0 {
-		ncfg, err := noiseConfig(&spec, ov, cc)
+		ncfg, err := noiseConfig(&spec, cc)
 		if err != nil {
 			return runResult{}, err
 		}

@@ -109,7 +109,7 @@ func TestSSELifecycleToCompletion(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e, nil))
 	t.Cleanup(srv.Close)
 
-	j, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSSEStreamAcrossEngineRestartResume(t *testing.T) {
 	srv1 := httptest.NewServer(NewHandler(e1, nil))
 	t.Cleanup(srv1.Close)
 
-	j1, err := e1.Submit(parseDeck(t, testDeck), Overrides{})
+	j1, err := e1.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestSSEStreamAcrossEngineRestartResume(t *testing.T) {
 	t.Cleanup(e2.Close)
 	srv2 := httptest.NewServer(NewHandler(e2, nil))
 	t.Cleanup(srv2.Close)
-	j2, err := e2.Submit(parseDeck(t, testDeck), Overrides{})
+	j2, err := e2.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestFollowClientRendersStream(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e, nil))
 	t.Cleanup(srv.Close)
 
-	j, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestHTTPMergedTrace(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e, nil))
 	t.Cleanup(srv.Close)
 
-	j, err := e.Submit(parseDeck(t, testDeck), Overrides{})
+	j, err := e.Submit(parseDeck(t, testDeck))
 	if err != nil {
 		t.Fatal(err)
 	}

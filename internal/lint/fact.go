@@ -11,9 +11,8 @@ import (
 )
 
 // Fact is a typed datum one analyzer attaches to a package-level object
-// (or to a package as a whole) while analyzing the package that owns it,
-// for downstream packages to consult — mirroring
-// x/tools/go/analysis.Fact. Facts are how a pass sees across package
+// while analyzing the package that owns it, for downstream packages to
+// consult — mirroring x/tools/go/analysis.Fact. Facts are how a pass sees across package
 // boundaries without whole-program analysis: each package is analyzed
 // once, in dependency order, and summarizes what importers need to know
 // (a function is impure, a struct type is fully serialized, a global is
@@ -29,12 +28,11 @@ type Fact interface {
 }
 
 // factKey addresses one fact in a store. obj is the intra-package
-// object key from objKey ("" for package-level facts) and typ the
-// concrete fact type's name, so an analyzer can attach facts of several
-// types to the same object.
+// object key from objKey and typ the concrete fact type's name, so an
+// analyzer can attach facts of several types to the same object.
 type factKey struct {
 	pkg string // package import path, normalized
-	obj string // objKey result; "" = fact about the package itself
+	obj string // objKey result
 	typ string // concrete fact type, e.g. "*lint.PurityFact"
 }
 
@@ -137,28 +135,11 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return p.store.get(normalizePath(obj.Pkg().Path()), key, ptr)
 }
 
-// ExportPackageFact attaches a fact to the current package.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.store == nil {
-		return
-	}
-	p.store.put(p.Path, "", fact)
-}
-
-// ImportPackageFact copies the package-level fact of ptr's type for the
-// package with the given import path into ptr.
-func (p *Pass) ImportPackageFact(path string, ptr Fact) bool {
-	if p.store == nil {
-		return false
-	}
-	return p.store.get(normalizePath(path), "", ptr)
-}
-
 // wireFact is the serialized form of one fact in a .vetx file. The Fact
 // field is an interface, so gob records the concrete type; every fact
 // type is registered from the analyzers' FactTypes declarations.
 type wireFact struct {
-	Obj  string // objKey, "" for package facts
+	Obj  string // objKey
 	Fact Fact
 }
 

@@ -16,7 +16,9 @@ import (
 // reparses cleanly, formats identically the second time, and Compile
 // either errors or yields a circuit — also at the default C^-1
 // truncation threshold, whose potentials must match the untruncated
-// rows' within the engine's error bound.
+// rows' within the engine's error bound. A deck whose island group has
+// no capacitance to any external node (the committed seed
+// seed-ungrounded-disparate-caps) must fail Compile: its C is singular.
 func FuzzNetlistParse(f *testing.F) {
 	f.Add(paperDeck)
 	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ntemp 1\n")
@@ -96,7 +98,9 @@ func FuzzNetlistParse(f *testing.F) {
 // circuit's own factorization, applied to q and to C_IE·v_ext (C_IE
 // assembled from the element list) in the order Potentials.Solve
 // applies its truncated rows, so only the dropped entries and rounding
-// separate the two.
+// separate the two. Every circuit that reaches it built, so every
+// island group has capacitance to an external node and C is positive
+// definite.
 func exactPotentials(t *testing.T, c *circuit.Circuit, ns []int, tt float64) []float64 {
 	t.Helper()
 	n, ext := c.NumIslands(), c.Externals()

@@ -1,11 +1,13 @@
 package netlist
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"semsim/internal/circuit"
+	"semsim/internal/matrix"
 	"semsim/internal/units"
 )
 
@@ -131,6 +133,20 @@ jumps 10
 	}
 	if v := cc.Circuit.SourceVoltage(gnd, 0); v != 0 {
 		t.Fatalf("ground voltage = %g", v)
+	}
+}
+
+// TestCompileRejectsFloatingGroup: the fuzz seed
+// seed-ungrounded-disparate-caps compiles into three islands with no
+// capacitance to any external node. Its C is singular, so Compile must
+// fail with the singular-matrix error rather than yield potentials.
+func TestCompileRejectsFloatingGroup(t *testing.T) {
+	d, err := Parse(strings.NewReader("junc 0 1 7 1 1e-8\njunc 1 2 1 1 901"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Compile(nil); !errors.Is(err, matrix.ErrNotPositiveDefinite) {
+		t.Fatalf("Compile: %v, want an error wrapping ErrNotPositiveDefinite", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package noise is the streaming noise / full-counting-statistics
 // engine: per-junction accumulators that consume the solver's applied
 // tunnel events one at a time and reduce them — in O(1) amortized work
-// per event and zero allocations — to the three standard noise
+// per event and zero allocations — to the two standard noise
 // observables of single-electron devices:
 //
 //   - windowed charge cumulants (mean, variance and the Fano factor
@@ -10,9 +10,7 @@
 //     via the Sverdlov–Kinkhabwala estimator: each event's transferred
 //     charge contributes dq·e^{iωt} to a running Fourier sum, so the
 //     whole periodogram costs one Sincos per (event, ω) and no event
-//     buffer;
-//   - a binned current-autocorrelation ring, Σ q_b·q_{b−k} over the
-//     last Lags charge bins.
+//     buffer.
 //
 // The integration contract mirrors internal/obs: every recording
 // method is declared on *Recorder with a nil-receiver fast path, a
@@ -56,12 +54,6 @@ type JuncConfig struct {
 	// chosen τ is part of the recorder's checkpoint state, so resumed
 	// runs keep the exact window of the uninterrupted run.
 	Window float64
-	// Lags enables the binned autocorrelation estimator: the number of
-	// non-zero lags accumulated over bins of width Bin. 0 disables it.
-	Lags int
-	// Bin is the autocorrelation bin width in seconds; required > 0
-	// when Lags > 0.
-	Bin float64
 }
 
 // Config lists the junctions a Recorder accumulates.
@@ -71,8 +63,8 @@ type Config struct {
 
 // accum is the per-junction accumulator state. All charge cumulants
 // are kept in units of e (the natural FCS unit, and better
-// conditioned than coulombs²); the Fourier and autocorrelation sums
-// keep coulombs so spectra come out in A²/Hz directly.
+// conditioned than coulombs²); the Fourier sums keep coulombs so
+// spectra come out in A²/Hz directly.
 type accum struct {
 	// The per-event fields come first so the unconditional part of the
 	// recording path — cumulant update plus counting-window advance —
@@ -112,18 +104,7 @@ type accum struct {
 	sumIm  []float64
 	omegas []float64
 
-	// Autocorrelation: ring of the last `lags` closed charge bins.
-	// Guarded by Recorder.anyBins, so windows-only recording never
-	// reads past the spectral headers.
-	bin    float64
-	curBin uint64
-	binQ   float64
-
 	cfgWindow float64 // configured τ (0 = auto); tau resets to this
-	lags      int
-	ring      []float64 // coulombs; ring[nBins % lags] is written next
-	corr      []float64 // corr[k] = Σ q_b·q_{b−k}, k = 0..lags
-	nBins     uint64    // closed bins
 }
 
 // Recorder accumulates noise statistics for a set of junctions. A nil
@@ -140,10 +121,6 @@ type Recorder struct {
 	// unrecorded), built once at construction
 	idx []int32
 	acc []accum
-	//statecover:immutable true when any junction records an
-	// autocorrelation; lets the hot path skip the binning block without
-	// touching per-accumulator autocorrelation fields
-	anyBins bool
 	// origin is the measurement-window start time all event times are
 	// taken relative to (set by Reset).
 	origin float64
@@ -156,8 +133,7 @@ type Recorder struct {
 }
 
 // New builds a Recorder over numJuncs junctions. Junction ids must be
-// unique and in [0, numJuncs); omegas must be positive; Lags > 0
-// requires Bin > 0.
+// unique and in [0, numJuncs); omegas must be positive.
 func New(cfg Config, numJuncs int) (*Recorder, error) {
 	if len(cfg.Juncs) == 0 {
 		return nil, errors.New("noise: empty config (no junctions to record)")
@@ -166,8 +142,8 @@ func New(cfg Config, numJuncs int) (*Recorder, error) {
 	for i := range r.idx {
 		r.idx[i] = -1
 	}
-	// Validation pass; also sizes the shared arenas below.
-	var specLen, ringLen int
+	// Validation pass; also sizes the shared arena below.
+	var specLen int
 	for _, jc := range cfg.Juncs {
 		if jc.Junc < 0 || jc.Junc >= numJuncs {
 			return nil, fmt.Errorf("noise: junction %d out of range (circuit has %d junctions)", jc.Junc, numJuncs)
@@ -183,23 +159,16 @@ func New(cfg Config, numJuncs int) (*Recorder, error) {
 		if jc.Window < 0 {
 			return nil, fmt.Errorf("noise: junction %d: window %g must be >= 0", jc.Junc, jc.Window)
 		}
-		if jc.Lags > 0 && !(jc.Bin > 0) {
-			return nil, fmt.Errorf("noise: junction %d: autocorrelation lags need a positive bin width", jc.Junc)
-		}
 		r.idx[jc.Junc] = 0 // mark seen for the dupe check; real index set below
 		specLen += specChunk(len(jc.Omegas))
-		if jc.Lags > 0 {
-			ringLen += 2*jc.Lags + 1
-		}
 	}
-	// All mutated per-accumulator float storage comes from two shared
-	// arenas: one accumulator's Fourier sums are adjacent and padded to
+	// All mutated per-accumulator float storage comes from one shared
+	// arena: one accumulator's Fourier sums are adjacent and padded to
 	// whole cache lines (the per-event spectral update touches exactly
 	// its own lines), and with thousands of recorded junctions the
 	// storage is one block instead of thousands of scattered small
 	// allocations.
 	spec := make([]float64, specLen)
-	rings := make([]float64, ringLen)
 	r.acc = make([]accum, 0, len(cfg.Juncs))
 	for _, jc := range cfg.Juncs {
 		a := accum{
@@ -216,15 +185,6 @@ func New(cfg Config, numJuncs int) (*Recorder, error) {
 			a.omegas = append([]float64(nil), jc.Omegas...)
 			a.w0 = a.omegas[0]
 			a.domega = uniformSpacing(a.omegas)
-		}
-		if jc.Lags > 0 {
-			a.bin = jc.Bin
-			a.lags = jc.Lags
-			rb := rings[: 2*jc.Lags+1 : 2*jc.Lags+1]
-			rings = rings[2*jc.Lags+1:]
-			a.ring = rb[0:jc.Lags:jc.Lags]
-			a.corr = rb[jc.Lags:]
-			r.anyBins = true
 		}
 		r.idx[jc.Junc] = int32(len(r.acc))
 		r.acc = append(r.acc, a)
@@ -265,7 +225,7 @@ func uniformSpacing(omegas []float64) float64 {
 
 // configHash fingerprints everything that shapes the accumulator
 // layout, so RestoreState can reject state from a differently
-// configured recorder (FNV-1a over juncs, ω grids, windows, bins).
+// configured recorder (FNV-1a over juncs, ω grids and windows).
 func configHash(cfg *Config) string {
 	const offset, prime = 1469598103934665603, 1099511628211
 	h := uint64(offset)
@@ -284,8 +244,6 @@ func configHash(cfg *Config) string {
 		for _, w := range jc.Omegas {
 			mixf(w)
 		}
-		mix(uint64(jc.Lags))
-		mixf(jc.Bin)
 	}
 	return fmt.Sprintf("%016x", h)
 }
@@ -296,11 +254,6 @@ func (r *Recorder) SetObserver(o *obs.Observer) {
 	if r != nil {
 		r.obs = o
 	}
-}
-
-// Recorded reports whether junction j is being recorded.
-func (r *Recorder) Recorded(j int) bool {
-	return r != nil && j >= 0 && j < len(r.idx) && r.idx[j] >= 0
 }
 
 // Add accumulates one applied tunnel event: dq conventional charge
@@ -372,52 +325,7 @@ func (r *Recorder) add(k int, t, dq float64) {
 			}
 		}
 	}
-	if r.anyBins && a.bin > 0 {
-		if b := uint64(ts / a.bin); b > a.curBin {
-			a.advanceBins(b)
-		}
-		a.binQ += dq
-	}
 	r.obs.NoiseEvent()
-}
-
-// advanceBins closes the open autocorrelation bin and any empty bins
-// between it and b. A gap longer than the ring is collapsed: the ring
-// becomes all zeros in one pass and the skipped bins only advance the
-// counter (zero bins contribute nothing to any pair sum), so the cost
-// is bounded by the ring length however long the event gap.
-func (a *accum) advanceBins(b uint64) {
-	a.closeBin(a.binQ)
-	a.binQ = 0
-	empty := b - a.curBin - 1
-	a.curBin = b
-	if empty > uint64(a.lags) {
-		skip := empty - uint64(a.lags)
-		for i := range a.ring {
-			a.ring[i] = 0
-		}
-		a.nBins += skip
-		empty = uint64(a.lags)
-	}
-	for ; empty > 0; empty-- {
-		a.closeBin(0)
-	}
-}
-
-// closeBin folds one finished charge bin into the pair sums and pushes
-// it onto the ring.
-func (a *accum) closeBin(q float64) {
-	if q != 0 {
-		a.corr[0] += q * q
-		for k := 1; k <= a.lags; k++ {
-			if uint64(k) > a.nBins {
-				break
-			}
-			a.corr[k] += q * a.ring[(a.nBins-uint64(k))%uint64(a.lags)]
-		}
-	}
-	a.ring[a.nBins%uint64(a.lags)] = q
-	a.nBins++
 }
 
 // Reset restarts every accumulator with measurement origin t, keeping
@@ -436,13 +344,6 @@ func (r *Recorder) Reset(t float64) {
 			a.sumIm[j] = 0
 		}
 		a.qTot, a.events = 0, 0
-		for j := range a.ring {
-			a.ring[j] = 0
-		}
-		for j := range a.corr {
-			a.corr[j] = 0
-		}
-		a.curBin, a.binQ, a.nBins = 0, 0, 0
 	}
 }
 
@@ -558,29 +459,6 @@ func (r *Recorder) Stats(j int, t float64) (RunStats, bool) {
 		}
 	}
 	return rs, true
-}
-
-// Autocorr returns the binned current-autocorrelation estimate of
-// junction j: lag times k·Bin and ⟨I(0)I(kΔ)⟩ pair averages (A²) for
-// k = 0..Lags, or ok = false when j records no autocorrelation. Pair
-// counts shrink with the lag; lags with no complete pair yet are 0.
-func (r *Recorder) Autocorr(j int) (lagT, c []float64, ok bool) {
-	if r == nil || j < 0 || j >= len(r.idx) || r.idx[j] < 0 {
-		return nil, nil, false
-	}
-	a := &r.acc[r.idx[j]]
-	if a.lags == 0 {
-		return nil, nil, false
-	}
-	lagT = make([]float64, a.lags+1)
-	c = make([]float64, a.lags+1)
-	for k := 0; k <= a.lags; k++ {
-		lagT[k] = float64(k) * a.bin
-		if pairs := int64(a.nBins) - int64(k); pairs > 0 {
-			c[k] = a.corr[k] / (float64(pairs) * a.bin * a.bin)
-		}
-	}
-	return lagT, c, true
 }
 
 // Stats is a folded cross-run noise measurement of one junction: the

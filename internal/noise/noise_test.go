@@ -97,68 +97,6 @@ func TestWindowGapSkip(t *testing.T) {
 	}
 }
 
-// TestAutocorrUniformStream: one e per bin center makes the binned
-// current autocorrelation (e/Δ)² at every lag, exactly.
-func TestAutocorrUniformStream(t *testing.T) {
-	const (
-		bin  = 1e-9
-		lags = 4
-		n    = 1000
-	)
-	r, err := New(Config{Juncs: []JuncConfig{{Junc: 0, Lags: lags, Bin: bin}}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		r.Add(0, (float64(i)+0.5)*bin, units.E)
-	}
-	lagT, c, ok := r.Autocorr(0)
-	if !ok {
-		t.Fatal("autocorrelation not recorded")
-	}
-	if len(c) != lags+1 {
-		t.Fatalf("got %d lags, want %d", len(c), lags+1)
-	}
-	want := (units.E / bin) * (units.E / bin)
-	for k := range c {
-		if math.Abs(lagT[k]-float64(k)*bin) > 1e-24 {
-			t.Errorf("lagT[%d] = %g, want %g", k, lagT[k], float64(k)*bin)
-		}
-		if math.Abs(c[k]-want)/want > 1e-9 {
-			t.Errorf("c[%d] = %g, want %g", k, c[k], want)
-		}
-	}
-}
-
-// TestAutocorrGapCollapse: an event gap much longer than the ring must
-// zero the ring in one pass and keep pair counts consistent (zero bins
-// contribute nothing, so correlations against the gap vanish).
-func TestAutocorrGapCollapse(t *testing.T) {
-	r, err := New(Config{Juncs: []JuncConfig{{Junc: 0, Lags: 3, Bin: 1.0}}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Add(0, 0.5, units.E)
-	r.Add(0, 1000.5, units.E) // 999 empty bins — far beyond the ring
-	r.Add(0, 1001.5, units.E)
-	_, c, ok := r.Autocorr(0)
-	if !ok {
-		t.Fatal("autocorrelation not recorded")
-	}
-	// Only bins 0, 1000 are closed with charge; lag-1..3 pairs across
-	// the gap are all against empty bins except (1001 open). Nothing
-	// correlates, so c[k>=1] = 0; c[0] counts the two closed charged
-	// bins.
-	if c[0] <= 0 {
-		t.Errorf("c[0] = %g, want > 0", c[0])
-	}
-	for k := 1; k < len(c); k++ {
-		if c[k] != 0 {
-			t.Errorf("c[%d] = %g, want 0 across the gap", k, c[k])
-		}
-	}
-}
-
 // TestAutoWindowCalibration pins the warm-up calibration contract:
 // τ = DefaultWindowEvents·elapsed/events, applied once, only to
 // auto junctions, kept by Reset and rolled back by FullReset.
@@ -241,7 +179,7 @@ func TestFoldAveragesRuns(t *testing.T) {
 // tail of events yields identical statistics.
 func TestStateRoundTrip(t *testing.T) {
 	cfg := Config{Juncs: []JuncConfig{
-		{Junc: 0, Omegas: []float64{1e8, 3e8}, Window: 2e-9, Lags: 3, Bin: 1e-9},
+		{Junc: 0, Omegas: []float64{1e8, 3e8}, Window: 2e-9},
 		{Junc: 2, Window: 0}, // auto — calibrated τ must survive the trip
 	}}
 	mk := func() *Recorder {
@@ -291,13 +229,6 @@ func TestStateRoundTrip(t *testing.T) {
 			if math.Float64bits(sa.S[k]) != math.Float64bits(sb.S[k]) {
 				t.Errorf("junction %d S[%d] diverged: %g vs %g", j, k, sa.S[k], sb.S[k])
 			}
-		}
-	}
-	ca1, cc1, _ := a.Autocorr(0)
-	cb1, cc2, _ := b.Autocorr(0)
-	for k := range cc1 {
-		if math.Float64bits(cc1[k]) != math.Float64bits(cc2[k]) || ca1[k] != cb1[k] {
-			t.Errorf("autocorr lag %d diverged", k)
 		}
 	}
 }
@@ -352,7 +283,6 @@ func TestNewValidation(t *testing.T) {
 		{"duplicate junction", Config{Juncs: []JuncConfig{{Junc: 0}, {Junc: 0}}}},
 		{"nonpositive omega", Config{Juncs: []JuncConfig{{Junc: 0, Omegas: []float64{0}}}}},
 		{"negative window", Config{Juncs: []JuncConfig{{Junc: 0, Window: -1}}}},
-		{"lags without bin", Config{Juncs: []JuncConfig{{Junc: 0, Lags: 2}}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg, 2); err == nil {
@@ -364,13 +294,13 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestAddZeroAlloc is the hot-path gate: recording an event — windows,
-// spectral sums and autocorrelation together — must not allocate, and
+// TestAddZeroAlloc is the hot-path gate: recording an event — windows
+// and spectral sums together — must not allocate, and
 // neither must the disabled (nil recorder / unrecorded junction)
 // paths.
 func TestAddZeroAlloc(t *testing.T) {
 	r, err := New(Config{Juncs: []JuncConfig{
-		{Junc: 0, Omegas: []float64{1e8, 2e8, 3e8}, Window: 1e-9, Lags: 4, Bin: 1e-9},
+		{Junc: 0, Omegas: []float64{1e8, 2e8, 3e8}, Window: 1e-9},
 	}}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +330,7 @@ func TestAddZeroAlloc(t *testing.T) {
 // ~1 ns nil-receiver contract refers to.
 func BenchmarkAdd(b *testing.B) {
 	r, err := New(Config{Juncs: []JuncConfig{
-		{Junc: 0, Omegas: []float64{1e8, 2e8, 3e8}, Window: 1e-9, Lags: 4, Bin: 1e-9},
+		{Junc: 0, Omegas: []float64{1e8, 2e8, 3e8}, Window: 1e-9},
 	}}, 2)
 	if err != nil {
 		b.Fatal(err)

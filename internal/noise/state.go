@@ -35,11 +35,6 @@ type JuncState struct {
 	SumIm  []float64 `json:"sum_im,omitempty"`
 	QTot   float64   `json:"q_tot"`
 	Events uint64    `json:"events"`
-	CurBin uint64    `json:"cur_bin"`
-	BinQ   float64   `json:"bin_q"`
-	Ring   []float64 `json:"ring,omitempty"`
-	NBins  uint64    `json:"n_bins"`
-	Corr   []float64 `json:"corr,omitempty"`
 }
 
 // State snapshots the recorder (nil receiver returns nil, matching a
@@ -57,9 +52,6 @@ func (r *Recorder) State() *State {
 			SumRe: append([]float64(nil), a.sumRe...),
 			SumIm: append([]float64(nil), a.sumIm...),
 			QTot:  a.qTot, Events: a.events,
-			CurBin: a.curBin, BinQ: a.binQ, NBins: a.nBins,
-			Ring: append([]float64(nil), a.ring...),
-			Corr: append([]float64(nil), a.corr...),
 		}
 	}
 	return st
@@ -76,7 +68,7 @@ func (r *Recorder) RestoreState(st *State) error {
 		return errors.New("noise: nil state")
 	}
 	if st.ConfigHash != r.hash {
-		return fmt.Errorf("noise: state was written by a differently configured recorder (hash %s, this recorder %s): junctions, ω grids, windows and autocorrelation settings must all match", st.ConfigHash, r.hash)
+		return fmt.Errorf("noise: state was written by a differently configured recorder (hash %s, this recorder %s): junctions, ω grids and windows must all match", st.ConfigHash, r.hash)
 	}
 	if len(st.Juncs) != len(r.acc) {
 		return fmt.Errorf("noise: state has %d junction accumulators, recorder has %d", len(st.Juncs), len(r.acc))
@@ -90,9 +82,6 @@ func (r *Recorder) RestoreState(st *State) error {
 		if len(js.SumRe) != len(a.sumRe) || len(js.SumIm) != len(a.sumIm) {
 			return fmt.Errorf("noise: state accumulator %d has %d spectral sums, recorder has %d", i, len(js.SumRe), len(a.sumRe))
 		}
-		if len(js.Ring) != len(a.ring) || len(js.Corr) != len(a.corr) {
-			return fmt.Errorf("noise: state accumulator %d autocorrelation shape mismatch", i)
-		}
 	}
 	r.origin = st.Origin
 	for i := range st.Juncs {
@@ -104,9 +93,6 @@ func (r *Recorder) RestoreState(st *State) error {
 		copy(a.sumRe, js.SumRe)
 		copy(a.sumIm, js.SumIm)
 		a.qTot, a.events = js.QTot, js.Events
-		a.curBin, a.binQ, a.nBins = js.CurBin, js.BinQ, js.NBins
-		copy(a.ring, js.Ring)
-		copy(a.corr, js.Corr)
 	}
 	return nil
 }

@@ -25,23 +25,6 @@ func Fermi(e, kT float64) float64 {
 	return 1 / (math.Exp(x) + 1)
 }
 
-// BoseFactor returns 1/(exp(x) - 1) computed stably for small |x|,
-// where it diverges like 1/x - 1/2. The orthodox tunneling rate
-// Gamma = dW / (e^2 R (exp(dW/kT) - 1)) uses dW * BoseFactor(dW/kT).
-func BoseFactor(x float64) float64 {
-	if x > 700 {
-		return 0
-	}
-	if x < -700 {
-		return -1
-	}
-	if math.Abs(x) < 1e-8 {
-		// 1/(e^x - 1) = 1/x - 1/2 + x/12 + O(x^3)
-		return 1/x - 0.5 + x/12
-	}
-	return 1 / math.Expm1(x)
-}
-
 // XOverExpm1 returns x/(exp(x) - 1), the thermally-smeared factor in
 // the orthodox rate, with the correct limits: ->1 as x->0, ->-x as
 // x->-inf, ->0 as x->+inf.

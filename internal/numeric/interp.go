@@ -93,10 +93,6 @@ func (t *Table) Eval(x float64) float64 {
 	return y0*(2*s3-3*s2+1) + d0*(s3-2*s2+s) + y1*(-2*s3+3*s2) + d1*(s3-s2)
 }
 
-// Min and Max report the table's x range.
-func (t *Table) Min() float64 { return t.x[0] }
-func (t *Table) Max() float64 { return t.x[len(t.x)-1] }
-
 // Linspace returns n evenly spaced points from a to b inclusive.
 func Linspace(a, b float64, n int) []float64 {
 	if n < 2 {

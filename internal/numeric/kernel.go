@@ -31,97 +31,14 @@ func TabulateGrid(grid []float64, minSep float64, f func(float64) float64) (*Tab
 	return NewTable(kept, ys)
 }
 
-// Kernel is an error-bounded tabulation of a smooth scalar function:
-// inside [lo, hi] it evaluates by PCHIP interpolation, outside it falls
-// back to the exact function, so it is accurate everywhere and fast on
-// the hot band. NewKernel refines the grid until a sampled relative
-// error bound is met, so the accuracy guarantee is measured rather than
-// assumed.
-type Kernel struct {
-	f      func(float64) float64
-	tab    *Table
-	lo, hi float64
-	relErr float64
-}
-
-// NewKernel tabulates f on [lo, hi], doubling the grid density until
-// the relative error — sampled at three interior points of every panel
-// — is at most relTol, or the point budget (2^17 knots) is exhausted.
-// The achieved bound is reported by MaxRelError; callers that need a
-// hard guarantee should check it. f should be smooth and should not
-// cross zero inside [lo, hi] (relative error is ill-defined at zeros).
-func NewKernel(f func(float64) float64, lo, hi, relTol float64) (*Kernel, error) {
-	if !(hi > lo) {
-		return nil, fmt.Errorf("numeric: NewKernel needs hi > lo, got [%g, %g]", lo, hi)
-	}
-	const maxPts = 1 << 17
-	var best *Table
-	bestErr := math.Inf(1)
-	for n := 1025; ; n = 2*(n-1) + 1 {
-		tab, err := TabulateGrid(Linspace(lo, hi, n), 0, f)
-		if err != nil {
-			return nil, err
-		}
-		e := maxRelError(tab, f, lo, hi, n)
-		if e < bestErr {
-			best, bestErr = tab, e
-		}
-		if bestErr <= relTol || 2*(n-1)+1 > maxPts {
-			break
-		}
-	}
-	return &Kernel{f: f, tab: best, lo: lo, hi: hi, relErr: bestErr}, nil
-}
-
-// maxRelError samples the interpolation error of tab against f at three
-// interior points of each of the n-1 uniform panels on [lo, hi].
-func maxRelError(tab *Table, f func(float64) float64, lo, hi float64, n int) float64 {
-	h := (hi - lo) / float64(n-1)
-	worst := 0.0
-	for i := 0; i < n-1; i++ {
-		left := lo + float64(i)*h
-		for _, frac := range [3]float64{0.25, 0.5, 0.75} {
-			x := left + frac*h
-			exact := f(x)
-			got := tab.Eval(x)
-			var rel float64
-			if exact != 0 {
-				rel = math.Abs(got-exact) / math.Abs(exact)
-			} else {
-				rel = math.Abs(got)
-			}
-			if rel > worst {
-				worst = rel
-			}
-		}
-	}
-	return worst
-}
-
-// Eval interpolates inside the tabulated range and evaluates f exactly
-// outside it.
-func (k *Kernel) Eval(x float64) float64 {
-	if x < k.lo || x > k.hi {
-		return k.f(x)
-	}
-	return k.tab.Eval(x)
-}
-
-// MaxRelError reports the measured relative-error bound of the
-// tabulated band (outside it, evaluation is exact).
-func (k *Kernel) MaxRelError() float64 { return k.relErr }
-
-// Range reports the tabulated interval.
-func (k *Kernel) Range() (lo, hi float64) { return k.lo, k.hi }
-
-// FlatKernel is the constant-time counterpart of Kernel, built for the
-// Monte Carlo inner loop: the grid is uniform, so locating the panel
-// for an argument is one multiply and a float-to-int conversion instead
-// of a binary search, and each panel's monotone cubic is stored as four
-// contiguous polynomial coefficients so an evaluation touches a single
-// cache line. Outside [lo, hi] — and for NaN arguments — it falls back
-// to the exact function, so like Kernel it is accurate everywhere and
-// fast on the hot band. The error bound is measured on FlatKernel's own
+// FlatKernel is an error-bounded tabulation of a smooth scalar
+// function, built for the Monte Carlo inner loop: the grid is uniform,
+// so locating the panel for an argument is one multiply and a
+// float-to-int conversion instead of a binary search, and each panel's
+// monotone cubic is stored as four contiguous polynomial coefficients
+// so an evaluation touches a single cache line. Outside [lo, hi] — and
+// for NaN arguments — it falls back to the exact function, so it is
+// accurate everywhere and fast on the hot band. The error bound is measured on FlatKernel's own
 // evaluation path (panel location and Horner form included), not
 // inherited from the PCHIP table it was derived from.
 type FlatKernel struct {
@@ -201,8 +118,7 @@ func flattenTable(f func(float64) float64, tab *Table, lo, hi float64) *FlatKern
 }
 
 // measureRelError samples the flat evaluation against f at three
-// interior points of each panel (the same sampling protocol as Kernel's
-// refinement loop).
+// interior points of each panel.
 func (k *FlatKernel) measureRelError(n int) float64 {
 	h := (k.hi - k.lo) / float64(n-1)
 	worst := 0.0

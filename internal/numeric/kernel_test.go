@@ -23,46 +23,6 @@ func TestTabulateGridDedupes(t *testing.T) {
 	}
 }
 
-func TestNewKernelMeetsTolerance(t *testing.T) {
-	k, err := NewKernel(XOverExpm1, -60, 60, 1e-7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.MaxRelError() > 1e-7 {
-		t.Fatalf("measured error bound %g > requested 1e-7", k.MaxRelError())
-	}
-	// Spot-check at points off the refinement's own sampling lattice.
-	for _, x := range []float64{-59.9, -17.3, -0.001, 0.37, 5.551, 41.07} {
-		exact := XOverExpm1(x)
-		got := k.Eval(x)
-		if rel := math.Abs(got-exact) / math.Abs(exact); rel > 1e-6 {
-			t.Fatalf("x=%g: kernel %g vs exact %g, rel %g", x, got, exact, rel)
-		}
-	}
-}
-
-func TestNewKernelExactOutsideRange(t *testing.T) {
-	k, err := NewKernel(XOverExpm1, -60, 60, 1e-7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1e3, -60.0001, 60.0001, 700} {
-		if got, want := k.Eval(x), XOverExpm1(x); got != want {
-			t.Fatalf("x=%g outside band: Eval %g != exact %g", x, got, want)
-		}
-	}
-	lo, hi := k.Range()
-	if lo != -60 || hi != 60 {
-		t.Fatalf("Range() = [%g, %g], want [-60, 60]", lo, hi)
-	}
-}
-
-func TestNewKernelRejectsEmptyRange(t *testing.T) {
-	if _, err := NewKernel(XOverExpm1, 1, 1, 1e-7); err == nil {
-		t.Fatal("expected error for hi == lo")
-	}
-}
-
 func TestFlatKernelMeetsTolerance(t *testing.T) {
 	k, err := NewFlatKernel(XOverExpm1, -60, 60, 1e-7)
 	if err != nil {
@@ -180,22 +140,6 @@ func TestFlatKernelRejectsEmptyRange(t *testing.T) {
 	if _, err := NewFlatKernel(XOverExpm1, 1, 1, 1e-7); err == nil {
 		t.Fatal("expected error for hi == lo")
 	}
-}
-
-func BenchmarkKernelEval(b *testing.B) {
-	k, err := NewKernel(XOverExpm1, -60, 60, 1e-7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, sink := -59.0, 0.0
-	for i := 0; i < b.N; i++ {
-		sink += k.Eval(x)
-		x += 0.1
-		if x > 59 {
-			x = -59
-		}
-	}
-	_ = sink
 }
 
 func BenchmarkFlatKernelEval(b *testing.B) {

@@ -122,19 +122,6 @@ func TestXOverExpm1Continuity(t *testing.T) {
 	}
 }
 
-func TestBoseFactorSmallX(t *testing.T) {
-	// Compare series branch against exact for a moderately small x.
-	x := 1e-6
-	exact := 1 / math.Expm1(x)
-	series := 1/x - 0.5 + x/12
-	if math.Abs(exact-series)/math.Abs(exact) > 1e-12 {
-		t.Fatalf("series mismatch: %g vs %g", series, exact)
-	}
-	if BoseFactor(800) != 0 || BoseFactor(-800) != -1 {
-		t.Fatal("BoseFactor asymptotics wrong")
-	}
-}
-
 func TestBrentRoots(t *testing.T) {
 	got := Brent(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-14)
 	if math.Abs(got-math.Sqrt2) > 1e-10 {

@@ -17,8 +17,10 @@ import (
 // circuit engine's C^-1 truncation threshold. Version 3 marks the
 // engine change under which an explicit threshold hashes as before but
 // the adaptive test reads the shift each event applied, so a version-2
-// snapshot would continue under another b(i).
-const CheckpointVersion = 3
+// snapshot would continue under another b(i). Version 4 drops the
+// Cooper-pair width floor and the probe interval from the options hash
+// and the autocorrelation ring from the noise state.
+const CheckpointVersion = 4
 
 // Checkpoint is a resumable snapshot of a simulation's dynamic state.
 // It is plain data (JSON-serializable) and deliberately excludes the
@@ -100,8 +102,6 @@ func (s *Sim) trajectoryHash() string {
 	mixf(o.Alpha)
 	mix(uint64(o.RefreshEvery))
 	mixb(o.Cotunneling)
-	mixf(o.CPWidthFloor)
-	mixf(o.ProbeInterval)
 	mixf(s.pe.Eps())
 	mixb(o.RateTables)
 	return fmt.Sprintf("%016x", h)
@@ -142,8 +142,7 @@ func (s *Sim) Checkpoint() (*Checkpoint, error) {
 // trajectory-equivalent options (validated by the checkpoint's options
 // hash). When the checkpoint carries probe state, the simulation's
 // probe set and recorded waveforms are replaced by the snapshot's;
-// otherwise existing probes are kept and only their decimation clocks
-// are rewound.
+// otherwise existing probes and their waveforms are kept.
 func (s *Sim) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return errors.New("solver: nil checkpoint")
@@ -155,7 +154,7 @@ func (s *Sim) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("solver: checkpoint version %d, this build reads version %d", cp.Version, CheckpointVersion)
 	}
 	if want := s.trajectoryHash(); cp.OptionsHash != want {
-		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, probe interval, cinv-eps and rate-tables settings must all match", cp.OptionsHash, want)
+		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, cinv-eps and rate-tables settings must all match", cp.OptionsHash, want)
 	}
 	if len(cp.Electrons) != len(s.n) {
 		return fmt.Errorf("solver: checkpoint has %d islands, circuit has %d", len(cp.Electrons), len(s.n))
@@ -189,29 +188,11 @@ func (s *Sim) Restore(cp *Checkpoint) error {
 	copy(s.evCoop, cp.EvCoop)
 	s.measStart = cp.MeasStart
 	if cp.Probes != nil {
-		// Adopt the snapshot's probe set and waveforms wholesale, and
-		// restore each decimation clock to the timestamp of the last
-		// recorded sample — exactly the value the uninterrupted run held —
-		// so post-resume sampling decisions are bit-identical.
+		// Adopt the snapshot's probe set and waveforms wholesale.
 		s.probes = append(s.probes[:0], cp.Probes...)
 		s.waves = make(map[int][]Sample, len(cp.Waves))
-		s.lastProbe = make(map[int]float64, len(s.probes))
-		for _, node := range s.probes {
-			s.lastProbe[node] = -1
-		}
 		for node, w := range cp.Waves {
 			s.waves[node] = append([]Sample(nil), w...)
-			if len(w) > 0 {
-				s.lastProbe[node] = w[len(w)-1].T
-			}
-		}
-	} else {
-		// Probe decimation clocks may hold timestamps from after the
-		// checkpoint (or from a different run); reset them so sampling
-		// resumes immediately at the restored time instead of waiting for
-		// the clock to catch up.
-		for node := range s.lastProbe {
-			s.lastProbe[node] = -1
 		}
 	}
 	// The electron configuration just changed under the solver, so the

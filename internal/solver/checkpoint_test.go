@@ -153,18 +153,25 @@ func TestRestoreRejectsWrongVersion(t *testing.T) {
 	if err := s.Restore(cp); err == nil || !strings.Contains(err.Error(), "checkpoint version 2") {
 		t.Fatalf("version-2 checkpoint: %v, want the version error", err)
 	}
+	// Version 3 snapshots were hashed with the Cooper-pair width floor
+	// and the probe interval, and their noise state carried the
+	// autocorrelation ring: refused by version, never by a hash that
+	// happens to differ.
+	cp.Version = 3
+	if err := s.Restore(cp); err == nil || !strings.Contains(err.Error(), "checkpoint version 3") {
+		t.Fatalf("version-3 checkpoint: %v, want the version error", err)
+	}
 }
 
 // Waveforms are part of the snapshot: a resumed run's probe record must
-// be bit-identical to the uninterrupted run's, including decimation
-// decisions.
+// be bit-identical to the uninterrupted run's.
 func TestRestoreCarriesWaveforms(t *testing.T) {
 	mk := func() *Sim {
 		c, _ := circuit.NewSET(circuit.SETConfig{
 			R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
 			Vs: 0.02, Vd: -0.02, Vg: 0.005,
 		})
-		s, err := New(c, Options{Temp: 5, Seed: 21, ProbeInterval: 1e-9})
+		s, err := New(c, Options{Temp: 5, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +279,9 @@ func TestRestoreStatsExact(t *testing.T) {
 	}
 }
 
-// Restoring to an earlier time must also rewind the probe decimation
-// clocks: they used to keep post-checkpoint timestamps, silently
-// dropping every waveform sample until the rerun caught up with the
-// abandoned future.
+// Restoring to an earlier time rewinds the waveform to the snapshot's:
+// samples recorded after the checkpoint are dropped, and every event
+// after the restore records one sample again.
 func TestRestoreResetsProbeClocks(t *testing.T) {
 	c, _ := circuit.NewSET(circuit.SETConfig{
 		R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
@@ -290,10 +296,6 @@ func TestRestoreResetsProbeClocks(t *testing.T) {
 	if _, err := s.Run(500, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Size the decimation interval from the trajectory so ~10 events
-	// pass per sample, then run onward so the probe clock advances well
-	// past the checkpoint time.
-	s.opt.ProbeInterval = s.Time() / 50
 	cp, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -304,12 +306,16 @@ func TestRestoreResetsProbeClocks(t *testing.T) {
 	if err := s.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	before := len(s.Waveform(island))
+	before := s.Waveform(island)
+	want := cp.Waves[island]
+	if len(before) != len(want) || before[len(before)-1] != want[len(want)-1] {
+		t.Fatalf("restored waveform has %d samples ending %+v, snapshot %d ending %+v",
+			len(before), before[len(before)-1], len(want), want[len(want)-1])
+	}
 	if _, err := s.Run(300, 0); err != nil {
 		t.Fatal(err)
 	}
-	after := len(s.Waveform(island))
-	if after <= before {
-		t.Fatalf("no waveform samples after restore (%d before, %d after): probe clocks kept future timestamps", before, after)
+	if got := len(s.Waveform(island)) - len(before); got != 300 {
+		t.Fatalf("300 events after restore recorded %d samples, want one per event", got)
 	}
 }

@@ -84,10 +84,9 @@ func (s *Sim) JunctionCurrent(j int) float64 {
 func (s *Sim) MeasureTime() float64 { return s.t - s.measStart }
 
 // AddProbe records the waveform of a node (one sample per applied
-// event, decimated by Options.ProbeInterval).
+// event).
 func (s *Sim) AddProbe(node int) {
 	s.probes = append(s.probes, node)
-	s.lastProbe[node] = -1
 	s.recordProbes()
 }
 
@@ -96,11 +95,6 @@ func (s *Sim) Waveform(node int) []Sample { return s.waves[node] }
 
 func (s *Sim) recordProbes() {
 	for _, node := range s.probes {
-		if last, ok := s.lastProbe[node]; ok && last >= 0 &&
-			s.opt.ProbeInterval > 0 && s.t-last < s.opt.ProbeInterval {
-			continue
-		}
 		s.waves[node] = append(s.waves[node], Sample{T: s.t, V: s.nodeV(node)})
-		s.lastProbe[node] = s.t
 	}
 }

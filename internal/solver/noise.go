@@ -9,8 +9,8 @@ import (
 // EnableNoise attaches a streaming noise/FCS recorder (see
 // internal/noise) to the simulation: every applied tunnel event's
 // transferred charge is folded into per-junction accumulators for
-// counting-window cumulants (Fano factor), the Sverdlov-style spectral
-// density on cfg's ω grids, and optional binned autocorrelation.
+// counting-window cumulants (Fano factor) and the Sverdlov-style
+// spectral density on cfg's ω grids.
 // Recording is passive — a run with a recorder attached is
 // bit-identical to one without (the Add hook reads the event stream,
 // never solver state) — and allocation-free per event, gated by the

@@ -143,7 +143,7 @@ func TestNoisePassiveTrajectory(t *testing.T) {
 		}
 		if withNoise {
 			if err := s.EnableNoise(noise.Config{Juncs: []noise.JuncConfig{
-				{Junc: nd.JuncSource, Omegas: []float64{1e8}, Window: 1e-9, Lags: 4, Bin: 1e-9},
+				{Junc: nd.JuncSource, Omegas: []float64{1e8}, Window: 1e-9},
 			}}); err != nil {
 				t.Fatal(err)
 			}

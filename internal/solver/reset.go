@@ -63,9 +63,6 @@ func (s *Sim) Reset(seed uint64, dcOverride map[int]float64) error {
 	for node := range s.waves {
 		delete(s.waves, node)
 	}
-	for node := range s.lastProbe {
-		s.lastProbe[node] = -1
-	}
 	// The electron configuration and sources just changed under the
 	// solver; disarm the drift invariant until the refresh below
 	// re-establishes a baseline, and force the static-source voltage

@@ -68,12 +68,6 @@ type Options struct {
 	Cotunneling bool
 	// Seed initializes the deterministic random stream.
 	Seed uint64
-	// CPWidthFloor is the minimum lifetime broadening hbar*gamma of the
-	// Cooper-pair resonance, as a fraction of the gap. Default 1e-3.
-	CPWidthFloor float64
-	// ProbeInterval decimates waveform recording: samples closer in
-	// time than this are dropped. Zero records every event.
-	ProbeInterval float64
 	// Parallel is ignored: every run evaluates its rates serially on the
 	// calling goroutine, and a Sim starts no goroutines of its own.
 	//
@@ -119,10 +113,11 @@ func (o *Options) setDefaults(numJunctions int) {
 			o.RefreshEvery = numJunctions
 		}
 	}
-	if o.CPWidthFloor <= 0 {
-		o.CPWidthFloor = 1e-3
-	}
 }
+
+// cpWidthFloor is the minimum lifetime broadening hbar*gamma of the
+// Cooper-pair resonance, as a fraction of the gap.
+const cpWidthFloor = 1e-3
 
 // Event channel kinds.
 type chKind uint8
@@ -330,7 +325,6 @@ type Sim struct {
 	measStart float64
 	probes    []int // node ids
 	waves     map[int][]Sample
-	lastProbe map[int]float64
 
 	// Scratch buffers for the adaptive BFS.
 	//
@@ -399,20 +393,19 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 		}
 	}
 	s := &Sim{
-		c:         c,
-		opt:       opt,
-		rnd:       rng.NewBatch(opt.Seed),
-		n:         make([]int, c.NumIslands()),
-		v:         make([]float64, c.NumIslands()),
-		vext:      c.ExternalVoltages(nil, 0),
-		charge:    make([]float64, c.NumJunctions()),
-		evFw:      make([]uint64, c.NumJunctions()),
-		evBw:      make([]uint64, c.NumJunctions()),
-		evCoop:    make([]uint64, c.NumJunctions()),
-		waves:     map[int][]Sample{},
-		lastProbe: map[int]float64{},
-		superOn:   sp.Superconducting(),
-		visited:   make([]uint32, c.NumJunctions()),
+		c:       c,
+		opt:     opt,
+		rnd:     rng.NewBatch(opt.Seed),
+		n:       make([]int, c.NumIslands()),
+		v:       make([]float64, c.NumIslands()),
+		vext:    c.ExternalVoltages(nil, 0),
+		charge:  make([]float64, c.NumJunctions()),
+		evFw:    make([]uint64, c.NumJunctions()),
+		evBw:    make([]uint64, c.NumJunctions()),
+		evCoop:  make([]uint64, c.NumJunctions()),
+		waves:   map[int][]Sample{},
+		superOn: sp.Superconducting(),
+		visited: make([]uint32, c.NumJunctions()),
 	}
 	s.obs = opt.Obs
 	if s.obs == nil {

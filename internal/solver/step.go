@@ -296,12 +296,12 @@ func (s *Sim) computeCotunnelRange(lo, hi int, calcs *uint64) {
 // The lifetime broadening gamma is the total quasi-particle escape rate
 // out of the post-tunneling state, summed over the precomputed escape
 // list (the events that complete a JQP/DJQP cycle), floored at
-// CPWidthFloor * gap / hbar.
+// cpWidthFloor * gap / hbar.
 //
 //semsim:hot
 func (s *Sim) computeCooperRange(lo, hi int, calcs *uint64) {
 	v, extV := s.v, s.extV
-	floorGamma := s.opt.CPWidthFloor * s.gap / units.Hbar
+	floorGamma := cpWidthFloor * s.gap / units.Hbar
 	for i := lo; i < hi; i++ {
 		*calcs++
 		ci := s.secChans[i]

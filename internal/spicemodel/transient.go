@@ -463,13 +463,5 @@ func stamp2(jac *matrix.Dense, rhs []float64, n, a, b int, g, ic float64) {
 	addJac(jac, n, b, b, g)
 }
 
-// DrainCurrent returns the compact-model current of device d (ordered
-// as discovered) — useful for I-V validation against the MC solver.
-func (s *Sim) DrainCurrent(d int) float64 {
-	dev := &s.devices[d]
-	vds := s.voltage(s.v, dev.a) - s.voltage(s.v, dev.b)
-	return dev.model.Current(vds, dev.q0(s, s.v))
-}
-
 // NumDevices returns how many SETs the compact view found.
 func (s *Sim) NumDevices() int { return len(s.devices) }

@@ -267,7 +267,3 @@ func (q *QPTable) Rate(dw float64) float64 {
 	}
 	return g / (units.E * units.E) * q.kT * numeric.XOverExpm1(dw/q.kT)
 }
-
-// Vmax reports the tabulated voltage range (beyond it the table
-// extrapolates linearly, which matches the ohmic asymptote).
-func (q *QPTable) Vmax() float64 { return q.tab.Max() }

@@ -201,7 +201,7 @@ seed 100
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := RunDeckCtx(context.Background(), d, DeckOverrides{}, DeckRunConfig{Workers: 2})
+	pts, err := RunDeckCtx(context.Background(), d, DeckRunConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
