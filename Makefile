@@ -34,10 +34,10 @@ race:
 # doc must cover every parser directive, the doccomment analyzer (with
 # its fixtures) must hold over the public surface, and README's pass
 # table and the semsimlint package doc must name every lint pass.
-docs-verify: bin/semsimlint
+docs-verify:
 	go test -run 'TestDeckDoc' ./internal/netlist/
 	go test -run 'TestDoccomment|TestReadmeListsEveryPass' ./internal/lint/
-	go vet -vettool=bin/semsimlint . ./internal/jobs/...
+	go run ./cmd/semsimlint . ./internal/jobs/...
 
 # Disabled observability must stay literally free (nil-receiver hooks
 # at 0 allocs/op), and so must the per-event potential update (the
@@ -107,18 +107,14 @@ fmt:
 vet:
 	go vet ./...
 
-# The project's own analyzer suite (see DESIGN.md section 7), run
-# through `go vet -vettool` so findings carry standard file:line
-# formatting and vet's package loader. Both build configurations are
-# checked so the semsimdebug-only files stay clean too.
-lint: bin/semsimlint
-	go vet -vettool=bin/semsimlint ./...
-	go vet -vettool=bin/semsimlint -tags semsimdebug ./...
-
-bin/semsimlint: FORCE
-	go build -o bin/semsimlint ./cmd/semsimlint
-
-FORCE:
+# The project's own analyzer suite (see DESIGN.md section 7): the
+# module driver loads every package once and threads the cross-package
+# facts in dependency order, printing one file:line:col finding per
+# line. Both build configurations are checked so the semsimdebug-only
+# files stay clean too.
+lint:
+	go run ./cmd/semsimlint ./...
+	go run ./cmd/semsimlint -tags semsimdebug ./...
 
 # Short local fuzzing bursts over the committed seed corpora.
 fuzz:

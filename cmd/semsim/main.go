@@ -147,17 +147,20 @@ func main() {
 		w = f
 	}
 
-	var juncs []int
-	if len(pts) > 0 {
-		for j := range pts[0].Current {
-			juncs = append(juncs, j)
-		}
-		sort.Ints(juncs)
-	}
-	// Noise columns come from the deck's record noise/fano directives
-	// (not from the result points) so the layout is stable even when
-	// some points are fully blockaded: F and its standard error per
-	// noise-recorded junction, then one S column per requested ω.
+	writeTable(w, name, deck, pts)
+}
+
+// writeTable prints the commented run header and one row per folded
+// point of deck's run to w.
+func writeTable(w io.Writer, name string, deck *semsim.Deck, pts []semsim.DeckPoint) {
+	// Every column comes from the deck's record directives, not from
+	// the result points, so the layout is stable even when some points
+	// (the first one included) are fully blockaded and fold no current:
+	// one I column per recorded junction in id order, then F and its
+	// standard error per noise-recorded junction and one S column per
+	// requested ω.
+	juncs := append([]int(nil), deck.Spec.RecordJuncs...)
+	sort.Ints(juncs)
 	type noiseCol struct {
 		j      int
 		omegas []float64

@@ -453,7 +453,6 @@ func (e *Engine) worker(id int) {
 			Wall: startWall, Dur: t.job.trace.wall() - startWall})
 		if err != nil && isTransient(err) && t.attempt < e.cfg.MaxRetries &&
 			t.job.ctx.Err() == nil && !e.draining() {
-			e.count("jobs.task_retries")
 			if m := e.eobs; m != nil {
 				m.tasksRetried.Add(1)
 			}
@@ -499,8 +498,11 @@ func (e *Engine) backoff(t task) bool {
 }
 
 // finishTask records a task outcome and finalizes the job when it was
-// the last one. The terminal bus event is published before completed is
-// closed, so event streams always observe the final state.
+// the last one. A task's permanent failure cancels its job, so queued
+// tasks finish as canceled instead of running for a result the failed
+// job would throw away; a drained job (ErrInterrupted) is not canceled
+// and stays resumable. The terminal bus event is published before
+// completed is closed, so event streams always observe the final state.
 func (e *Engine) finishTask(t task, res runResult, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -514,6 +516,10 @@ func (e *Engine) finishTask(t task, res runResult, err error) {
 		if j.err == nil || (!errors.Is(err, ErrInterrupted) && !errors.Is(err, context.Canceled)) {
 			j.err = err
 		}
+	}
+	if err != nil && !errors.Is(err, ErrInterrupted) &&
+		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		j.cancel()
 	}
 	outcome := taskOutcome(err)
 	e.eobs.finished(outcome)

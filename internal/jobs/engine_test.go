@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"semsim/internal/obs"
 )
 
 // scriptedEngine builds an engine whose tasks run the given function
@@ -41,10 +43,12 @@ func waitState(t *testing.T, e *Engine, j *Job, want State) {
 }
 
 // A transiently failing task must be retried with backoff and succeed
-// within the retry budget.
+// within the retry budget. Each retry is counted once, as
+// jobs.tasks_retried.
 func TestEngineRetriesTransientFailures(t *testing.T) {
 	var calls atomic.Int32
-	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond},
+	o := obs.New(obs.Config{})
+	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond, Obs: o},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			if tk.point == 0 && tk.run == 0 && calls.Add(1) < 3 {
 				return runResult{}, &transientError{errors.New("disk hiccup")}
@@ -58,6 +62,13 @@ func TestEngineRetriesTransientFailures(t *testing.T) {
 	}
 	if _, err := e.Result(j); err != nil {
 		t.Fatal(err)
+	}
+	counters := o.Registry().Snapshot().Counters
+	if got, ok := counters["jobs.tasks_retried"]; !ok || got != 2 {
+		t.Errorf("jobs.tasks_retried = %d (present %v), want 2", got, ok)
+	}
+	if _, ok := counters["jobs.task_retries"]; ok {
+		t.Error("the retry is also counted as jobs.task_retries")
 	}
 }
 
@@ -74,19 +85,29 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// Permanent (non-transient) failures must not be retried at all.
+// Permanent (non-transient) failures must not be retried at all, and
+// the first one stops its job: the other queued tasks never run, and
+// the job fails with the task's error.
 func TestEngineDoesNotRetryPermanentFailures(t *testing.T) {
 	var calls atomic.Int32
+	broke := errors.New("physics broke")
 	e := scriptedEngine(t, EngineConfig{Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			calls.Add(1)
-			return runResult{}, errors.New("physics broke")
+			return runResult{}, broke
 		})
 	j := submit(t, e)
 	waitState(t, e, j, StateFailed)
-	// 6 tasks (3 points x 2 runs), one call each, no retries.
-	if got := calls.Load(); got != 6 {
-		t.Fatalf("permanent failures ran %d tasks, want 6 (no retries)", got)
+	// 6 tasks (3 points x 2 runs): the first runs once, unretried, and
+	// cancels the five still queued.
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("permanent failures ran %d tasks, want 1 (no retries, job stopped)", got)
+	}
+	if st := e.Status(j); st.Error != broke.Error() {
+		t.Errorf("job error %q, want the task's %q", st.Error, broke)
+	}
+	if _, err := e.Result(j); !errors.Is(err, broke) {
+		t.Errorf("failed job result error %v, want the task's", err)
 	}
 }
 

@@ -449,20 +449,14 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, _ Overrides, cfg RunConfi
 			return nil
 		}
 
+		// One pool at every worker count (one worker is a one-goroutine
+		// pool). Once any task fails, no further task starts; the
+		// deterministic fold below makes completion order irrelevant to
+		// the result.
 		wn := workers
 		if wn > len(tasks) {
 			wn = len(tasks)
 		}
-		if wn <= 1 {
-			for _, t := range tasks {
-				if err := run(0, t); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Cancel the siblings once any task fails; the deterministic fold
-		// below makes completion order irrelevant to the result.
 		tctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		work := make(chan task)

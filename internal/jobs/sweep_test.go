@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"runtime"
@@ -83,6 +84,52 @@ temp 0
 		if !p.Blockaded || p.Current[2] != 0 || p.Events != 0 {
 			t.Fatalf("T=0 sub-threshold point not folded as blockaded: %+v", p)
 		}
+	}
+}
+
+// A junction listed twice in record lines is recorded once: `record 2 2`
+// and `record fano 2` followed by `record 2` fold bit-identical currents
+// to `record 2`, not one current per listing, and each deck's canonical
+// form re-parses to itself.
+func TestDeckRepeatedRecordFoldsOnce(t *testing.T) {
+	const setDeck = `
+junc 1 1 4 1e-6 1e-18
+junc 2 2 4 1e-6 1e-18
+cap 3 4 3e-18
+vdc 1 0.02
+vdc 2 -0.02
+vdc 3 0.0
+symm 1
+temp 5
+jumps 2000
+sweep 2 0.02 0.01
+seed 1
+`
+	run := func(d *netlist.Deck) []Point {
+		t.Helper()
+		pts, err := ExecuteDeck(context.Background(), d, Overrides{}, RunConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	want := run(parseDeck(t, setDeck+"record 2\n"))
+	for _, rec := range []string{"record 2 2\n", "record fano 2\nrecord 2\n"} {
+		d := parseDeck(t, setDeck+rec)
+		if got := d.Spec.RecordJuncs; len(got) != 1 || got[0] != 2 {
+			t.Errorf("%q: RecordJuncs = %v, want [2]", rec, got)
+		}
+		var once, twice bytes.Buffer
+		if err := d.Format(&once); err != nil {
+			t.Fatal(err)
+		}
+		if err := parseDeck(t, once.String()).Format(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if once.String() != twice.String() {
+			t.Errorf("%q: Parse(Format(d)) is not a fixpoint:\n%s\nvs\n%s", rec, once.String(), twice.String())
+		}
+		samePoints(t, want, run(d), rec)
 	}
 }
 

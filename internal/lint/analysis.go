@@ -25,17 +25,14 @@ import (
 // Analyzer describes one static-analysis pass, mirroring
 // x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics and -only filters.
+	// Name identifies the pass in diagnostics.
 	Name string
-	// Doc is a one-paragraph description, shown by `semsimlint -list`.
+	// Doc is a one-paragraph description of the invariant the pass
+	// enforces.
 	Doc string
 	// Run applies the pass to one type-checked package, reporting
 	// findings through pass.Reportf.
 	Run func(*Pass) error
-	// FactTypes declares the concrete fact types the pass exports (one
-	// zero-valued pointer per type), so the drivers can register them
-	// for .vetx serialization. A pass with no FactTypes is purely local.
-	FactTypes []Fact
 }
 
 // Pass carries one type-checked package through an analyzer, mirroring
@@ -46,9 +43,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Path is the package import path, normalized: for test variants
-	// ("pkg [pkg.test]") only the base path is kept, so path-keyed
-	// policies apply uniformly under `go vet -vettool`.
+	// Path is the package import path.
 	Path string
 
 	report func(Diagnostic)
@@ -88,40 +83,10 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated -only list against All.
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// normalizePath strips the test-variant suffix go list and vet use for
-// augmented test packages ("pkg [pkg.test]" or "pkg.test").
-func normalizePath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, ".test")
-}
-
 // runAnalyzers applies each analyzer to one package and returns the
 // findings sorted by position. Facts the analyzers export (and the
 // imported facts they consult) live in store, which must be shared
-// across the packages of one session; a nil store disables facts.
+// across the packages of one session.
 func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 	pkg *types.Package, info *types.Info, path string, store *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
@@ -132,7 +97,7 @@ func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
-			Path:     normalizePath(path),
+			Path:     path,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 			store:    store,
 		}
@@ -147,16 +112,6 @@ func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
-}
-
-// RunPackage applies the analyzers to one externally type-checked
-// package (the `go vet -vettool` path, where vet supplies the build
-// graph, export data and the dependency facts in store) and returns the
-// findings sorted by position. Facts the analyzers export land in
-// store for the caller to serialize.
-func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, path string, store *FactStore) ([]Diagnostic, error) {
-	return runAnalyzers(analyzers, fset, files, pkg, info, path, store)
 }
 
 // newTypesInfo allocates the full set of type-checking maps the passes

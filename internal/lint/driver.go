@@ -9,13 +9,13 @@ import (
 )
 
 // Run loads the packages matching patterns (rooted at dir, with the
-// given build tags), applies the analyzers module-wide in dependency
+// given build tags), applies every analyzer module-wide in dependency
 // order — threading one fact store through every package, so
 // cross-package passes see their upstream facts — and prints one
 // "file:line:col: analyzer: message" line per finding to w. It returns
 // the number of findings.
-func Run(dir, tags string, analyzers []*Analyzer, patterns []string, w io.Writer) (int, error) {
-	diags, fset, _, err := runModule(dir, tags, analyzers, patterns)
+func Run(dir, tags string, patterns []string, w io.Writer) (int, error) {
+	diags, fset, _, err := runModule(dir, tags, patterns)
 	if err != nil {
 		return 0, err
 	}
@@ -38,8 +38,8 @@ type JSONDiagnostic struct {
 
 // RunJSON is Run with machine-readable output: a JSON array of
 // findings (always an array, "[]" when clean) followed by a newline.
-func RunJSON(dir, tags string, analyzers []*Analyzer, patterns []string, w io.Writer) (int, error) {
-	diags, fset, _, err := runModule(dir, tags, analyzers, patterns)
+func RunJSON(dir, tags string, patterns []string, w io.Writer) (int, error) {
+	diags, fset, _, err := runModule(dir, tags, patterns)
 	if err != nil {
 		return 0, err
 	}
@@ -70,10 +70,12 @@ func RunJSON(dir, tags string, analyzers []*Analyzer, patterns []string, w io.Wr
 }
 
 // runModule loads and analyzes the module once and returns the findings
-// of every package, in package order, plus the session's fact store.
-// Load returns packages in dependency order, so by the time a package
-// runs, the facts of everything it imports are already in the store.
-func runModule(dir, tags string, analyzers []*Analyzer, patterns []string) ([]Diagnostic, *token.FileSet, *FactStore, error) {
+// of every package the patterns match, in package order, plus the
+// session's fact store. Load returns packages in dependency order, so
+// by the time a package runs, the facts of everything it imports are
+// already in the store — also when the patterns name only some of the
+// module's packages.
+func runModule(dir, tags string, patterns []string) ([]Diagnostic, *token.FileSet, *FactStore, error) {
 	pkgs, err := Load(dir, tags, patterns...)
 	if err != nil {
 		return nil, nil, nil, err
@@ -82,11 +84,13 @@ func runModule(dir, tags string, analyzers []*Analyzer, patterns []string) ([]Di
 	var all []Diagnostic
 	var fset *token.FileSet
 	for _, pkg := range pkgs {
-		diags, err := runAnalyzers(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, pkg.Path, store)
+		diags, err := runAnalyzers(All(), pkg.Fset, pkg.Files, pkg.Types, pkg.Info, pkg.Path, store)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		all = append(all, diags...)
+		if !pkg.DepOnly {
+			all = append(all, diags...)
+		}
 		fset = pkg.Fset
 	}
 	return all, fset, store, nil

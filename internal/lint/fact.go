@@ -1,13 +1,8 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"sync"
 )
 
 // Fact is a typed datum one analyzer attaches to a package-level object
@@ -18,10 +13,8 @@ import (
 // (a function is impure, a struct type is fully serialized, a global is
 // mutated) as facts on its exported objects.
 //
-// Concrete fact types must be pointers to gob-encodable structs and must
-// be listed in their Analyzer's FactTypes so the vet-tool driver can
-// serialize them into .vetx files between `go vet` invocations; the
-// standalone module driver passes them in memory.
+// Concrete fact types are pointers to structs. Facts never leave the
+// process: the driver keeps them in one FactStore for the whole run.
 type Fact interface {
 	// AFact marks the type as a fact; it has no behaviour.
 	AFact()
@@ -31,16 +24,15 @@ type Fact interface {
 // object key from objKey and typ the concrete fact type's name, so an
 // analyzer can attach facts of several types to the same object.
 type factKey struct {
-	pkg string // package import path, normalized
+	pkg string // package import path
 	obj string // objKey result
 	typ string // concrete fact type, e.g. "*lint.PurityFact"
 }
 
 // FactStore holds the facts exported so far in one analysis session.
-// The module driver creates one store and threads it through every
-// package in dependency order; the vet-tool driver fills one from the
-// .vetx files of the package's dependencies and serializes the
-// current package's additions into its own .vetx output.
+// The module driver (and the fixture harness) creates one store and
+// threads it through every package in dependency order, so a package's
+// facts are in the store before any importer is analyzed.
 type FactStore struct {
 	m map[factKey]Fact
 }
@@ -63,8 +55,7 @@ func (s *FactStore) get(pkg, obj string, ptr Fact) bool {
 	return true
 }
 
-// factTypeName names a fact's concrete type for keying and wire
-// identification.
+// factTypeName names a fact's concrete type for keying.
 func factTypeName(f Fact) string { return reflect.TypeOf(f).String() }
 
 // objKey gives a package-local, export-data-stable key for the objects
@@ -111,98 +102,26 @@ func recvTypeName(t types.Type) string {
 // not exportable, mirroring x/tools' contract that facts flow strictly
 // downstream.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.store == nil || obj == nil || obj.Pkg() != p.Pkg {
+	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
 	key, ok := objKey(obj)
 	if !ok {
 		return
 	}
-	p.store.put(normalizePath(obj.Pkg().Path()), key, fact)
+	p.store.put(obj.Pkg().Path(), key, fact)
 }
 
 // ImportObjectFact copies the fact of ptr's type attached to obj into
 // ptr, reporting whether one was found. It resolves facts exported by
 // any earlier package of the session (including the current one).
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	if p.store == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
 	key, ok := objKey(obj)
 	if !ok {
 		return false
 	}
-	return p.store.get(normalizePath(obj.Pkg().Path()), key, ptr)
-}
-
-// wireFact is the serialized form of one fact in a .vetx file. The Fact
-// field is an interface, so gob records the concrete type; every fact
-// type is registered from the analyzers' FactTypes declarations.
-type wireFact struct {
-	Obj  string // objKey
-	Fact Fact
-}
-
-var registerFactsOnce sync.Once
-
-// registerFactTypes registers every declared fact type with gob, once.
-func registerFactTypes() {
-	registerFactsOnce.Do(func() {
-		for _, a := range All() {
-			for _, f := range a.FactTypes {
-				gob.Register(f)
-			}
-		}
-	})
-}
-
-// EncodeFacts serializes the facts the store holds for one package into
-// the .vetx wire format (deterministically ordered). An empty package
-// yields an empty (zero-length) blob so untouched .vetx files stay
-// valid.
-func (s *FactStore) EncodeFacts(pkgPath string) ([]byte, error) {
-	registerFactTypes()
-	pkgPath = normalizePath(pkgPath)
-	var facts []wireFact
-	for k, f := range s.m {
-		if k.pkg == pkgPath {
-			facts = append(facts, wireFact{Obj: k.obj, Fact: f})
-		}
-	}
-	if len(facts) == 0 {
-		return nil, nil
-	}
-	sort.Slice(facts, func(i, j int) bool {
-		if facts[i].Obj != facts[j].Obj {
-			return facts[i].Obj < facts[j].Obj
-		}
-		return factTypeName(facts[i].Fact) < factTypeName(facts[j].Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(facts); err != nil {
-		return nil, fmt.Errorf("lint: encoding facts for %s: %w", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFacts merges a .vetx blob produced by EncodeFacts into the
-// store under the given package path. Zero-length blobs are valid and
-// empty.
-func (s *FactStore) DecodeFacts(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	registerFactTypes()
-	var facts []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&facts); err != nil {
-		return fmt.Errorf("lint: decoding facts for %s: %w", pkgPath, err)
-	}
-	pkgPath = normalizePath(pkgPath)
-	for _, wf := range facts {
-		if wf.Fact == nil {
-			continue
-		}
-		s.put(pkgPath, wf.Obj, wf.Fact)
-	}
-	return nil
+	return p.store.get(obj.Pkg().Path(), key, ptr)
 }

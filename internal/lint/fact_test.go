@@ -2,73 +2,6 @@ package lint
 
 import "testing"
 
-// TestFactStoreRoundTrip proves the .vetx wire format the vet-tool
-// driver depends on: facts exported for one package survive
-// EncodeFacts/DecodeFacts into a fresh store, byte-identically across
-// encodings (vet caches on output bytes).
-func TestFactStoreRoundTrip(t *testing.T) {
-	s := NewFactStore()
-	s.put("semsim/internal/rng", "Source.MarshalBinary", &PurityFact{Reason: "test reason"})
-	s.put("semsim/internal/rng", "Source", &SerialFact{Complete: true})
-	s.put("semsim/internal/rng", "Default", &GlobalFact{Mutable: true})
-	s.put("semsim/internal/jobs", "Plan", &SerialFact{Complete: false, Reason: "hidden field"})
-
-	blob, err := s.EncodeFacts("semsim/internal/rng")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob) == 0 {
-		t.Fatal("EncodeFacts returned empty blob for non-empty package")
-	}
-	blob2, err := s.EncodeFacts("semsim/internal/rng")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blob) != string(blob2) {
-		t.Error("EncodeFacts is not deterministic: two encodings differ")
-	}
-
-	dst := NewFactStore()
-	if err := dst.DecodeFacts("semsim/internal/rng", blob); err != nil {
-		t.Fatal(err)
-	}
-	var pf PurityFact
-	if !dst.get("semsim/internal/rng", "Source.MarshalBinary", &pf) {
-		t.Fatal("PurityFact lost in round trip")
-	}
-	if pf.Reason != "test reason" {
-		t.Errorf("PurityFact.Reason = %q, want %q", pf.Reason, "test reason")
-	}
-	var sf SerialFact
-	if !dst.get("semsim/internal/rng", "Source", &sf) || !sf.Complete {
-		t.Error("SerialFact lost or corrupted in round trip")
-	}
-	var gf GlobalFact
-	if !dst.get("semsim/internal/rng", "Default", &gf) || !gf.Mutable {
-		t.Error("GlobalFact lost or corrupted in round trip")
-	}
-	// Facts of other packages must not leak into the encoded blob.
-	if dst.get("semsim/internal/jobs", "Plan", &sf) {
-		t.Error("EncodeFacts leaked a fact belonging to another package")
-	}
-}
-
-// TestFactStoreEmptyPackage: packages without facts encode to nil and
-// decode as a no-op, so untouched .vetx files stay valid.
-func TestFactStoreEmptyPackage(t *testing.T) {
-	s := NewFactStore()
-	blob, err := s.EncodeFacts("semsim/internal/units")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob != nil {
-		t.Errorf("EncodeFacts of factless package = %d bytes, want nil", len(blob))
-	}
-	if err := s.DecodeFacts("semsim/internal/units", nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFactStoreTypeKeying: two fact types on the same object coexist,
 // and get with the wrong type misses instead of corrupting.
 func TestFactStoreTypeKeying(t *testing.T) {

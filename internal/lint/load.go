@@ -24,6 +24,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// DepOnly marks a module package the patterns do not match but
+	// import: it is analyzed for the facts its importers consult, and
+	// its own findings are not reported.
+	DepOnly bool
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -38,13 +42,14 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Load enumerates the packages matching patterns with `go list`, parses
-// their (non-test) Go files and type-checks them in dependency order.
-// Standard-library imports are resolved by compiling their sources from
-// GOROOT (the "source" importer), so loading needs no pre-built export
-// data, no network and no tooling beyond the go command itself.
+// Load enumerates the packages matching patterns, plus the module
+// packages they import, with `go list -deps`, parses their (non-test)
+// Go files and type-checks them in dependency order. Standard-library
+// imports are resolved by compiling their sources from GOROOT (the
+// "source" importer), so loading needs no pre-built export data, no
+// network and no tooling beyond the go command itself.
 func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
-	args := []string{"list", "-e", "-json"}
+	args := []string{"list", "-e", "-json", "-deps"}
 	if tags != "" {
 		args = append(args, "-tags", tags)
 	}
@@ -70,7 +75,7 @@ func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("lint: go list: %s", lp.Error.Err)
 		}
-		if lp.Standard || lp.DepOnly || lp.Name == "" || len(lp.GoFiles) == 0 {
+		if lp.Standard || lp.Name == "" || len(lp.GoFiles) == 0 {
 			continue
 		}
 		metas = append(metas, &lp)
@@ -110,12 +115,13 @@ func Load(dir string, tags string, patterns ...string) ([]*Package, error) {
 		}
 		imp.local[lp.ImportPath] = tpkg
 		out = append(out, &Package{
-			Path:  lp.ImportPath,
-			Dir:   lp.Dir,
-			Fset:  fset,
-			Files: parsed[lp.ImportPath],
-			Types: tpkg,
-			Info:  info,
+			Path:    lp.ImportPath,
+			Dir:     lp.Dir,
+			Fset:    fset,
+			Files:   parsed[lp.ImportPath],
+			Types:   tpkg,
+			Info:    info,
+			DepOnly: lp.DepOnly,
 		})
 	}
 	return out, nil

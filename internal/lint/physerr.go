@@ -87,7 +87,7 @@ func errorResultIndices(pass *Pass, call *ast.CallExpr) []int {
 		return nil
 	}
 	pkg := calleePackage(pass, call)
-	if pkg == nil || !physerrWatched(normalizePath(pkg.Path())) {
+	if pkg == nil || !physerrWatched(pkg.Path()) {
 		return nil
 	}
 	errType := types.Universe.Lookup("error").Type()

@@ -42,10 +42,9 @@ import (
 // A finding is waived by a same-line `//resumepure:ok <reason>` comment
 // with a mandatory reason, mirroring //hotalloc:ok.
 var Resumepurity = &Analyzer{
-	Name:      "resumepurity",
-	Doc:       "checkpoint/restore/replay paths must not read wall clocks, math/rand, mutable globals, or order-sensitive map ranges (cross-package via facts)",
-	Run:       runResumepurity,
-	FactTypes: []Fact{(*PurityFact)(nil), (*GlobalFact)(nil)},
+	Name: "resumepurity",
+	Doc:  "checkpoint/restore/replay paths must not read wall clocks, math/rand, mutable globals, or order-sensitive map ranges (cross-package via facts)",
+	Run:  runResumepurity,
 }
 
 // PurityFact summarizes a function for downstream packages: Impure
@@ -248,7 +247,7 @@ func resumeViolations(pass *Pass, fd *ast.FuncDecl, mutables map[*types.Var]bool
 					if mutables[v] {
 						add(e.Pos(), "access to mutable global %s", v.Name())
 					}
-				} else if !pathHasSuffixAny(normalizePath(v.Pkg().Path()), resumepurityExemptPkgs) {
+				} else if !pathHasSuffixAny(v.Pkg().Path(), resumepurityExemptPkgs) {
 					var fact GlobalFact
 					if pass.ImportObjectFact(v, &fact) && fact.Mutable {
 						add(e.Pos(), "access to mutable global %s.%s", v.Pkg().Name(), v.Name())

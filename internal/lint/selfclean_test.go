@@ -12,7 +12,7 @@ import (
 func TestModuleIsLintClean(t *testing.T) {
 	for _, tags := range []string{"", "semsimdebug"} {
 		var buf bytes.Buffer
-		n, err := Run("../..", tags, All(), []string{"./..."}, &buf)
+		n, err := Run("../..", tags, []string{"./..."}, &buf)
 		if err != nil {
 			t.Fatalf("tags %q: %v", tags, err)
 		}
@@ -32,7 +32,7 @@ func TestModuleIsLintClean(t *testing.T) {
 // translate), a known wall-clock reader must carry a purity fact, and
 // the snapshot codec of internal/rng must carry none.
 func TestModuleFactsExported(t *testing.T) {
-	_, _, store, err := runModule("../..", "", All(), []string{"./..."})
+	_, _, store, err := runModule("../..", "", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,5 +60,23 @@ func TestModuleFactsExported(t *testing.T) {
 	}
 	if store.get("semsim/internal/rng", "Source.UnmarshalBinary", &pf) {
 		t.Errorf("rng.Source.UnmarshalBinary became resume-impure: %s", pf.Reason)
+	}
+}
+
+// TestSubsetRunAnalyzesImportedPackages: a run over part of the module
+// (as `make docs-verify` does) still analyzes the module packages the
+// patterns import, in dependency order, so their facts reach the listed
+// packages: linting internal/jobs alone sees internal/solver's facts.
+func TestSubsetRunAnalyzesImportedPackages(t *testing.T) {
+	diags, _, store, err := runModule("../..", "", []string{"./internal/jobs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Errorf("internal/jobs has %d lint findings", len(diags))
+	}
+	var sf SerialFact
+	if !store.get("semsim/internal/solver", "Checkpoint", &sf) || !sf.Complete {
+		t.Error("no complete SerialFact for solver.Checkpoint: the imported solver package was not analyzed")
 	}
 }

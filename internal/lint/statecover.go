@@ -38,10 +38,9 @@ import (
 // envelope) sees through payload types of another (solver.Checkpoint,
 // solver.Stats) without re-analyzing them.
 var Statecover = &Analyzer{
-	Name:      "statecover",
-	Doc:       "every mutable field of a registered snapshot root must be serialized, rebuilt on restore, or carry a justified //statecover waiver",
-	Run:       runStatecover,
-	FactTypes: []Fact{(*SerialFact)(nil)},
+	Name: "statecover",
+	Doc:  "every mutable field of a registered snapshot root must be serialized, rebuilt on restore, or carry a justified //statecover waiver",
+	Run:  runStatecover,
 }
 
 // SerialFact records whether a package-level struct type is fully

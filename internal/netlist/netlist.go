@@ -113,7 +113,8 @@ type Spec struct {
 	// RateTables routes normal-state rates through the error-bounded
 	// interpolation tables. An engine knob rather than physics, but
 	// deck-expressible so a submitted deck is self-contained (e.g. for
-	// the semsimd batch daemon); command-line overrides still win.
+	// the semsimd batch daemon). The deck is its only home: no flag or
+	// request field overrides it.
 	RateTables  bool
 	Sweep       *SweepSpec
 	Map         *MapSpec
@@ -174,10 +175,12 @@ type Deck struct {
 	declJ, declExt, declNodes int // -1 when not declared
 }
 
-// recordJunc adds j to the plain record list unless already present:
-// noise and fano directives imply current recording, and the
-// append-if-missing keeps Parse(Format(d)) a fixpoint (Format writes
-// the full record line before the noise/fano lines).
+// recordJunc adds j to the plain record list unless already present,
+// so a junction listed twice (`record 2 2`, or `record fano 2` then
+// `record 2`) is recorded, and its current folded, once. Noise and fano
+// directives imply current recording, and the append-if-missing keeps
+// Parse(Format(d)) a fixpoint (Format writes the full record line
+// before the noise/fano lines).
 func (d *Deck) recordJunc(j int) {
 	for _, r := range d.Spec.RecordJuncs {
 		if r == j {
@@ -446,7 +449,7 @@ func (d *Deck) directive(f []string, ln int) error {
 				if err != nil {
 					return bad("record: malformed junction id %q", s)
 				}
-				d.Spec.RecordJuncs = append(d.Spec.RecordJuncs, j)
+				d.recordJunc(j)
 			}
 		}
 	case "probe":
