@@ -467,7 +467,12 @@ func ExecuteDeck(ctx context.Context, d *netlist.Deck, _ Overrides, cfg RunConfi
 			go func(w int) {
 				defer wg.Done()
 				for t := range work {
-					if tctx.Err() != nil {
+					if err := tctx.Err(); err != nil {
+						// A skipped task is an error, so a canceled
+						// deck never folds results it did not compute.
+						if errs[w] == nil {
+							errs[w] = err
+						}
 						continue
 					}
 					if err := run(w, t); err != nil && errs[w] == nil {

@@ -186,6 +186,21 @@ func TestExecuteDeckWorkerCountInvariance(t *testing.T) {
 	samePoints(t, ref, got, "checkpointed")
 }
 
+// A canceled context stops a deck at every worker count: ExecuteDeck
+// returns the cancellation and no points, never a fold of the zero
+// results of the tasks it skipped.
+func TestExecuteDeckCanceledReturnsError(t *testing.T) {
+	d := parseDeck(t, testDeck)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		pts, err := ExecuteDeck(ctx, d, Overrides{}, RunConfig{Workers: workers})
+		if !errors.Is(err, context.Canceled) || pts != nil {
+			t.Errorf("workers=%d: %d points, err %v; want no points and context.Canceled", workers, len(pts), err)
+		}
+	}
+}
+
 // RunSim + Checkpointer must resume a single (non-deck) simulation
 // bit-identically, including its waveform record — the logicsim
 // -resume path.

@@ -27,9 +27,6 @@ import (
 type Analyzer struct {
 	// Name identifies the pass in diagnostics.
 	Name string
-	// Doc is a one-paragraph description of the invariant the pass
-	// enforces.
-	Doc string
 	// Run applies the pass to one type-checked package, reporting
 	// findings through pass.Reportf.
 	Run func(*Pass) error

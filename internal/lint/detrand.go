@@ -28,7 +28,6 @@ import (
 // allowed.
 var Detrand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbid math/rand, time-seeded randomness, and order-sensitive map iteration in simulator packages (use internal/rng)",
 	Run:  runDetrand,
 }
 

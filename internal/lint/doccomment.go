@@ -20,7 +20,6 @@ import (
 // doc comment on the group covers every name it declares.
 var Doccomment = &Analyzer{
 	Name: "doccomment",
-	Doc:  "require doc comments on all exported symbols of the semsim facade and internal/jobs",
 	Run:  runDoccomment,
 }
 

@@ -26,7 +26,6 @@ import (
 // numeric.SameBits, which names the intent and satisfies the analyzer.
 var Floateq = &Analyzer{
 	Name: "floateq",
-	Doc:  "flag ==/!= on floating-point values outside tests (use a tolerance or numeric.SameBits)",
 	Run:  runFloateq,
 }
 

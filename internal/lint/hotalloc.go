@@ -35,7 +35,6 @@ import (
 // like every pass, skips _test.go files.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "in //semsim:hot functions of internal/solver and internal/rng, flag interface dispatch and allocation sites lacking a //hotalloc:ok waiver",
 	Run:  runHotalloc,
 }
 

@@ -41,7 +41,6 @@ import (
 // marker themselves or take no channels at all.
 var Obsdiscipline = &Analyzer{
 	Name: "obsdiscipline",
-	Doc:  "forbid terminal printing and the log package in hot simulator packages, and blocking channel sends in //semsim:publish functions",
 	Run:  runObsdiscipline,
 }
 

@@ -24,7 +24,6 @@ import (
 // fmt.Println and friends stay un-flagged.
 var Physerr = &Analyzer{
 	Name: "physerr",
-	Doc:  "flag discarded errors from matrix, netlist, solver and other module APIs",
 	Run:  runPhyserr,
 }
 

@@ -43,7 +43,6 @@ import (
 // with a mandatory reason, mirroring //hotalloc:ok.
 var Resumepurity = &Analyzer{
 	Name: "resumepurity",
-	Doc:  "checkpoint/restore/replay paths must not read wall clocks, math/rand, mutable globals, or order-sensitive map ranges (cross-package via facts)",
 	Run:  runResumepurity,
 }
 

@@ -39,7 +39,6 @@ import (
 // solver.Stats) without re-analyzing them.
 var Statecover = &Analyzer{
 	Name: "statecover",
-	Doc:  "every mutable field of a registered snapshot root must be serialized, rebuilt on restore, or carry a justified //statecover waiver",
 	Run:  runStatecover,
 }
 

@@ -29,7 +29,6 @@ import (
 //     unit being converted.
 var Unitsafety = &Analyzer{
 	Name: "unitsafety",
-	Doc:  "flag raw physical-constant literals and inline unit-prefix arithmetic outside internal/units",
 	Run:  runUnitsafety,
 }
 
