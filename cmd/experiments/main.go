@@ -15,7 +15,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -118,15 +120,17 @@ func runDeckText(text string) ([]semsim.DeckPoint, error) {
 	return semsim.RunDeckCtx(context.Background(), d, semsim.DeckRunConfig{Workers: runtime.GOMAXPROCS(0)})
 }
 
-// datFile creates an output file and returns it with a cleanup func.
-func datFile(name string) (*os.File, func()) {
+// datFile creates an output file and returns a buffered writer to it
+// with a cleanup func that flushes and closes it, exiting on an error.
+func datFile(name string) (*bufio.Writer, func()) {
 	path := filepath.Join(*outDir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	return f, func() {
-		if err := f.Close(); err != nil {
+	w := bufio.NewWriter(f)
+	return w, func() {
+		if err := errors.Join(w.Flush(), f.Close()); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", path)

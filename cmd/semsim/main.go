@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -137,22 +138,21 @@ func main() {
 		fatal(err)
 	}
 
-	w := os.Stdout
+	f := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w = f
 	}
-
-	writeTable(w, name, deck, pts)
+	if err := errors.Join(writeTable(f, name, deck, pts), f.Close()); err != nil {
+		fatal(err)
+	}
 }
 
 // writeTable prints the commented run header and one row per folded
-// point of deck's run to w.
-func writeTable(w io.Writer, name string, deck *semsim.Deck, pts []semsim.DeckPoint) {
+// point of deck's run to out, and returns the first write error.
+func writeTable(out io.Writer, name string, deck *semsim.Deck, pts []semsim.DeckPoint) error {
+	w := bufio.NewWriter(out)
 	// Every column comes from the deck's record directives, not from
 	// the result points, so the layout is stable even when some points
 	// (the first one included) are fully blockaded and fold no current:
@@ -231,6 +231,7 @@ func writeTable(w io.Writer, name string, deck *semsim.Deck, pts []semsim.DeckPo
 		}
 		fmt.Fprintln(w)
 	}
+	return w.Flush()
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,7 +45,9 @@ func TestTableKeepsCurrentColumnsWhenFirstPointBlockaded(t *testing.T) {
 		t.Fatalf("deck no longer starts with a blockaded point: %+v", pts)
 	}
 	var buf bytes.Buffer
-	writeTable(&buf, "blockaded.cir", deck, pts)
+	if err := writeTable(&buf, "blockaded.cir", deck, pts); err != nil {
+		t.Fatal(err)
+	}
 	var rows [][]string
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if strings.HasPrefix(line, "# columns:") {
@@ -75,5 +78,24 @@ func TestTableKeepsCurrentColumnsWhenFirstPointBlockaded(t *testing.T) {
 		if conducts := x >= 0.04; conducts != (cur != 0) || conducts == pts[i].Blockaded {
 			t.Errorf("row %d at %g V: current %g, blockaded %v", i, x, cur, pts[i].Blockaded)
 		}
+	}
+}
+
+// failingWriter refuses every write with its error.
+type failingWriter struct{ err error }
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// writeTable reports a failing destination (a full disk, a closed pipe)
+// instead of exiting as if the table had been written.
+func TestWriteTableReturnsWriteError(t *testing.T) {
+	deck, err := semsim.ParseNetlist(strings.NewReader(blockadedFirstDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("no space left on device")
+	pts := []semsim.DeckPoint{{SweepV: 0.01, Current: map[int]float64{1: 1e-9}}}
+	if err := writeTable(failingWriter{full}, "full.cir", deck, pts); !errors.Is(err, full) {
+		t.Fatalf("writeTable returned %v, want the writer's error", err)
 	}
 }

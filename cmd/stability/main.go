@@ -17,7 +17,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -84,15 +86,13 @@ func main() {
 	}
 	sweep.Interpolate(grid, simulated, mp.Depth)
 
-	wr := os.Stdout
+	of := os.Stdout
 	if *out != "" {
-		of, err := os.Create(*out)
-		if err != nil {
+		if of, err = os.Create(*out); err != nil {
 			fatal(err)
 		}
-		defer of.Close()
-		wr = of
 	}
+	wr := bufio.NewWriter(of)
 	what := "I(A)"
 	if *deriv {
 		what = "dI/dVx (S)"
@@ -117,6 +117,9 @@ func main() {
 			fmt.Fprintf(wr, " %.5e", v)
 		}
 		fmt.Fprintln(wr)
+	}
+	if err := errors.Join(wr.Flush(), of.Close()); err != nil {
+		fatal(err)
 	}
 }
 

@@ -1,11 +1,9 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,7 +12,6 @@ import (
 
 	"semsim/internal/netlist"
 	"semsim/internal/obs"
-	"semsim/internal/sweep"
 )
 
 // State is a job's lifecycle position.
@@ -54,8 +51,8 @@ type EngineConfig struct {
 	// RetryBackoff is the base delay before the first retry, doubling
 	// per attempt (0 = 250ms).
 	RetryBackoff time.Duration
-	// Obs receives engine metrics (jobs submitted/done/failed, retries);
-	// nil falls back to the process-global observer.
+	// Obs receives the engine's and its jobs' metrics (engine, runner,
+	// solver and sweep); nil falls back to the process-global observer.
 	Obs *obs.Observer
 	// ResultCache keeps per-task done markers in CheckpointDir after a
 	// job completes instead of deleting them. Markers are keyed by deck
@@ -69,19 +66,8 @@ type EngineConfig struct {
 // Job is one submitted deck execution tracked by an Engine. All fields
 // are managed by the engine; read them through Status and Result.
 type Job struct {
-	id       string
-	deck     *netlist.Deck
-	deckText string
-	key      string
-	pts      []deckPoint
-	runs     int
-
-	// Refinement state of map decks: the fully refined fine-lattice
-	// axes and the number of refinement levels already simulated.
-	// finishTask plans the next level when a wave completes and appends
-	// its points to pts (all nil/zero for sweep decks).
-	fineXs, fineYs []float64
-	level          int
+	id  string
+	run *deckRun // driven by the job's goroutine; others read key and runs
 
 	// Mutable state, guarded by the engine mutex.
 	state     State
@@ -89,11 +75,12 @@ type Job struct {
 	created   time.Time
 	started   time.Time // first task start (zero until running)
 	finished  time.Time
-	done      int // completed tasks
-	total     int
+	points    int // points planned so far; refinement waves add more
+	begun     int // tasks started
+	done      int // tasks finished
+	total     int // tasks planned so far
 	resumed   int // tasks that picked up a checkpoint
-	results   [][]runResult
-	points    []Point
+	result    []Point
 	ctx       context.Context
 	cancel    context.CancelFunc
 	completed chan struct{} // closed when the job reaches a terminal state
@@ -121,26 +108,19 @@ type JobStatus struct {
 	RuntimeSec float64 `json:"runtime_sec"`
 }
 
-// task is one schedulable unit: a (point, run) pair of a job.
-type task struct {
-	job     *Job
-	point   int
-	run     int
-	attempt int
-}
-
-// Engine executes submitted decks on a bounded worker pool with
-// crash-safe checkpointing, per-job timeouts, bounded retry of
-// transient failures, cancellation and graceful drain. Create one with
-// NewEngine and stop it with Shutdown (drain) or Close (abort).
+// Engine executes submitted decks with crash-safe checkpointing,
+// per-job timeouts, bounded retry of transient failures, cancellation
+// and graceful drain. Each job runs in its own goroutine through the
+// deck executor ExecuteDeck uses, and all jobs borrow their workers
+// from one pool of cfg.Workers. Create one with NewEngine and stop it
+// with Shutdown (drain) or Close (abort).
 type Engine struct {
 	cfg   EngineConfig
 	drain chan struct{}
-	wg    sync.WaitGroup
+	pool  chan *worker
+	wg    sync.WaitGroup // one per unfinished job
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []task
 	jobs   map[string]*Job
 	seq    int
 	closed bool
@@ -148,23 +128,23 @@ type Engine struct {
 	// Observability (see observe.go): the live-progress event bus, the
 	// pre-resolved engine metrics (nil without an observer), and the
 	// atomics behind the queue/worker gauges.
-	bus      *obs.Bus
-	eobs     *engineObs
-	queueLen atomic.Int64
-	running  atomic.Int64
+	bus       *obs.Bus
+	eobs      *engineObs
+	unstarted atomic.Int64 // tasks of unfinished jobs not yet started
+	running   atomic.Int64
 
 	// runTask is the task executor; tests substitute a scripted one.
-	runTask func(ctx context.Context, t task, cfg RunConfig) (runResult, error)
+	runTask taskFunc
 }
 
-// NewEngine starts an engine with cfg.Workers worker goroutines.
+// NewEngine starts an engine with a pool of cfg.Workers workers.
 func NewEngine(cfg EngineConfig) *Engine {
 	return newEngine(cfg, nil)
 }
 
 // newEngine is the real constructor; tests pass a scripted runTask to
 // unit-test scheduling, retry and drain without running simulations.
-func newEngine(cfg EngineConfig, runTask func(ctx context.Context, t task, cfg RunConfig) (runResult, error)) *Engine {
+func newEngine(cfg EngineConfig, runTask taskFunc) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -176,13 +156,16 @@ func newEngine(cfg EngineConfig, runTask func(ctx context.Context, t task, cfg R
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
+	// The workers' compile-once sessions persist across tasks AND jobs:
+	// later tasks of the same deck (and later jobs over the same deck)
+	// re-seed the cached solver instead of rebuilding it.
 	e := &Engine{
 		cfg:   cfg,
 		drain: make(chan struct{}),
+		pool:  newPool(cfg.Workers),
 		jobs:  map[string]*Job{},
 		bus:   obs.NewBus(0, 0),
 	}
-	e.cond = sync.NewCond(&e.mu)
 	if o := e.observer(); o != nil {
 		e.eobs = newEngineObs(o, e)
 		e.bus.CountOn(o.Registry().Counter("jobs.events_published"),
@@ -190,13 +173,7 @@ func newEngine(cfg EngineConfig, runTask func(ctx context.Context, t task, cfg R
 	}
 	e.runTask = runTask
 	if e.runTask == nil {
-		e.runTask = func(ctx context.Context, t task, cfg RunConfig) (runResult, error) {
-			return runDeckPoint(ctx, t.job.deck, t.job.key, t.job.pts[t.point], t.run, cfg)
-		}
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		e.wg.Add(1)
-		go e.worker(w)
+		e.runTask = simulate
 	}
 	return e
 }
@@ -208,41 +185,16 @@ func (e *Engine) observer() *obs.Observer {
 	return obs.Global()
 }
 
-func (e *Engine) count(name string) {
-	if o := e.observer(); o != nil {
-		o.Registry().Counter(name).Add(1)
-	}
-}
-
-// Submit queues a deck for execution and returns its job id. The deck
-// is validated up front; scheduling is asynchronous. Submitting a deck
-// whose previous job was interrupted (or crashed) resumes from the
-// persisted checkpoints automatically — the checkpoint key is derived
-// from the deck content, not the job id.
+// Submit starts a deck's job and returns it. The deck is validated up
+// front; execution is asynchronous. Submitting a deck whose previous
+// job was interrupted (or crashed) resumes from the persisted
+// checkpoints automatically — the checkpoint key is derived from the
+// deck content, not the job id.
 func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
-	if err := validateDeck(d); err != nil {
-		return nil, err
-	}
-	key, err := deckKey(d)
+	r, err := newDeckRun(d)
 	if err != nil {
 		return nil, err
 	}
-	var text bytes.Buffer // canonical deck text, kept for status/debugging
-	if err := d.Format(&text); err != nil {
-		return nil, err
-	}
-	spec := d.Spec
-	pts := deckPoints(&spec)
-	runs := spec.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	var fineXs, fineYs []float64
-	if mp := spec.Map; mp != nil {
-		fineXs = sweep.RefineAxis(mp.X.Values(), mp.Depth)
-		fineYs = sweep.RefineAxis(mp.Y.Values(), mp.Depth)
-	}
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -251,21 +203,12 @@ func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
 	e.seq++
 	j := &Job{
 		id:        fmt.Sprintf("j%06d", e.seq),
-		deck:      d,
-		deckText:  text.String(),
-		key:       key,
-		pts:       pts,
-		runs:      runs,
-		fineXs:    fineXs,
-		fineYs:    fineYs,
+		run:       r,
 		state:     StateQueued,
 		created:   time.Now(),
-		total:     len(pts) * runs,
+		points:    len(r.pts),
+		total:     len(r.pts) * r.runs,
 		completed: make(chan struct{}),
-	}
-	j.results = make([][]runResult, len(pts))
-	for i := range j.results {
-		j.results[i] = make([]runResult, runs)
 	}
 	j.trace = newJobTrace(e.cfg.Workers, j.created)
 	base := context.Background()
@@ -275,16 +218,12 @@ func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
 		j.ctx, j.cancel = context.WithCancel(base)
 	}
 	e.jobs[j.id] = j
-	for i := range pts {
-		for r := 0; r < runs; r++ {
-			e.queue = append(e.queue, task{job: j, point: i, run: r})
-		}
-	}
-	e.queueLen.Add(int64(j.total))
-	e.count("jobs.submitted")
+	e.unstarted.Add(int64(j.total))
+	count(e.observer(), "jobs.submitted")
 	j.trace.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateQueued, Wall: j.trace.wall()})
 	e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q,"tasks_total":%d}`, j.id, StateQueued, j.total))
-	e.cond.Broadcast()
+	e.wg.Add(1)
+	go e.runJob(j)
 	return j, nil
 }
 
@@ -330,8 +269,8 @@ func (e *Engine) Status(j *Job) JobStatus {
 
 func (e *Engine) statusLocked(j *Job) JobStatus {
 	st := JobStatus{
-		ID: j.id, State: j.state, Key: j.key,
-		Points: len(j.pts), RunsPer: j.runs,
+		ID: j.id, State: j.state, Key: j.run.key,
+		Points: j.points, RunsPer: j.run.runs,
 		TasksDone: j.done, TasksTotal: j.total, Resumed: j.resumed,
 		CreatedAt: j.created.UTC().Format(time.RFC3339),
 	}
@@ -354,7 +293,7 @@ func (e *Engine) Result(j *Job) ([]Point, error) {
 	defer e.mu.Unlock()
 	switch j.state {
 	case StateDone:
-		return j.points, nil
+		return j.result, nil
 	case StateFailed:
 		return nil, fmt.Errorf("jobs: job %s failed: %w", j.id, j.err)
 	case StateCanceled:
@@ -389,215 +328,148 @@ func (e *Engine) draining() bool {
 	}
 }
 
-func (e *Engine) worker(id int) {
+// runJob executes j's deck on the engine's pool and finalizes the job.
+// Workers flow from one wave straight into the next, and a refinement
+// wave grows the job's totals and publishes a refine event before its
+// tasks start.
+func (e *Engine) runJob(j *Job) {
 	defer e.wg.Done()
-	// The worker's compile-once session persists across tasks AND jobs:
-	// consecutive tasks of the same deck (and later jobs over the same
-	// deck) re-seed the cached solver instead of rebuilding it.
-	ds := &deckSession{}
-	for {
+	cfg := RunConfig{
+		Dir:      e.cfg.CheckpointDir,
+		Every:    e.cfg.CheckpointEvery,
+		Resume:   e.cfg.CheckpointDir != "",
+		Stop:     e.drain,
+		observer: e.observer(),
+	}
+	run := func(ctx context.Context, t task, cfg RunConfig) (runResult, error) {
+		return e.runJobTask(ctx, j, t, cfg)
+	}
+	err := j.run.execute(j.ctx, e.pool, cfg, run, func(level, points int) {
 		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if len(e.queue) == 0 && e.closed {
-			e.mu.Unlock()
-			return
-		}
-		t := e.queue[0]
-		e.queue = e.queue[1:]
-		e.queueLen.Add(-1)
-		first := false
-		if t.job.state == StateQueued {
-			t.job.state = StateRunning
-			t.job.started = time.Now()
-			first = true
-		}
-		e.mu.Unlock()
-		if first {
-			// The queued span closes when the first task starts.
-			tr := t.job.trace
-			now := tr.wall()
-			tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("queued"), Dur: now})
-			tr.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateRunning, Wall: now})
-			e.publish(t.job, "state", fmt.Sprintf(`{"job":%q,"state":%q}`, t.job.id, StateRunning))
-		}
+		defer e.mu.Unlock()
+		j.points += points
+		j.total += points * j.run.runs
+		e.unstarted.Add(int64(points * j.run.runs))
+		e.publish(j, "refine", fmt.Sprintf(`{"job":%q,"level":%d,"new_points":%d,"tasks_total":%d}`,
+			j.id, level, points, j.total))
+	})
+	e.finish(j, err)
+}
 
-		switch {
-		case t.job.ctx.Err() != nil:
-			// Canceled or timed out before this task started.
-			e.finishTask(t, runResult{}, t.job.ctx.Err())
-			continue
-		case e.draining():
-			// A draining engine starts no new work; the job stays
-			// resumable via its checkpoints.
-			e.finishTask(t, runResult{}, ErrInterrupted)
-			continue
-		}
+// runJobTask runs one task of j with the daemon's additions:
+// the queued→running transition, no start once the engine drains,
+// bounded retry of transient failures with exponential backoff (the
+// task keeps its worker meanwhile), the worker's trace lane, bus events
+// and engine metrics.
+func (e *Engine) runJobTask(ctx context.Context, j *Job, t task, cfg RunConfig) (runResult, error) {
+	if e.draining() {
+		// A draining engine starts no new work; the job stays
+		// resumable via its checkpoints.
+		return runResult{}, ErrInterrupted
+	}
+	e.unstarted.Add(-1)
+	tr := j.trace
+	e.mu.Lock()
+	j.begun++
+	if j.state == StateQueued {
+		// The queued span closes when the first task starts.
+		j.state, j.started = StateRunning, time.Now()
+		now := tr.wall()
+		tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("queued"), Dur: now})
+		tr.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateRunning, Wall: now})
+		e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q}`, j.id, StateRunning))
+	}
+	e.mu.Unlock()
 
-		lane := t.job.trace.workers[id%len(t.job.trace.workers)]
-		cfg := RunConfig{
-			Dir:     e.cfg.CheckpointDir,
-			Every:   e.cfg.CheckpointEvery,
-			Resume:  e.cfg.CheckpointDir != "",
-			Stop:    e.drain,
-			hooks:   &taskHooks{e: e, j: t.job, lane: lane, point: t.point, run: t.run},
-			session: ds,
-		}
+	lane := tr.workers[t.w.id]
+	cfg.hooks = &taskHooks{e: e, j: j, lane: lane, point: t.point, run: t.run}
+	var (
+		res runResult
+		err error
+	)
+	for attempt := 0; ; attempt++ {
 		e.running.Add(1)
-		startWall := t.job.trace.wall()
-		res, err := e.runTask(t.job.ctx, t, cfg)
+		startWall := tr.wall()
+		res, err = e.runTask(ctx, t, cfg)
 		e.running.Add(-1)
 		lane.Record(obs.Event{Kind: obs.KindTaskRun, Junc: int32(t.point), A: int32(t.run),
 			B: taskOutcome(err), V1: float64(res.Events),
-			Wall: startWall, Dur: t.job.trace.wall() - startWall})
-		if err != nil && isTransient(err) && t.attempt < e.cfg.MaxRetries &&
-			t.job.ctx.Err() == nil && !e.draining() {
-			if m := e.eobs; m != nil {
-				m.tasksRetried.Add(1)
-			}
-			delay := e.cfg.RetryBackoff << uint(t.attempt)
-			lane.Record(obs.Event{Kind: obs.KindTaskRetry, Junc: int32(t.point), A: int32(t.run),
-				B: int32(t.attempt + 1), V1: delay.Seconds(), V2: float64(errClass(err)),
-				Wall: t.job.trace.wall()})
-			e.publish(t.job, "retry", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"attempt":%d,"delay_sec":%g,"error_class":%q}`,
-				t.job.id, t.point, t.run, t.attempt+1, delay.Seconds(), obs.ErrClassName(int(errClass(err)))))
-			if e.backoff(t) {
-				continue // requeued
-			}
+			Wall: startWall, Dur: tr.wall() - startWall})
+		if err == nil || !isTransient(err) || attempt >= e.cfg.MaxRetries || ctx.Err() != nil || e.draining() {
+			break
 		}
-		e.finishTask(t, res, err)
+		if m := e.eobs; m != nil {
+			m.tasksRetried.Add(1)
+		}
+		delay := e.cfg.RetryBackoff << uint(attempt)
+		lane.Record(obs.Event{Kind: obs.KindTaskRetry, Junc: int32(t.point), A: int32(t.run),
+			B: int32(attempt + 1), V1: delay.Seconds(), V2: float64(errClass(err)),
+			Wall: tr.wall()})
+		e.publish(j, "retry", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"attempt":%d,"delay_sec":%g,"error_class":%q}`,
+			j.id, t.point, t.run, attempt+1, delay.Seconds(), obs.ErrClassName(int(errClass(err)))))
+		select {
+		case <-time.After(delay):
+			continue
+		case <-ctx.Done():
+		case <-e.drain:
+		}
+		break // canceled or drained during the backoff: the error stands
 	}
-}
 
-// backoff sleeps the task's exponential backoff delay and requeues it,
-// unless the job is canceled or the engine drains first (then the
-// task's error stands). It reports whether the task was requeued.
-func (e *Engine) backoff(t task) bool {
-	d := e.cfg.RetryBackoff << uint(t.attempt)
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-t.job.ctx.Done():
-		return false
-	case <-e.drain:
-		return false
-	}
-	t.attempt++
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return false
-	}
-	e.queue = append(e.queue, t)
-	e.queueLen.Add(1)
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	return true
-}
-
-// finishTask records a task outcome and finalizes the job when it was
-// the last one. A task's permanent failure cancels its job, so queued
-// tasks finish as canceled instead of running for a result the failed
-// job would throw away; a drained job (ErrInterrupted) is not canceled
-// and stays resumable. The terminal bus event is published before
-// completed is closed, so event streams always observe the final state.
-func (e *Engine) finishTask(t task, res runResult, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j := t.job
 	j.done++
-	if err == nil {
-		j.results[t.point][t.run] = res
-	} else if j.err == nil || errors.Is(j.err, ErrInterrupted) || errors.Is(j.err, context.Canceled) {
-		// Keep the most informative error: real failures trump the
-		// interrupts/cancellations they trigger on sibling tasks.
-		if j.err == nil || (!errors.Is(err, ErrInterrupted) && !errors.Is(err, context.Canceled)) {
-			j.err = err
-		}
-	}
-	if err != nil && !errors.Is(err, ErrInterrupted) &&
-		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		j.cancel()
-	}
+	done, total := j.done, j.total
+	e.mu.Unlock()
 	outcome := taskOutcome(err)
 	e.eobs.finished(outcome)
 	e.publish(j, "task_done", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"outcome":%q,"events":%d,"done":%d,"total":%d}`,
-		j.id, t.point, t.run, obs.TaskOutcomeName(int(outcome)), res.Events, j.done, j.total))
-	if j.done < j.total {
-		return
-	}
-	if j.err == nil {
-		// A completed wave of a map deck: plan the next refinement level
-		// from the folded currents and fan its points out instead of
-		// finalizing. The plan is pure arithmetic on completed results, so
-		// the job's trajectory set is identical at any worker count — and
-		// a resubmission after an interrupt replays earlier waves from
-		// done markers and lands on the same plan.
-		spec := j.deck.Spec
-		if next := planRefine(&spec, j.fineXs, j.fineYs, j.pts, j.results, j.level); len(next) > 0 {
-			j.level++
-			start := len(j.pts)
-			j.pts = append(j.pts, next...)
-			for range next {
-				j.results = append(j.results, make([]runResult, j.runs))
-			}
-			added := len(next) * j.runs
-			j.total += added
-			for i := start; i < len(j.pts); i++ {
-				for r := 0; r < j.runs; r++ {
-					e.queue = append(e.queue, task{job: j, point: i, run: r})
-				}
-			}
-			e.queueLen.Add(int64(added))
-			e.count("jobs.refine_waves")
-			e.publish(j, "refine", fmt.Sprintf(`{"job":%q,"level":%d,"new_points":%d,"tasks_total":%d}`,
-				j.id, j.level, len(next), j.total))
-			e.cond.Broadcast()
-			return
-		}
-	}
-	j.finished = time.Now()
-	switch {
-	case j.err == nil:
-		spec := j.deck.Spec
-		j.points = foldResults(&spec, j.pts, j.results)
-		j.state = StateDone
-		e.count("jobs.done")
+		j.id, t.point, t.run, obs.TaskOutcomeName(int(outcome)), res.Events, done, total))
+	return res, err
+}
+
+// finish records a job's outcome: the folded points of a completed run
+// (whose done markers are then removed unless ResultCache keeps them
+// for identical decks submitted later), or the terminal state the error
+// implies. The terminal bus event is published before completed is
+// closed, so event streams always observe the final state.
+func (e *Engine) finish(j *Job, err error) {
+	var pts []Point
+	if err == nil {
+		pts = j.run.fold()
 		if dir := e.cfg.CheckpointDir; dir != "" && !e.cfg.ResultCache {
-			// The job folded; its per-task done markers are obsolete.
-			// With ResultCache they stay behind so an identical deck
-			// submitted later reuses every completed result.
-			for _, p := range j.pts {
-				for r := 0; r < j.runs; r++ {
-					os.Remove(checkpointPath(dir, j.key, p.Fine, r))
-				}
-			}
+			j.run.removeMarkers(dir)
 		}
-	case errors.Is(j.err, ErrInterrupted):
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.unstarted.Add(-int64(j.total - j.begun))
+	j.err, j.result, j.finished = err, pts, time.Now()
+	switch {
+	case err == nil:
+		j.state = StateDone
+		count(e.observer(), "jobs.done")
+	case errors.Is(err, ErrInterrupted):
 		j.state = StateInterrupted
-		e.count("jobs.interrupted")
-	case errors.Is(j.err, context.Canceled), errors.Is(j.err, context.DeadlineExceeded):
+		count(e.observer(), "jobs.interrupted")
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
-		e.count("jobs.canceled")
+		count(e.observer(), "jobs.canceled")
 	default:
 		j.state = StateFailed
-		e.count("jobs.failed")
+		count(e.observer(), "jobs.failed")
 	}
-	if tr := j.trace; tr != nil {
-		now := tr.wall()
-		if !j.started.IsZero() {
-			// The running span covers first task start to job finish.
-			start := int64(j.started.Sub(tr.epoch))
-			tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("running"),
-				Wall: start, Dur: now - start})
-		}
-		tr.job.Record(obs.Event{Kind: obs.KindJobState, A: jobStateCode(j.state), Wall: now})
+	tr := j.trace
+	now := tr.wall()
+	if !j.started.IsZero() {
+		// The running span covers first task start to job finish.
+		start := int64(j.started.Sub(tr.epoch))
+		tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("running"),
+			Wall: start, Dur: now - start})
 	}
+	tr.job.Record(obs.Event{Kind: obs.KindJobState, A: jobStateCode(j.state), Wall: now})
 	errText := ""
-	if j.err != nil {
-		errText = j.err.Error()
+	if err != nil {
+		errText = err.Error()
 	}
 	e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q,"done":%d,"total":%d,"error":%q}`,
 		j.id, j.state, j.done, j.total, errText))
@@ -605,19 +477,23 @@ func (e *Engine) finishTask(t task, res runResult, err error) {
 	close(j.completed)
 }
 
-// Shutdown drains the engine gracefully: no new tasks start, in-flight
-// runs persist a checkpoint at their next refresh boundary and finish
-// as interrupted, and Shutdown returns when every worker has stopped or
-// ctx expires — in which case it hard-cancels everything still running
-// and waits for the workers to notice.
-func (e *Engine) Shutdown(ctx context.Context) error {
+// stopAccepting refuses further submissions and starts the drain.
+func (e *Engine) stopAccepting() {
 	e.mu.Lock()
 	if !e.closed {
 		e.closed = true
 		close(e.drain)
 	}
-	e.cond.Broadcast()
 	e.mu.Unlock()
+}
+
+// Shutdown drains the engine gracefully: no new tasks start, in-flight
+// runs persist a checkpoint at their next refresh boundary and finish
+// as interrupted, and Shutdown returns when every job has reached a
+// terminal state or ctx expires — in which case it hard-cancels
+// everything still running and waits for the jobs to notice.
+func (e *Engine) Shutdown(ctx context.Context) error {
+	e.stopAccepting()
 
 	done := make(chan struct{})
 	go func() {
@@ -634,28 +510,18 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Close aborts the engine: every job is canceled and workers exit as
-// soon as their current chunk completes. Prefer Shutdown.
+// Close aborts the engine: every job is canceled and ends as soon as
+// its running tasks finish their current chunk. Prefer Shutdown.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.drain)
-	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	e.stopAccepting()
 	e.cancelAll()
 	e.wg.Wait()
 }
 
 func (e *Engine) cancelAll() {
 	e.mu.Lock()
-	jobs := make([]*Job, 0, len(e.jobs))
+	defer e.mu.Unlock()
 	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
-	e.mu.Unlock()
-	for _, j := range jobs {
 		j.cancel()
 	}
 }

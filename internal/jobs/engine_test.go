@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,8 +87,8 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 }
 
 // Permanent (non-transient) failures must not be retried at all, and
-// the first one stops its job: the other queued tasks never run, and
-// the job fails with the task's error.
+// the first one stops its job: the other tasks never run, and the job
+// fails with the task's error, named by its point and run.
 func TestEngineDoesNotRetryPermanentFailures(t *testing.T) {
 	var calls atomic.Int32
 	broke := errors.New("physics broke")
@@ -99,12 +100,12 @@ func TestEngineDoesNotRetryPermanentFailures(t *testing.T) {
 	j := submit(t, e)
 	waitState(t, e, j, StateFailed)
 	// 6 tasks (3 points x 2 runs): the first runs once, unretried, and
-	// cancels the five still queued.
+	// no other starts.
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("permanent failures ran %d tasks, want 1 (no retries, job stopped)", got)
 	}
-	if st := e.Status(j); st.Error != broke.Error() {
-		t.Errorf("job error %q, want the task's %q", st.Error, broke)
+	if st, want := e.Status(j), "point 0 (v=-0.02) run 0: physics broke"; st.Error != want {
+		t.Errorf("job error %q, want %q", st.Error, want)
 	}
 	if _, err := e.Result(j); !errors.Is(err, broke) {
 		t.Errorf("failed job result error %v, want the task's", err)
@@ -148,11 +149,14 @@ func TestEngineJobTimeout(t *testing.T) {
 
 // Shutdown drains: running tasks get the drain signal (and report
 // ErrInterrupted, as a real run would after its final checkpoint),
-// queued tasks never start, and the job lands in StateInterrupted.
+// queued tasks never start — of either job — and both jobs land in
+// StateInterrupted.
 func TestEngineShutdownDrains(t *testing.T) {
 	started := make(chan struct{}, 16)
+	var calls atomic.Int32
 	e := scriptedEngine(t, EngineConfig{Workers: 1},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
+			calls.Add(1)
 			started <- struct{}{}
 			select {
 			case <-rc.Stop:
@@ -162,14 +166,20 @@ func TestEngineShutdownDrains(t *testing.T) {
 			}
 		})
 	j := submit(t, e)
+	queued := submit(t, e)
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := e.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Status(j); st.State != StateInterrupted {
-		t.Fatalf("drained job is %s, want %s", st.State, StateInterrupted)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d tasks reached runTask, want only the 1 in flight at the drain", got)
+	}
+	for _, j := range []*Job{j, queued} {
+		if st := e.Status(j); st.State != StateInterrupted {
+			t.Fatalf("drained job %s is %s, want %s", st.ID, st.State, StateInterrupted)
+		}
 	}
 	if _, err := e.Result(j); err == nil || !strings.Contains(err.Error(), "resubmit") {
 		t.Fatalf("interrupted job error %v does not point at resume", err)
@@ -200,8 +210,73 @@ func TestEngineShutdownHardCancel(t *testing.T) {
 	}
 }
 
+// The jobs share one pool: with Workers 2, the tasks of three jobs run
+// at most two at a time, two do overlap, and every task completes.
+func TestEngineJobsShareOnePool(t *testing.T) {
+	var calls, inflight, peak atomic.Int32
+	overlap := make(chan struct{})
+	var once sync.Once
+	e := scriptedEngine(t, EngineConfig{Workers: 2},
+		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
+			calls.Add(1)
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if n == 2 {
+				once.Do(func() { close(overlap) })
+			}
+			// Hold the first task until a second one runs beside it.
+			select {
+			case <-overlap:
+			case <-time.After(5 * time.Second):
+			}
+			return runResult{Current: map[int]float64{1: 1, 2: 1}}, nil
+		})
+	js := []*Job{submit(t, e), submit(t, e), submit(t, e)}
+	for _, j := range js {
+		waitState(t, e, j, StateDone)
+		if st := e.Status(j); st.TasksDone != 6 || st.TasksTotal != 6 {
+			t.Fatalf("job %s finished %d of %d tasks, want 6 of 6", st.ID, st.TasksDone, st.TasksTotal)
+		}
+	}
+	if got := calls.Load(); got != 18 {
+		t.Fatalf("runTask ran %d times, want 18 (3 jobs x 6 tasks)", got)
+	}
+	if got := peak.Load(); got != 2 {
+		t.Fatalf("at most %d tasks ran at once, want 2 (the pool size)", got)
+	}
+}
+
+// An engine with its own observer counts everything on it, with no
+// global observer installed: the runner's checkpoint and session
+// counters, and the solver's events, which match the events the task
+// hooks saw (6 tasks of 800 warm-up + 4000 measured events).
+func TestEngineCountsOnItsOwnObserver(t *testing.T) {
+	if obs.Global() != nil {
+		t.Fatal("a global observer is installed")
+	}
+	o := obs.New(obs.Config{})
+	e := NewEngine(EngineConfig{Workers: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 1, Obs: o})
+	t.Cleanup(e.Close)
+	j := submit(t, e)
+	waitState(t, e, j, StateDone)
+	c := o.Registry().Snapshot().Counters
+	for _, name := range []string{"jobs.checkpoints_written", "jobs.session_builds", "jobs.session_reuses"} {
+		if c[name] == 0 {
+			t.Errorf("%s = 0 on the engine's observer", name)
+		}
+	}
+	if builds, reuses := c["jobs.session_builds"], c["jobs.session_reuses"]; builds > 2 || builds+reuses != 6 {
+		t.Errorf("session builds %d, reuses %d: want builds <= 2 and builds+reuses = 6", builds, reuses)
+	}
+	if ev, task := c["solver.events"], c["jobs.task_events_total"]; ev != 28800 || task != 28800 {
+		t.Errorf("solver.events = %d, jobs.task_events_total = %d, want 28800 each", ev, task)
+	}
+}
+
 // Submission validation rejects broken decks and a malformed deck never
-// reaches the queue.
+// starts a job.
 func TestEngineSubmitValidates(t *testing.T) {
 	e := scriptedEngine(t, EngineConfig{Workers: 1},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {

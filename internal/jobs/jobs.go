@@ -22,8 +22,14 @@
 //     cooperative cancellation (the CLI -resume path);
 //   - ExecuteDeck: a whole deck executed synchronously, optionally
 //     checkpointed and resumed (what semsim.RunDeck builds on);
-//   - Engine + NewHandler: an asynchronous job queue with retry,
-//     timeouts and graceful drain, exposed over HTTP by cmd/semsimd.
+//   - Engine + NewHandler: asynchronous jobs with retry, timeouts and
+//     graceful drain, exposed over HTTP by cmd/semsimd.
+//
+// ExecuteDeck and the Engine share one deck executor: a wave loop that
+// lends each (point, run) task a worker from a pool and stops a deck at
+// its first failure. ExecuteDeck gives each call a private pool; the
+// Engine runs every job through the same loop on one pool shared by
+// all jobs.
 package jobs
 
 import (
@@ -108,6 +114,9 @@ type RunConfig struct {
 	// runDeckPoint reuses its compiled circuit and solver via Reset
 	// instead of rebuilding per task. Bit-identical either way.
 	session *deckSession
+	// observer gets the run's and the solver's counters: the global one
+	// for ExecuteDeck and RunSim, the Engine's own for its jobs.
+	observer *obs.Observer
 }
 
 // defaultCheckpointEvery is the checkpoint cadence (in events) when
@@ -370,174 +379,220 @@ func noiseJuncs(spec *netlist.Spec) []int {
 	return njs
 }
 
-// ExecuteDeck runs every (point, run) task of a deck and returns the
-// folded operating points: the one in-process executor for I-V sweeps
-// and stability maps. Each worker compiles the deck once and re-seeds
-// its solver per task (compile-once sessions, bit-identical to
-// rebuilding). Map decks execute in waves: the coarse grid first, then
-// adaptively planned refinement points level by level. Each wave's
-// points feed the global observer's progress meter. With cfg.Dir
-// set, each task checkpoints periodically and — with cfg.Resume —
-// continues from any valid checkpoint it finds, making long sweeps
-// crash-safe; the files of completed tasks are deleted once the deck
-// folds. Cancel ctx to abandon the execution immediately, or close
-// cfg.Stop to drain: in-flight tasks persist a final checkpoint and
-// ExecuteDeck returns ErrInterrupted. The Overrides argument is
-// ignored.
-func ExecuteDeck(ctx context.Context, d *netlist.Deck, _ Overrides, cfg RunConfig) ([]Point, error) {
+// worker is one slot of a deck pool: its index, which names the
+// Engine's trace lane, and its compile-once session. A task holds its
+// worker for its whole run, retries included.
+type worker struct {
+	id      int
+	session *deckSession
+}
+
+// newPool returns a pool channel holding n idle workers (at least one).
+func newPool(n int) chan *worker {
+	n = max(n, 1)
+	pool := make(chan *worker, n)
+	for i := 0; i < n; i++ {
+		pool <- &worker{id: i, session: &deckSession{}}
+	}
+	return pool
+}
+
+// task is one (point, run) pair of a deck run (point indexes r.pts) on
+// the worker it borrowed.
+type task struct {
+	r          *deckRun
+	point, run int
+	w          *worker
+}
+
+// taskFunc executes one task; cfg carries the worker's session.
+type taskFunc func(ctx context.Context, t task, cfg RunConfig) (runResult, error)
+
+// simulate is the plain taskFunc: runDeckPoint at the task's point.
+func simulate(ctx context.Context, t task, cfg RunConfig) (runResult, error) {
+	return runDeckPoint(ctx, t.r.deck, t.r.key, t.r.pts[t.point], t.run, cfg)
+}
+
+// deckRun is one deck's execution state: the validated deck, its key
+// and run count, the points planned so far with their per-run results,
+// and a map deck's fully refined axes. Only execute grows pts and
+// results, between waves; each task writes its own result slot.
+type deckRun struct {
+	deck           *netlist.Deck
+	key            string
+	runs           int
+	pts            []deckPoint
+	results        [][]runResult
+	fineXs, fineYs []float64
+}
+
+// newDeckRun validates d and plans its initial points.
+func newDeckRun(d *netlist.Deck) (*deckRun, error) {
 	if err := validateDeck(d); err != nil {
 		return nil, err
 	}
-	spec := d.Spec
-	pts := deckPoints(&spec)
 	key, err := deckKey(d)
 	if err != nil {
 		return nil, err
 	}
-	runs := spec.Runs
-	if runs < 1 {
-		runs = 1
+	r := &deckRun{deck: d, key: key, runs: max(d.Spec.Runs, 1), pts: deckPoints(&d.Spec)}
+	if mp := d.Spec.Map; mp != nil {
+		r.fineXs = sweep.RefineAxis(mp.X.Values(), mp.Depth)
+		r.fineYs = sweep.RefineAxis(mp.Y.Values(), mp.Depth)
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	return r, nil
+}
 
-	// Per-worker compile-once sessions, persistent across refinement
-	// waves. Worker w only ever touches sessions[w], so no locking.
-	sessions := make([]*deckSession, workers)
-	for w := range sessions {
-		sessions[w] = &deckSession{}
-	}
-
-	// Progress: each wave announces its points (sweep.points_total) and
-	// a point counts as done (sweep.points_done) when its last run
-	// lands, which drives the -progress meter's points x/y and ETA.
-	o := obs.Global()
-	var results [][]runResult
-	runWave := func(start, level int) error {
-		o.SweepTotal(len(pts) - start)
-		left := make([]atomic.Int32, len(pts)-start) // runs still out, per point
-		for i := start; i < len(pts); i++ {
-			results = append(results, make([]runResult, runs))
-			left[i-start].Store(int32(runs))
-			if spec.Map != nil {
-				o.RefineDepth(level)
-			}
-		}
-		type task struct{ point, run int }
-		tasks := make([]task, 0, (len(pts)-start)*runs)
-		for i := start; i < len(pts); i++ {
-			for r := 0; r < runs; r++ {
-				tasks = append(tasks, task{i, r})
-			}
-		}
-		run := func(w int, t task) error {
-			wcfg := cfg
-			wcfg.session = sessions[w]
-			res, err := runDeckPoint(ctx, d, key, pts[t.point], t.run, wcfg)
-			if err != nil {
-				if errors.Is(err, ErrInterrupted) || errors.Is(err, context.Canceled) {
-					return err
-				}
-				return fmt.Errorf("point %d (v=%g) run %d: %w", pts[t.point].Fine, pts[t.point].X, t.run, err)
-			}
-			results[t.point][t.run] = res
-			if left[t.point-start].Add(-1) == 0 {
-				o.SweepPointDone()
-			}
-			return nil
-		}
-
-		// One pool at every worker count (one worker is a one-goroutine
-		// pool). Once any task fails, no further task starts; the
-		// deterministic fold below makes completion order irrelevant to
-		// the result.
-		wn := workers
-		if wn > len(tasks) {
-			wn = len(tasks)
-		}
-		tctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		work := make(chan task)
-		errs := make([]error, wn)
-		var wg sync.WaitGroup
-		for w := 0; w < wn; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for t := range work {
-					if err := tctx.Err(); err != nil {
-						// A skipped task is an error, so a canceled
-						// deck never folds results it did not compute.
-						if errs[w] == nil {
-							errs[w] = err
-						}
-						continue
-					}
-					if err := run(w, t); err != nil && errs[w] == nil {
-						errs[w] = err
-						cancel()
-					}
-				}
-			}(w)
-		}
-		for _, t := range tasks {
-			work <- t
-		}
-		close(work)
-		wg.Wait()
-		// Prefer a real failure over the cancellations it caused.
-		var firstErr error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if firstErr == nil || errors.Is(firstErr, context.Canceled) {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-
-	// Wave loop: a sweep deck is a single wave; a map deck follows the
-	// coarse wave with one wave per refinement level until the planner
-	// finds no more contrast (or Depth is reached).
-	var fineXs, fineYs []float64
-	if mp := spec.Map; mp != nil {
-		fineXs = sweep.RefineAxis(mp.X.Values(), mp.Depth)
-		fineYs = sweep.RefineAxis(mp.Y.Values(), mp.Depth)
-	}
+// execute runs every task of the deck through run on workers borrowed
+// from pool, wave by wave: the initial points, then for a map deck one
+// wave per refinement level planned from the results so far. onWave,
+// when non-nil, learns each refinement wave's level and point count
+// before it starts. cfg.observer gets the progress meter and the
+// refinement counters.
+//
+// No task starts after a failure, an interrupt or a cancellation, and
+// the tasks that could not start fail with the context's error, so a
+// stopped deck never folds results it did not compute. A real failure
+// also cancels the tasks in flight, whose results would be thrown away;
+// after an interrupt they drain to their own checkpoints. The error
+// returned is a real failure, naming its task, in preference to the
+// interrupts and cancellations it caused.
+func (r *deckRun) execute(ctx context.Context, pool chan *worker, cfg RunConfig, run taskFunc, onWave func(level, points int)) error {
 	for start, level := 0, 0; ; level++ {
-		if err := runWave(start, level); err != nil {
-			return nil, err
+		if err := r.wave(ctx, pool, cfg, run, start, level); err != nil {
+			return err
 		}
-		start = len(pts)
-		next := planRefine(&spec, fineXs, fineYs, pts, results, level)
+		next := planRefine(&r.deck.Spec, r.fineXs, r.fineYs, r.pts, r.results, level)
 		if len(next) == 0 {
 			break
 		}
-		if o != nil {
-			o.Registry().Counter("jobs.refine_waves").Add(1)
+		start = len(r.pts)
+		r.pts = append(r.pts, next...)
+		count(cfg.observer, "jobs.refine_waves")
+		if onWave != nil {
+			onWave(level+1, len(next))
 		}
-		pts = append(pts, next...)
 	}
-	if spec.Map != nil {
-		o.SweepSkipped(len(fineXs)*len(fineYs) - len(pts))
+	if r.deck.Spec.Map != nil {
+		cfg.observer.SweepSkipped(len(r.fineXs)*len(r.fineYs) - len(r.pts))
+	}
+	return nil
+}
+
+// wave runs the tasks of points start onward (see execute). A point
+// counts as done on the progress meter when its last run lands.
+func (r *deckRun) wave(ctx context.Context, pool chan *worker, cfg RunConfig, run taskFunc, start, level int) error {
+	o := cfg.observer
+	o.SweepTotal(len(r.pts) - start)
+	left := make([]atomic.Int32, len(r.pts)-start) // runs still out, per point
+	for i := range left {
+		r.results = append(r.results, make([]runResult, r.runs))
+		left[i].Store(int32(r.runs))
+		if r.deck.Spec.Map != nil {
+			o.RefineDepth(level)
+		}
 	}
 
-	if o != nil {
-		o.Registry().Counter("jobs.decks_executed").Add(1)
+	// Tasks run on tctx, which a real failure cancels; no task starts
+	// once sctx is done, which any error cancels.
+	tctx, cancelTasks := context.WithCancel(ctx)
+	defer cancelTasks()
+	sctx, stopStarts := context.WithCancel(tctx)
+	defer stopStarts()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	stopped := func(err error) bool {
+		return errors.Is(err, ErrInterrupted) || errors.Is(err, context.Canceled)
 	}
-	if cfg.Dir != "" {
-		// The whole deck folded: the per-task done markers (kept so a
-		// resume after a partial interruption skips finished tasks) have
-		// served their purpose. Best-effort removal.
-		for _, p := range pts {
-			for r := 0; r < runs; r++ {
-				os.Remove(checkpointPath(cfg.Dir, key, p.Fine, r))
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil || stopped(first) && !stopped(err) {
+			first = err
+		}
+		mu.Unlock()
+		if !stopped(err) {
+			cancelTasks()
+		}
+		stopStarts()
+	}
+	for n := start * r.runs; n < len(r.pts)*r.runs; n++ {
+		t := task{r: r, point: n / r.runs, run: n % r.runs}
+		select {
+		case t.w = <-pool:
+		case <-sctx.Done():
+		}
+		if err := sctx.Err(); err != nil {
+			if t.w != nil {
+				pool <- t.w
 			}
+			fail(err)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wcfg := cfg
+			wcfg.session = t.w.session
+			res, err := run(tctx, t, wcfg)
+			switch {
+			case err == nil:
+				r.results[t.point][t.run] = res
+				if left[t.point-start].Add(-1) == 0 {
+					o.SweepPointDone()
+				}
+			case stopped(err), errors.Is(err, context.DeadlineExceeded):
+				fail(err)
+			default:
+				p := r.pts[t.point]
+				fail(fmt.Errorf("point %d (v=%g) run %d: %w", p.Fine, p.X, t.run, err))
+			}
+			// Only now hand the worker back: a failure has already
+			// stopped the starts, so no task of this deck takes it.
+			pool <- t.w
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// fold reduces the run's results to its operating points.
+func (r *deckRun) fold() []Point {
+	return foldResults(&r.deck.Spec, r.pts, r.results)
+}
+
+// removeMarkers deletes the done markers of every task from dir (best
+// effort): once the deck folded, they have served their purpose.
+func (r *deckRun) removeMarkers(dir string) {
+	for _, p := range r.pts {
+		for k := 0; k < r.runs; k++ {
+			os.Remove(checkpointPath(dir, r.key, p.Fine, k))
 		}
 	}
-	return foldResults(&spec, pts, results), nil
+}
+
+// ExecuteDeck runs every (point, run) task of a deck on a private pool
+// of cfg.Workers workers (see execute) and returns the folded points.
+// Each worker compiles the deck once and re-seeds its solver per task.
+// With cfg.Dir set, tasks checkpoint periodically and — with
+// cfg.Resume — continue from valid checkpoints; the files are deleted
+// once the deck folds. Cancel ctx to abandon the execution, or close
+// cfg.Stop to drain: in-flight tasks persist a final checkpoint and
+// ExecuteDeck returns ErrInterrupted. The Overrides argument is ignored.
+func ExecuteDeck(ctx context.Context, d *netlist.Deck, _ Overrides, cfg RunConfig) ([]Point, error) {
+	r, err := newDeckRun(d)
+	if err != nil {
+		return nil, err
+	}
+	cfg.observer = obs.Global()
+	if err := r.execute(ctx, newPool(cfg.Workers), cfg, simulate, nil); err != nil {
+		return nil, err
+	}
+	count(cfg.observer, "jobs.decks_executed")
+	if cfg.Dir != "" {
+		r.removeMarkers(cfg.Dir)
+	}
+	return r.fold(), nil
 }

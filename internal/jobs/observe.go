@@ -27,6 +27,13 @@ const (
 	jobTraceJobCap  = 1 << 10
 )
 
+// count adds one to the named counter of o (nil-safe).
+func count(o *obs.Observer, name string) {
+	if o != nil {
+		o.Registry().Counter(name).Add(1)
+	}
+}
+
 // jobStateCode maps an engine State to its journal code.
 func jobStateCode(s State) int32 {
 	switch s {
@@ -108,7 +115,7 @@ func newEngineObs(o *obs.Observer, e *Engine) *engineObs {
 		ckptBytes:    r.Histogram("jobs.checkpoint_bytes", bytes),
 	}
 	workers := float64(e.cfg.Workers)
-	r.GaugeFunc("jobs.queue_depth", func() float64 { return float64(e.queueLen.Load()) })
+	r.GaugeFunc("jobs.queue_depth", func() float64 { return float64(e.unstarted.Load()) })
 	r.GaugeFunc("jobs.running_tasks", func() float64 { return float64(e.running.Load()) })
 	r.GaugeFunc("jobs.worker_utilization", func() float64 {
 		return float64(e.running.Load()) / workers

@@ -66,7 +66,8 @@ type phaseRunner struct {
 	key   string
 	point int
 	run   int
-	hooks *taskHooks // nil-safe task telemetry (engine-run tasks only)
+	hooks *taskHooks    // nil-safe task telemetry (engine-run tasks only)
+	o     *obs.Observer // counts checkpoint writes; nil counts nothing
 
 	lastCk uint64 // Stats.Events at the last persisted checkpoint
 }
@@ -85,7 +86,7 @@ func newPhaseRunner(ctx context.Context, s *solver.Sim, cfg RunConfig) *phaseRun
 	// in every solver mode.
 	every = (every + rp - 1) / rp * rp
 	return &phaseRunner{
-		s: s, ctx: ctx, stop: cfg.Stop, hooks: cfg.hooks,
+		s: s, ctx: ctx, stop: cfg.Stop, hooks: cfg.hooks, o: cfg.observer,
 		every: every, rp: rp,
 		lastCk: s.Stats().Events,
 	}
@@ -119,9 +120,7 @@ func (p *phaseRunner) save(phase string, phaseStart uint64) error {
 		return &transientError{err}
 	}
 	p.lastCk = p.s.Stats().Events
-	if o := obs.Global(); o != nil {
-		o.Registry().Counter("jobs.checkpoints_written").Add(1)
-	}
+	count(p.o, "jobs.checkpoints_written")
 	p.hooks.checkpoint(st)
 	return nil
 }
@@ -203,7 +202,8 @@ type deckSession struct {
 
 // acquire returns a simulator ready to run at the given seed and DC
 // bias (netlist node -> volts), reusing the cached build when the deck
-// key matches and rebuilding otherwise.
+// key matches and rebuilding otherwise. It counts builds and reuses on
+// opt.Obs.
 func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, over map[int]float64) (*solver.Sim, *netlist.Compiled, error) {
 	if ds.sim == nil || ds.key != key {
 		cc, err := d.Compile(nil)
@@ -215,11 +215,9 @@ func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, 
 			return nil, nil, err
 		}
 		ds.key, ds.cc, ds.sim = key, cc, s
-		if o := obs.Global(); o != nil {
-			o.Registry().Counter("jobs.session_builds").Add(1)
-		}
-	} else if o := obs.Global(); o != nil {
-		o.Registry().Counter("jobs.session_reuses").Add(1)
+		count(opt.Obs, "jobs.session_builds")
+	} else {
+		count(opt.Obs, "jobs.session_reuses")
 	}
 	circOver := make(map[int]float64, len(over))
 	for n, v := range over {
@@ -274,7 +272,8 @@ func noiseConfig(spec *netlist.Spec, cc *netlist.Compiled) (noise.Config, error)
 // runDeckPoint executes one (point, run) task of a deck: install the
 // point's source values, run the warm-up transient, reset measurement,
 // run the measured window, and report the recorded junction currents.
-// The deck's spec sets the build, solver and noise options.
+// The deck's spec sets the build, solver and noise options; the solver
+// and the task's counters report to cfg.observer.
 // With cfg.session set the worker's cached solver is re-seeded in place
 // of a fresh compile — bit-identical either way.
 // With cfg.Dir set it checkpoints periodically and, with cfg.Resume,
@@ -291,6 +290,7 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 		RefreshEvery: spec.RefreshEvery,
 		Seed:         rng.Derive(spec.Seed, uint64(pt.Fine), uint64(run)),
 		RateTables:   spec.RateTables,
+		Obs:          cfg.observer,
 	}
 	var (
 		s   *solver.Sim
@@ -351,10 +351,8 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 				// cache: reuse its result instead of re-simulating
 				// (re-running would fold in the same numbers anyway —
 				// determinism makes this purely a shortcut).
-				if o := obs.Global(); o != nil {
-					o.Registry().Counter("jobs.runs_resumed").Add(1)
-					o.Registry().Counter("jobs.result_cache_hits").Add(1)
-				}
+				count(cfg.observer, "jobs.runs_resumed")
+				count(cfg.observer, "jobs.result_cache_hits")
 				cfg.hooks.resumed(0)
 				return *f.Result, nil
 			}
@@ -363,9 +361,7 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 			}
 			phase, phaseStart = f.Phase, f.PhaseStart
 			p.lastCk = s.Stats().Events
-			if o := obs.Global(); o != nil {
-				o.Registry().Counter("jobs.runs_resumed").Add(1)
-			}
+			count(cfg.observer, "jobs.runs_resumed")
 			cfg.hooks.resumed(s.Stats().Events)
 		case os.IsNotExist(err):
 			// Fresh start.
@@ -387,9 +383,7 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 				Key: key, Point: pt.Fine, Run: run, Phase: phaseDone, Result: &res,
 			})
 			if err != nil {
-				if o := obs.Global(); o != nil {
-					o.Registry().Counter("jobs.done_marker_errors").Add(1)
-				}
+				count(cfg.observer, "jobs.done_marker_errors")
 			}
 		} else if p.path != "" {
 			os.Remove(p.path)
@@ -471,7 +465,7 @@ type Checkpointer struct {
 // bounds: the combined trajectory is bit-identical to an uninterrupted
 // run.
 func RunSim(ctx context.Context, s *solver.Sim, maxEvents uint64, maxTime float64, ck *Checkpointer) (uint64, error) {
-	cfg := RunConfig{}
+	cfg := RunConfig{observer: obs.Global()}
 	if ck != nil {
 		cfg.Every = ck.Every
 	}
