@@ -176,8 +176,8 @@ func TestEngineShutdownDrains(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("%d tasks reached runTask, want only the 1 in flight at the drain", got)
 	}
-	for _, j := range []*Job{j, queued} {
-		if st := e.Status(j); st.State != StateInterrupted {
+	for _, dj := range []*Job{j, queued} {
+		if st := e.Status(dj); st.State != StateInterrupted {
 			t.Fatalf("drained job %s is %s, want %s", st.ID, st.State, StateInterrupted)
 		}
 	}
