@@ -24,10 +24,11 @@ debug:
 	go test -tags semsimdebug ./...
 
 # The packages that start goroutines (the jobs runner and engine, the
-# bench delay averaging, obs servers and progress) plus the solver they
-# drive. CI runs this target, so the list lives only here.
+# bench delay averaging, obs servers and progress, the circuit build's
+# C^-1 row workers) plus the solver they drive. CI runs this target, so
+# the list lives only here.
 race:
-	go test -race ./internal/solver/... ./internal/bench/... ./internal/obs/... ./internal/jobs/...
+	go test -race ./internal/solver/... ./internal/bench/... ./internal/obs/... ./internal/jobs/... ./internal/circuit/...
 
 # Documentation is executable: every ```deck example in docs/DECK.md
 # must parse, round-trip through the canonical writer and compile, the

@@ -33,7 +33,7 @@ func ablation() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s, %d seeds; non-adaptive reference delay %.1f ns\n", benchName, seeds, ref*1e9)
+	fmt.Fprintf(stdout, "%s, %d seeds; non-adaptive reference delay %.1f ns\n", benchName, seeds, ref*1e9)
 
 	f, done := datFile("ablation.dat")
 	defer done()
@@ -55,26 +55,26 @@ func ablation() error {
 		return d, float64(res.RateCalcs) / float64(res.Events)
 	}
 
-	fmt.Println("alpha sweep (refresh = default):")
+	fmt.Fprintln(stdout, "alpha sweep (refresh = default):")
 	for _, alpha := range []float64{0.005, 0.02, 0.05, 0.2, 0.5} {
 		d, cost := measure(semsim.Options{Temp: bench.WorkloadTemp, Seed: 300, Adaptive: true, Alpha: alpha})
 		if err != nil {
 			return err
 		}
 		errPct := 100 * math.Abs(d-ref) / ref
-		fmt.Printf("  alpha=%-6g delay %7.1f ns  err %5.2f%%  %5.1f rate calcs/event\n",
+		fmt.Fprintf(stdout, "  alpha=%-6g delay %7.1f ns  err %5.2f%%  %5.1f rate calcs/event\n",
 			alpha, d*1e9, errPct, cost)
 		fmt.Fprintf(f, "alpha %g %.4e %.2f %.1f\n", alpha, d, errPct, cost)
 	}
 
-	fmt.Println("refresh-interval sweep (alpha = 0.05):")
+	fmt.Fprintln(stdout, "refresh-interval sweep (alpha = 0.05):")
 	for _, every := range []int{64, 256, 1024, 8192, 65536} {
 		d, cost := measure(semsim.Options{Temp: bench.WorkloadTemp, Seed: 300, Adaptive: true, RefreshEvery: every})
 		if err != nil {
 			return err
 		}
 		errPct := 100 * math.Abs(d-ref) / ref
-		fmt.Printf("  refresh=%-6d delay %7.1f ns  err %5.2f%%  %5.1f rate calcs/event\n",
+		fmt.Fprintf(stdout, "  refresh=%-6d delay %7.1f ns  err %5.2f%%  %5.1f rate calcs/event\n",
 			every, d*1e9, errPct, cost)
 		fmt.Fprintf(f, "refresh %d %.4e %.2f %.1f\n", every, d, errPct, cost)
 	}

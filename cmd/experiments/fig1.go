@@ -99,7 +99,7 @@ seed %d
 				hi = 2 * p.SweepV
 			}
 		}
-		fmt.Printf("Vg=%5.3f V: I(+%gmV)=%.3e A, suppressed region ~[%.1f, %.1f] mV\n",
+		fmt.Fprintf(stdout, "Vg=%5.3f V: I(+%gmV)=%.3e A, suppressed region ~[%.1f, %.1f] mV\n",
 			vg, vmax*1e3, last, lo*1e3, hi*1e3)
 	}
 	return nil

@@ -63,7 +63,7 @@ seed 500
 	}
 
 	// Console summary: strongest sub-threshold feature per gate row.
-	fmt.Println("per-gate-voltage maximum sub-gap current (JQP ridge trace):")
+	fmt.Fprintln(stdout, "per-gate-voltage maximum sub-gap current (JQP ridge trace):")
 	step := ny / 6
 	if step == 0 {
 		step = 1
@@ -80,7 +80,7 @@ seed 500
 				bestI, bestV = a, vb
 			}
 		}
-		fmt.Printf("  Vg=%6.2f mV: peak %.3e A at Vb=%.2f mV\n", pts[iy*nx].Y*1e3, bestI, bestV*1e3)
+		fmt.Fprintf(stdout, "  Vg=%6.2f mV: peak %.3e A at Vb=%.2f mV\n", pts[iy*nx].Y*1e3, bestI, bestV*1e3)
 	}
 	return nil
 }

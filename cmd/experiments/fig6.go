@@ -29,7 +29,7 @@ func fig6() error {
 			continue
 		}
 		if *maxJuncs > 0 && b.PublishedJunctions > *maxJuncs {
-			fmt.Printf("%-18s skipped (> %d junctions)\n", b.Name, *maxJuncs)
+			fmt.Fprintf(stdout, "%-18s skipped (> %d junctions)\n", b.Name, *maxJuncs)
 			continue
 		}
 		// Event budget shrinks with size so the measurement window stays
@@ -79,7 +79,7 @@ func fig6() error {
 		spiceSec, spiceErr := spiceTiming(ex, b, simWindow)
 		r.spiceSec, r.spiceErr = spiceSec, spiceErr
 		rows = append(rows, r)
-		fmt.Printf("%-18s %5dj  non-adaptive %9.1fs  adaptive %8.1fs  speedup %5.1fx  spice %s\n",
+		fmt.Fprintf(stdout, "%-18s %5dj  non-adaptive %9.1fs  adaptive %8.1fs  speedup %5.1fx  spice %s\n",
 			r.name, r.juncs, r.naSec, r.adSec, r.speedup, spiceCell(r))
 	}
 

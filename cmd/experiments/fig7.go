@@ -39,7 +39,7 @@ func fig7() error {
 			continue
 		}
 		if *maxJuncs > 0 && b.PublishedJunctions > *maxJuncs {
-			fmt.Printf("%-18s skipped (> %d junctions)\n", b.Name, *maxJuncs)
+			fmt.Fprintf(stdout, "%-18s skipped (> %d junctions)\n", b.Name, *maxJuncs)
 			continue
 		}
 		ex, err := bench.BuildWorkload(b, p)
@@ -66,7 +66,7 @@ func fig7() error {
 			r.spiceErrPct = 100 * math.Abs(r.spiceDelay-ref) / ref
 		}
 		rows = append(rows, r)
-		fmt.Printf("%-18s %5dj  ref %7.2fns (%d runs)  adaptive %7.2fns (%d runs, err %5.2f%%)  spice %s\n",
+		fmt.Fprintf(stdout, "%-18s %5dj  ref %7.2fns (%d runs)  adaptive %7.2fns (%d runs, err %5.2f%%)  spice %s\n",
 			r.name, r.juncs, ref*1e9, nRef, ad*1e9, nAd, r.adErrPct, spiceDelayCell(r.spiceDelay, r.spiceErrPct, r.spiceStatus))
 	}
 
@@ -91,11 +91,11 @@ func fig7() error {
 			r.name, r.juncs, r.refDelay, r.adDelay, r.adErrPct, spD, spE, status)
 	}
 	if nOK > 0 {
-		fmt.Printf("average adaptive delay error: %.2f%% over %d benchmarks (paper: 3.30%%)\n", sumAd/float64(nOK), nOK)
+		fmt.Fprintf(stdout, "average adaptive delay error: %.2f%% over %d benchmarks (paper: 3.30%%)\n", sumAd/float64(nOK), nOK)
 		fmt.Fprintf(f, "# average_adaptive_error %.2f%%\n", sumAd/float64(nOK))
 	}
 	if nSp > 0 {
-		fmt.Printf("average SPICE delay error:    %.2f%% over %d benchmarks (paper: 9.18%%)\n", sumSp/float64(nSp), nSp)
+		fmt.Fprintf(stdout, "average SPICE delay error:    %.2f%% over %d benchmarks (paper: 9.18%%)\n", sumSp/float64(nSp), nSp)
 		fmt.Fprintf(f, "# average_spice_error %.2f%% over %d\n", sumSp/float64(nSp), nSp)
 	}
 	return nil

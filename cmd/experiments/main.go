@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,12 +62,15 @@ func main() {
 	}
 	defer stopObs()
 	run := func(name string, f func() error) {
-		fmt.Printf("== %s ==\n", name)
+		fmt.Fprintf(stdout, "== %s ==\n", name)
 		start := time.Now()
 		if err := f(); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		fmt.Printf("-- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "-- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+		if stdout.err != nil {
+			fatal(stdout.err)
+		}
 	}
 	switch flag.Arg(0) {
 	case "fig1b":
@@ -104,6 +108,28 @@ func main() {
 	}
 }
 
+// stdout is the command's one route to standard output. It is not
+// buffered, because the "== name ==" lines report progress, and it
+// keeps the first write error, which run reports once its experiment
+// is done.
+var stdout = &firstErrWriter{w: os.Stdout}
+
+// firstErrWriter passes writes through to w until one fails, and fails
+// every later write with that first error.
+type firstErrWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (f *firstErrWriter) Write(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	n, err := f.w.Write(p)
+	f.err = err
+	return n, err
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
@@ -133,6 +159,6 @@ func datFile(name string) (*bufio.Writer, func()) {
 		if err := errors.Join(w.Flush(), f.Close()); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 }

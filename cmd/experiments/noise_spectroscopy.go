@@ -74,7 +74,7 @@ adaptive 0.05
 	// N1/N2: Fano factor across tunnel-rate asymmetry. The drain
 	// junction is fixed at 1 MΩ; the source junction sweeps from
 	// matched to 1000x slower, carrying F from 1/2 up to 1.
-	fmt.Println("N1/N2: Fano factor vs junction asymmetry (analytic (1+r²)/(1+r)², r = G1/G2)")
+	fmt.Fprintln(stdout, "N1/N2: Fano factor vs junction asymmetry (analytic (1+r²)/(1+r)², r = G1/G2)")
 	fmt.Fprintln(f, "# N1/N2: G1(S) F dF F_analytic")
 	for _, g1 := range []float64{1e-6, 3e-7, 1e-7, 1e-8, 1e-9} {
 		fF, dF, _, err := fano(set(g1, "record fano 2"))
@@ -83,7 +83,7 @@ adaptive 0.05
 		}
 		r := g1 / 1e-6
 		want := (1 + r*r) / ((1 + r) * (1 + r))
-		fmt.Printf("  G1=%8.0e S: F = %.3f ± %.3f  (analytic %.3f)\n", g1, fF, dF, want)
+		fmt.Fprintf(stdout, "  G1=%8.0e S: F = %.3f ± %.3f  (analytic %.3f)\n", g1, fF, dF, want)
 		fmt.Fprintf(f, "%g %.4f %.4f %.4f\n", g1, fF, dF, want)
 	}
 
@@ -100,7 +100,7 @@ adaptive 0.05
 	st := pts[0].Noise[2]
 	current := math.Abs(pts[0].Current[2])
 	want := 2 * units.E * current * st.Fano
-	fmt.Printf("N3: S_I(omega) white tail vs 2eI*F = %.3e A^2/Hz (I = %.3e A, F = %.3f)\n", want, current, st.Fano)
+	fmt.Fprintf(stdout, "N3: S_I(omega) white tail vs 2eI*F = %.3e A^2/Hz (I = %.3e A, F = %.3f)\n", want, current, st.Fano)
 	fmt.Fprintln(f, "# N3: omega(rad/s) S_I(A^2/Hz) 2eIF(A^2/Hz)")
 	var band float64
 	for k, s := range st.S {
@@ -108,6 +108,6 @@ adaptive 0.05
 		fmt.Fprintf(f, "%g %e %e\n", w0+float64(k)*w0, s, want)
 	}
 	band /= float64(len(st.S))
-	fmt.Printf("    band average %.3e A^2/Hz (ratio to 2eI*F: %.2f)\n", band, band/want)
+	fmt.Fprintf(stdout, "    band average %.3e A^2/Hz (ratio to 2eI*F: %.2f)\n", band, band/want)
 	return nil
 }

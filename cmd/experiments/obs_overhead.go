@@ -32,7 +32,7 @@ func obsOverhead() error {
 		if r.JournalEvents > 0 {
 			extra = fmt.Sprintf("  %d journal records", r.JournalEvents)
 		}
-		fmt.Printf("%-8s  %8.0f events/s  %8.3fs wall  %+5.1f%% overhead%s\n",
+		fmt.Fprintf(stdout, "%-8s  %8.0f events/s  %8.3fs wall  %+5.1f%% overhead%s\n",
 			r.Mode, r.EventsPerSec, r.WallSeconds, r.OverheadPct, extra)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -43,6 +43,6 @@ func obsOverhead() error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }

@@ -38,13 +38,13 @@ func rateEngine() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (%d junctions):\n", rep.Benchmark, rep.Junctions)
+		fmt.Fprintf(stdout, "%s (%d junctions):\n", rep.Benchmark, rep.Junctions)
 		for _, r := range rep.Runs {
 			tables := "exact"
 			if r.RateTables {
 				tables = "tables"
 			}
-			fmt.Printf("  %-6s  %8.0f events/s  %12d rate calcs  %8.3fs wall\n",
+			fmt.Fprintf(stdout, "  %-6s  %8.0f events/s  %12d rate calcs  %8.3fs wall\n",
 				tables, r.EventsPerSec, r.RateCalcs, r.WallSeconds)
 		}
 		reps = append(reps, rep)
@@ -57,7 +57,7 @@ func rateEngine() error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 
 	// The tabulated kernels exist to be faster than exact evaluation;
 	// regressing that inverts the benchmark's reason to exist, so the

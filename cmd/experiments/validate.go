@@ -19,7 +19,7 @@ func validate() error {
 	defer done()
 
 	// V1: Monte Carlo vs master equation on the paper's SET.
-	fmt.Println("V1: sequential tunneling — Monte Carlo vs master equation")
+	fmt.Fprintln(stdout, "V1: sequential tunneling — Monte Carlo vs master equation")
 	fmt.Fprintln(f, "# V1: Vds Vg I_MC(A) I_ME(A) err(%)")
 	events := uint64(120000)
 	if *quick {
@@ -58,13 +58,13 @@ func validate() error {
 		if errPct > worst {
 			worst = errPct
 		}
-		fmt.Printf("  Vds=%+7.3f Vg=%6.4f: MC %+.4e  ME %+.4e  err %5.2f%%\n", tc.vds, tc.vg, iMC, iME, errPct)
+		fmt.Fprintf(stdout, "  Vds=%+7.3f Vg=%6.4f: MC %+.4e  ME %+.4e  err %5.2f%%\n", tc.vds, tc.vg, iMC, iME, errPct)
 		fmt.Fprintf(f, "%g %g %e %e %.3f\n", tc.vds, tc.vg, iMC, iME, errPct)
 	}
-	fmt.Printf("  worst error %.2f%% (statistical; paper reports 'excellent agreement')\n", worst)
+	fmt.Fprintf(stdout, "  worst error %.2f%% (statistical; paper reports 'excellent agreement')\n", worst)
 
 	// V2: cotunneling inside the blockade vs the analytic V^3 law.
-	fmt.Println("V2: inelastic cotunneling — MC vs analytic cubic law")
+	fmt.Fprintln(stdout, "V2: inelastic cotunneling — MC vs analytic cubic law")
 	fmt.Fprintln(f, "# V2: Vds I_MC(A) I_analytic(A) ratio")
 	cotEvents := uint64(4000)
 	if *quick {
@@ -95,16 +95,16 @@ func validate() error {
 		e1 := c.DeltaWElectron(nd.Drain, nd.Island, -vds/2, v[0])
 		e2 := c.DeltaWElectron(nd.Island, nd.Source, v[0], vds/2)
 		iAn := cotunnel.CurrentT0(vds, e1, e2, 1e6, 1e6)
-		fmt.Printf("  Vds=%6.2f mV: MC %.3e  analytic %.3e  ratio %.2f\n", vds*1e3, iMC, iAn, iMC/iAn)
+		fmt.Fprintf(stdout, "  Vds=%6.2f mV: MC %.3e  analytic %.3e  ratio %.2f\n", vds*1e3, iMC, iAn, iMC/iAn)
 		fmt.Fprintf(f, "%g %e %e %.3f\n", vds, iMC, iAn, iMC/iAn)
 	}
 
 	// V3: superconducting features — gap-edge step height and JQP peak.
-	fmt.Println("V3: superconducting features")
+	fmt.Fprintln(stdout, "V3: superconducting features")
 	d := units.MeV(0.21)
 	step := super.Iqp(1.02*2*d/units.E, 210e3, d, d, 0.05)
 	want := math.Pi * d / (2 * units.E * 210e3)
-	fmt.Printf("  quasi-particle current just above 2*Delta: %.3e A (theory pi*Delta/2eR = %.3e, ratio %.2f)\n",
+	fmt.Fprintf(stdout, "  quasi-particle current just above 2*Delta: %.3e A (theory pi*Delta/2eR = %.3e, ratio %.2f)\n",
 		step, want, step/want)
 	fmt.Fprintf(f, "# V3 gap-step %e %e %.3f\n", step, want, step/want)
 
@@ -143,13 +143,13 @@ func validate() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  JQP resonance at Vg=2 mV: I(0.9mV)=%.2e  I(1.1mV)=%.2e (%d Cooper events)  I(1.2mV)=%.2e\n",
+	fmt.Fprintf(stdout, "  JQP resonance at Vg=2 mV: I(0.9mV)=%.2e  I(1.1mV)=%.2e (%d Cooper events)  I(1.2mV)=%.2e\n",
 		iBefore, iPeak, coop, iAfter)
 	fmt.Fprintf(f, "# V3 jqp %e %e %e %d\n", iBefore, iPeak, iAfter, coop)
 	if iPeak > iBefore && iPeak > iAfter && coop > 0 {
-		fmt.Println("  JQP peak confirmed (local maximum sustained by Cooper-pair tunneling)")
+		fmt.Fprintln(stdout, "  JQP peak confirmed (local maximum sustained by Cooper-pair tunneling)")
 	} else {
-		fmt.Println("  WARNING: JQP peak not resolved at this event budget")
+		fmt.Fprintln(stdout, "  WARNING: JQP peak not resolved at this event budget")
 	}
 
 	// DJQP: at the gate degeneracy point of a symmetric SSET, theory
@@ -188,13 +188,13 @@ func validate() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  DJQP at gate degeneracy: I(0.55mV)=%.2e  I(0.70mV)=%.2e  I(0.85mV)=%.2e;"+
+	fmt.Fprintf(stdout, "  DJQP at gate degeneracy: I(0.55mV)=%.2e  I(0.70mV)=%.2e  I(0.85mV)=%.2e;"+
 		" Cooper pairs per junction %d / %d\n", iDlo, iD, iDhi, cp1, cp2)
 	fmt.Fprintf(f, "# V3 djqp %e %e %e %d %d\n", iDlo, iD, iDhi, cp1, cp2)
 	if iD > iDlo && iD > iDhi && cp1 > 0 && cp2 > 0 {
-		fmt.Println("  DJQP resonance confirmed at 2Ec/e with balanced two-junction Cooper-pair transport")
+		fmt.Fprintln(stdout, "  DJQP resonance confirmed at 2Ec/e with balanced two-junction Cooper-pair transport")
 	} else {
-		fmt.Println("  WARNING: DJQP resonance not resolved at this event budget")
+		fmt.Fprintln(stdout, "  WARNING: DJQP resonance not resolved at this event budget")
 	}
 	return nil
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -105,7 +106,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s: %d gates -> %d SETs, %d junctions, Vdd = %.2f mV, T = %g K\n",
+	fmt.Fprintf(stdout, "%s: %d gates -> %d SETs, %d junctions, Vdd = %.2f mV, T = %g K\n",
 		nl.Name, len(nl.Gates), ex.NumSETs, ex.Circuit.NumJunctions(), vdd*1e3, *temp)
 
 	// Expected boolean values for the post-step assignment.
@@ -142,7 +143,7 @@ func main() {
 		if err := sim.Restore(cp); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("resumed from %s: %d events, t = %.3f us\n",
+		fmt.Fprintf(stdout, "resumed from %s: %d events, t = %.3f us\n",
 			*ckptPath, sim.Stats().Events, sim.Time()*1e6)
 	}
 
@@ -157,6 +158,9 @@ func main() {
 		runCtx, cancel = signal.NotifyContext(runCtx, syscall.SIGINT, syscall.SIGTERM)
 		defer cancel()
 	}
+	// The header shows while the run goes, and the interrupt exit below
+	// leaves nothing unwritten.
+	flushStdout()
 	_, err = jobs.RunSim(runCtx, sim, 0, stepAt+bench.ObserveFor, ck)
 	if errors.Is(err, jobs.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "logicsim: interrupted at %d events; resume with -checkpoint %s -resume\n",
@@ -169,7 +173,7 @@ func main() {
 
 	// Final logic levels of all declared outputs, checked against the
 	// boolean evaluation.
-	fmt.Println("\nfinal output levels:")
+	fmt.Fprintln(stdout, "\nfinal output levels:")
 	var names []string
 	names = append(names, nl.Outputs...)
 	sort.Strings(names)
@@ -181,17 +185,17 @@ func main() {
 		if got != want[o] {
 			mark = "MISMATCH"
 		}
-		fmt.Printf("  %-12s %7.2f mV  logic %v (expected %v) %s\n", o, v*1e3, got, want[o], mark)
+		fmt.Fprintf(stdout, "  %-12s %7.2f mV  logic %v (expected %v) %s\n", o, v*1e3, got, want[o], mark)
 	}
 
 	d, err := semsim.PropagationDelay(sim.Waveform(outNode), stepAt+bench.StepRamp, thr, 20e-9, want[out])
 	if err != nil {
-		fmt.Printf("\nno %s transition observed after the step (%v)\n", out, err)
+		fmt.Fprintf(stdout, "\nno %s transition observed after the step (%v)\n", out, err)
 	} else {
-		fmt.Printf("\npropagation delay to %s: %.1f ns\n", out, d*1e9)
+		fmt.Fprintf(stdout, "\npropagation delay to %s: %.1f ns\n", out, d*1e9)
 	}
 	st := sim.Stats()
-	fmt.Printf("%d tunnel events, %.1f rate calcs/event, simulated %.2f us\n",
+	fmt.Fprintf(stdout, "%d tunnel events, %.1f rate calcs/event, simulated %.2f us\n",
 		st.Events, float64(st.RateCalcs)/float64(st.Events), sim.Time()*1e6)
 
 	if *vcdPath != "" {
@@ -210,11 +214,28 @@ func main() {
 		if err := vf.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", *vcdPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *vcdPath)
+	}
+	flushStdout()
+}
+
+// stdout buffers the command's standard output; like every
+// bufio.Writer it keeps the first write error, which flushStdout
+// reports.
+var stdout = bufio.NewWriter(os.Stdout)
+
+// flushStdout writes out what stdout holds and exits 1 naming the first
+// write error.
+func flushStdout() {
+	if err := stdout.Flush(); err != nil {
+		fatal(err)
 	}
 }
 
 func fatal(err error) {
+	// Lines printed before the failure still go out; the error to
+	// report is err, not a second write error.
+	_ = stdout.Flush()
 	fmt.Fprintln(os.Stderr, "logicsim:", err)
 	os.Exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"semsim/internal/circuit"
 	"semsim/internal/logicnet"
 	"semsim/internal/solver"
 )
@@ -140,5 +141,22 @@ func TestAdaptiveCheaperOnMediumBenchmark(t *testing.T) {
 	if ad.RatePerEvent > na.RatePerEvent/4 {
 		t.Fatalf("adaptive rate calcs/event %.1f vs non-adaptive %.1f: expected >4x reduction",
 			ad.RatePerEvent, na.RatePerEvent)
+	}
+}
+
+// BenchmarkBuildC1908 times the whole build of the largest suite
+// circuit (6,988 junctions) at the ε = 1e-8 C^-1 truncation the
+// logic-c1908 benchmark workload uses: netlist expansion, RCM, sparse
+// Cholesky and the blocked inverse-row solves. Run it at -cpu 1 and
+// -cpu 2 to separate the blocked kernel from the worker fan-out.
+func BenchmarkBuildC1908(b *testing.B) {
+	bm, _ := ByName("c1908")
+	p := logicnet.DefaultParams()
+	bo := circuit.BuildOptions{CinvTruncation: 1e-8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildWorkloadWith(bm, p, bo); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

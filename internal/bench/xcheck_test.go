@@ -13,7 +13,7 @@ import (
 // exactPotentials is the test-local exact reference for a build's
 // island potentials at electron counts ns and time tt: it assembles
 // q + C_IE·v_ext from the element list and solves C v = q + C_IE·v_ext
-// with an untruncated sparse Cholesky solve.
+// with untruncated sparse Cholesky inverse rows.
 func exactPotentials(t *testing.T, c *circuit.Circuit, ns []int, tt float64) []float64 {
 	t.Helper()
 	ch, err := matrix.FactorCSR(c.CSR(), matrix.RCM(c.CSR()))
@@ -39,8 +39,16 @@ func exactPotentials(t *testing.T, c *circuit.Circuit, ns []int, tt float64) []f
 	for _, cp := range c.AllCapacitors() {
 		couple(cp.A, cp.B, cp.C)
 	}
-	ch.Solve(v)
-	return v
+	row := make([]float64, len(v))
+	w := make([]float64, len(v))
+	x := make([]float64, len(v))
+	for i := range x {
+		ch.InverseRow(i, row, w)
+		for j, r := range row {
+			x[i] += r * v[j]
+		}
+	}
+	return x
 }
 
 // TestSparseVsDensePotentialsSuite cross-checks the default build's

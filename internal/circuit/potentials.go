@@ -20,7 +20,10 @@ package circuit
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"semsim/internal/matrix"
 )
@@ -347,12 +350,14 @@ func csrRows(cols [][]int32, vals [][]float64) (ptr []int, col []int32, val []fl
 }
 
 // buildPotentials is the one C^-1 build: C is factored once under an
-// RCM ordering and every C^-1 row comes from one sparse solve,
-// O(n·nnz(L)) in total. Each row, and its mext row, is truncated at
-// ε = bo.CinvTruncation (DefaultCinvTruncation when 0) as it is solved;
-// the dense inverse is never formed.
+// RCM ordering and the C^-1 rows come from sparse solves, RowBlock rows
+// of that ordering per pass over L, O(n·nnz(L)) in total. Each row, and
+// its mext row, is truncated at ε = bo.CinvTruncation
+// (DefaultCinvTruncation when 0) as it is solved; the dense inverse is
+// never formed.
 func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
-	chol, err := matrix.FactorCSR(c.ccsr, matrix.RCM(c.ccsr))
+	perm := matrix.RCM(c.ccsr)
+	chol, err := matrix.FactorCSR(c.ccsr, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +368,7 @@ func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
 	if l := c.ccsr.LowerNNZ(); l > 0 {
 		p.fill = float64(chol.NNZ()) / float64(l)
 	}
-	p.truncateRows(chol, c.cieNonzeros())
+	p.truncateRows(chol, perm, c.cieNonzeros())
 	return p, nil
 }
 
@@ -401,39 +406,76 @@ func (cp couplings) mulRow(dst, row []float64) {
 	}
 }
 
+// islandsPerWorker is the island count each build worker must have to
+// itself: a circuit of n islands is solved by min(GOMAXPROCS, n/256)
+// goroutines, so one under 512 islands is solved on the calling
+// goroutine.
+const islandsPerWorker = 256
+
+// drops holds the largest dropped-entry measures one worker saw.
+type drops struct{ l1, inf, mextL1 float64 }
+
 // truncateRows fills p's rows at p.eps. The island charge balance is
 // q_e = C_II*v_I - C_IE*v_E (the C_IE column holds the positive
-// coupling capacitances), so v_I = Cinv*q_e + (Cinv*C_IE)*v_E: each
-// C^-1 row comes from one sparse solve and its mext row from C_IE.
-// Both are truncated through reused scratch into exact-size copies,
-// laid out as CSR once every row is known, so no stored array ever
-// grows by appending.
-func (p *Potentials) truncateRows(chol *matrix.SparseChol, cie couplings) {
+// coupling capacitances), so v_I = Cinv*q_e + (Cinv*C_IE)*v_E: the
+// C^-1 rows come from sparse solves and each mext row from C_IE. Rows
+// are solved in blocks of matrix.RowBlock consecutive positions of the
+// factor's ordering perm, which workers claim from an atomic counter.
+// Each worker has its own O(n) scratch, writes only its own rows' slots
+// and keeps its own drop maxima, combined after the join; every row is
+// computed the same way whichever worker solves it, and max is exact in
+// any order, so the result does not depend on the worker count. Rows
+// are truncated through the scratch into exact-size copies, laid out as
+// CSR once every row is known, so no stored array ever grows by
+// appending.
+func (p *Potentials) truncateRows(chol *matrix.SparseChol, perm []int, cie couplings) {
 	ni, ne := len(p.c.islands), len(p.c.externals)
 	cols, vals := make([][]int32, ni), make([][]float64, ni)
 	mcols, mvals := make([][]int32, ni), make([][]float64, ni)
-	row := make([]float64, ni)
-	w := make([]float64, ni)
-	mrow := make([]float64, ne)
-	var sc []int32
-	var sv []float64
-	for i := 0; i < ni; i++ {
-		chol.InverseRow(i, row, w)
-		cie.mulRow(mrow, row)
-		var ds, dm float64
-		sc, sv, ds, dm = truncRow(sc[:0], sv[:0], row, p.eps)
-		cols[i], vals[i] = slices.Clone(sc), slices.Clone(sv)
-		if ds > p.dropL1 {
-			p.dropL1 = ds
+	const bw = matrix.RowBlock
+	var next atomic.Int64 // the first position of the next unclaimed block
+	solve := func() drops {
+		slab := make([]float64, 2*bw*ni+ne)
+		w, mrow := slab[:bw*ni], slab[2*bw*ni:]
+		var out [bw][]float64
+		for j := range out {
+			out[j] = slab[(bw+j)*ni : (bw+j+1)*ni]
 		}
-		if dm > p.dropInf {
-			p.dropInf = dm
+		var d drops
+		var sc []int32
+		var sv []float64
+		for k0 := int(next.Add(bw)) - bw; k0 < ni; k0 = int(next.Add(bw)) - bw {
+			rows := out[:min(bw, ni-k0)]
+			chol.InverseRows(k0, rows, w)
+			for j, row := range rows {
+				i := perm[k0+j]
+				cie.mulRow(mrow, row)
+				var ds, dm float64
+				sc, sv, ds, dm = truncRow(sc[:0], sv[:0], row, p.eps)
+				cols[i], vals[i] = slices.Clone(sc), slices.Clone(sv)
+				d.l1, d.inf = max(d.l1, ds), max(d.inf, dm)
+				sc, sv, ds, _ = truncRow(sc[:0], sv[:0], mrow, p.eps)
+				mcols[i], mvals[i] = slices.Clone(sc), slices.Clone(sv)
+				d.mextL1 = max(d.mextL1, ds)
+			}
 		}
-		sc, sv, ds, _ = truncRow(sc[:0], sv[:0], mrow, p.eps)
-		mcols[i], mvals[i] = slices.Clone(sc), slices.Clone(sv)
-		if ds > p.mextDropL1 {
-			p.mextDropL1 = ds
-		}
+		return d
+	}
+	found := make([]drops, max(1, min(runtime.GOMAXPROCS(0), ni/islandsPerWorker)))
+	var wg sync.WaitGroup
+	for g := 1; g < len(found); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			found[g] = solve()
+		}()
+	}
+	found[0] = solve()
+	wg.Wait()
+	for _, d := range found {
+		p.dropL1 = max(p.dropL1, d.l1)
+		p.dropInf = max(p.dropInf, d.inf)
+		p.mextDropL1 = max(p.mextDropL1, d.mextL1)
 	}
 	p.rowPtr, p.rowCol, p.rowVal = csrRows(cols, vals)
 	p.mPtr, p.mCol, p.mVal = csrRows(mcols, mvals)

@@ -3,7 +3,9 @@ package circuit
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"semsim/internal/matrix"
 	"semsim/internal/units"
@@ -250,5 +252,51 @@ func TestBuildAllocatesRowsOnce(t *testing.T) {
 	t.Logf("%d islands: %d stored C^-1 entries, %.2f MB stored, %.2f MB allocated", n, pe.NNZ(), float64(stored)/1e6, float64(alloc)/1e6)
 	if limit := 3*stored + scratchPerIsland*n; alloc > limit {
 		t.Fatalf("build allocated %d bytes for %d stored row bytes (limit %d)", alloc, stored, limit)
+	}
+}
+
+// TestBuildSameAtAnyWorkerCount: a chain large enough for four build
+// workers stores the same rows and drop bounds, bit for bit, whether it
+// is built at GOMAXPROCS 1 (on the calling goroutine) or 4, and every
+// worker has exited once BuildWith returns.
+func TestBuildSameAtAnyWorkerCount(t *testing.T) {
+	const n = 2048 // n/islandsPerWorker = 8 workers allowed
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, eps := range []float64{0, 1e-6} {
+		var ref *Potentials
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			before := runtime.NumGoroutine()
+			c, _ := buildGatedChain(t, n, 0.3*aF, BuildOptions{CinvTruncation: eps})
+			// A worker that has signalled the join may not have returned
+			// yet; one that never returns keeps the count up past the
+			// deadline.
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("eps=%g GOMAXPROCS=%d: %d goroutines before BuildWith, %d after", eps, procs, before, after)
+			}
+			pe := c.Potentials()
+			if ref == nil {
+				ref = pe
+				continue
+			}
+			same := slices.Equal(pe.rowPtr, ref.rowPtr) && slices.Equal(pe.rowCol, ref.rowCol) &&
+				slices.Equal(bits(pe.rowVal...), bits(ref.rowVal...)) &&
+				slices.Equal(pe.mPtr, ref.mPtr) && slices.Equal(pe.mCol, ref.mCol) &&
+				slices.Equal(bits(pe.mVal...), bits(ref.mVal...)) &&
+				slices.Equal(bits(pe.dropL1, pe.dropInf, pe.mextDropL1), bits(ref.dropL1, ref.dropInf, ref.mextDropL1))
+			if !same {
+				t.Fatalf("eps=%g: the GOMAXPROCS=%d build differs from the GOMAXPROCS=1 build", eps, procs)
+			}
+		}
 	}
 }

@@ -138,8 +138,9 @@ const cinvEngine = "truncated-rows(default=1e-14,applied-shift-test)"
 
 // deckKey fingerprints everything that determines a run's trajectory
 // and its recorded state: SHA-256 over the deck's canonical Format
-// output (circuit, spec, seeds, noise windows), the task seed
-// derivation and the C^-1 engine, truncated to 128 bits of hex.
+// output (circuit, spec, seeds, noise windows) without its probe lines,
+// which no deck run reads, the task seed derivation and the C^-1
+// engine, truncated to 128 bits of hex.
 // Checkpoint files embed and verify the key and the result cache is
 // keyed on it, so a resumed or cached submission only picks up state
 // that provably belongs to the same work. The key also names every
@@ -147,7 +148,9 @@ const cinvEngine = "truncated-rows(default=1e-14,applied-shift-test)"
 // collisions out of reach.
 func deckKey(d *netlist.Deck) (string, error) {
 	var buf bytes.Buffer
-	if err := d.Format(&buf); err != nil {
+	unprobed := *d
+	unprobed.Spec.ProbeNodes = nil
+	if err := unprobed.Format(&buf); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s", seedScheme, cinvEngine)

@@ -77,6 +77,28 @@ func TestDeckKeyDropsWindowOverride(t *testing.T) {
 	}
 }
 
+// TestDeckKeyIgnoresProbes: a probe line changes no deck run, so a deck
+// with one shares the key of the same deck without it, and semsimd's
+// result cache and resume find the runs of either. Keying does not
+// touch the caller's deck.
+func TestDeckKeyIgnoresProbes(t *testing.T) {
+	probed := parseDeck(t, testDeck+"probe 4\n")
+	kp, err := deckKey(probed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := deckKey(parseDeck(t, testDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kp != k {
+		t.Fatalf("probe 4 moves the deck key from %s to %s", k, kp)
+	}
+	if got := probed.Spec.ProbeNodes; len(got) != 1 || got[0] != 4 {
+		t.Fatalf("keying changed the deck's probe nodes to %v", got)
+	}
+}
+
 // multiIslandDeck is a three-island gated chain swept symmetrically.
 const multiIslandDeck = `
 junc 1 1 2 1e-6 1e-18

@@ -10,7 +10,9 @@
 // SPD whenever every island has nonzero total capacitance). Its inverse
 // appears directly in the free-energy expression (Eq. 2 of the paper)
 // and in every node-potential update, so we factor once per circuit and
-// solve its inverse rows one at a time (SparseChol.InverseRow).
+// solve its inverse rows eight at a time (SparseChol.InverseRows), each
+// bit for bit the row the one-row reference SparseChol.InverseRow
+// computes.
 package matrix
 
 import (

@@ -11,9 +11,11 @@ package matrix
 // couples only to its junction and capacitor neighbours). Its Cholesky
 // factor stays sparse under a bandwidth-reducing ordering, so solving
 // C x = e_i per row costs O(nnz(L)) instead of the dense O(n^2), and
-// all n rows cost O(n·nnz(L)) against O(n^3) for a dense inversion:
-// seconds instead of minutes on the multi-thousand-junction
-// benchmarks.
+// all n rows cost O(n·nnz(L)) against O(n^3) for a dense inversion.
+// InverseRows solves RowBlock such rows in one pass over L, which reads
+// the factor an eighth as often and gives the backward sweep eight
+// independent chains of subtractions instead of one, with every row
+// bit-identical to the one-row InverseRow.
 
 import (
 	"fmt"
@@ -435,25 +437,11 @@ func (c *SparseChol) N() int { return c.n }
 // NNZ returns the stored entry count of the factor L.
 func (c *SparseChol) NNZ() int { return c.colptr[c.n] }
 
-// Solve solves A x = b in place (b in original, unpermuted indexing).
-func (c *SparseChol) Solve(b []float64) {
-	if len(b) != c.n {
-		panic("matrix: sparse Solve dimension mismatch")
-	}
-	w := make([]float64, c.n)
-	for k := 0; k < c.n; k++ {
-		w[k] = b[c.perm[k]]
-	}
-	c.solvePermuted(w, 0)
-	for k := 0; k < c.n; k++ {
-		b[c.perm[k]] = w[k]
-	}
-}
-
 // InverseRow computes row i of A^-1 into out (length n, original
 // indexing) using scratch w (length n, any contents). By symmetry this
 // is also column i, i.e. the solution of A x = e_i. The call performs no
-// allocations, so callers building many inverse rows can stream.
+// allocations. It is the one-row reference: InverseRows must match it
+// bit for bit, and the tests compare stored C^-1 entries against it.
 func (c *SparseChol) InverseRow(i int, out, w []float64) {
 	if len(out) != c.n || len(w) != c.n {
 		panic("matrix: InverseRow dimension mismatch")
@@ -491,5 +479,103 @@ func (c *SparseChol) solvePermuted(w []float64, k0 int) {
 			s -= c.val[p] * w[c.rowidx[p]]
 		}
 		w[k] = s / c.val[c.colptr[k]]
+	}
+}
+
+// RowBlock is the most rows InverseRows solves in one pass over L.
+const RowBlock = 8
+
+// InverseRows computes the rows of A^-1 at the m = len(out) consecutive
+// positions k0, ..., k0+m-1 (1 <= m <= RowBlock) of the factor's
+// ordering: out[j] (length n, original indexing) receives row
+// perm[k0+j], perm being the ordering given to FactorCSR. Scratch w
+// (length RowBlock·n, any contents) holds the right-hand sides
+// interleaved, position-major, so both sweeps read each column of L
+// once for the whole block and keep one accumulator per right-hand side
+// in a local.
+//
+// Each right-hand side sees exactly InverseRow's operations in
+// InverseRow's order, written in the same expression shapes, so out[j]
+// equals InverseRow(perm[k0+j]) bit for bit: the forward sweep skips a
+// column for every right-hand side that is zero there, and the backward
+// sweep skips nothing. Lanes past m repeat the last right-hand side, so
+// a short block takes the same path as a full one. The call performs no
+// allocations.
+func (c *SparseChol) InverseRows(k0 int, out [][]float64, w []float64) {
+	n, m := c.n, len(out)
+	if m < 1 || m > RowBlock || k0 < 0 || k0+m > n || len(w) != RowBlock*n {
+		panic("matrix: InverseRows dimension mismatch")
+	}
+	for _, o := range out {
+		if len(o) != n {
+			panic("matrix: InverseRows dimension mismatch")
+		}
+	}
+	clear(w)
+	for j := 0; j < RowBlock; j++ {
+		w[RowBlock*(k0+min(j, m-1))+j] = 1
+	}
+	for k := k0; k < n; k++ {
+		x := (*[RowBlock]float64)(w[RowBlock*k:])
+		d := c.val[c.colptr[k]]
+		lo, hi := c.colptr[k]+1, c.colptr[k+1]
+		if x[0] == 0 || x[1] == 0 || x[2] == 0 || x[3] == 0 ||
+			x[4] == 0 || x[5] == 0 || x[6] == 0 || x[7] == 0 {
+			// Some right-hand side is zero at k: InverseRow skips the
+			// column for it, so do it lane by lane.
+			for j, xk := range x {
+				if xk == 0 {
+					continue
+				}
+				xk /= d
+				x[j] = xk
+				for p := lo; p < hi; p++ {
+					w[RowBlock*int(c.rowidx[p])+j] -= c.val[p] * xk
+				}
+			}
+			continue
+		}
+		x0, x1, x2, x3 := x[0]/d, x[1]/d, x[2]/d, x[3]/d
+		x4, x5, x6, x7 := x[4]/d, x[5]/d, x[6]/d, x[7]/d
+		x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+		x[4], x[5], x[6], x[7] = x4, x5, x6, x7
+		for p := lo; p < hi; p++ {
+			v := c.val[p]
+			y := (*[RowBlock]float64)(w[RowBlock*int(c.rowidx[p]):])
+			y[0] -= v * x0
+			y[1] -= v * x1
+			y[2] -= v * x2
+			y[3] -= v * x3
+			y[4] -= v * x4
+			y[5] -= v * x5
+			y[6] -= v * x6
+			y[7] -= v * x7
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		x := (*[RowBlock]float64)(w[RowBlock*k:])
+		s0, s1, s2, s3 := x[0], x[1], x[2], x[3]
+		s4, s5, s6, s7 := x[4], x[5], x[6], x[7]
+		for p := c.colptr[k] + 1; p < c.colptr[k+1]; p++ {
+			v := c.val[p]
+			y := (*[RowBlock]float64)(w[RowBlock*int(c.rowidx[p]):])
+			s0 -= v * y[0]
+			s1 -= v * y[1]
+			s2 -= v * y[2]
+			s3 -= v * y[3]
+			s4 -= v * y[4]
+			s5 -= v * y[5]
+			s6 -= v * y[6]
+			s7 -= v * y[7]
+		}
+		d := c.val[c.colptr[k]]
+		x[0], x[1], x[2], x[3] = s0/d, s1/d, s2/d, s3/d
+		x[4], x[5], x[6], x[7] = s4/d, s5/d, s6/d, s7/d
+	}
+	for k, i := range c.perm {
+		x := w[RowBlock*k : RowBlock*k+m]
+		for j, o := range out {
+			o[i] = x[j]
+		}
 	}
 }

@@ -169,10 +169,16 @@ func TestFactorCSRMatchesDense(t *testing.T) {
 		}
 		want := append([]float64(nil), b...)
 		dense.Solve(want)
-		ch.Solve(b)
-		for i := range b {
-			if d := math.Abs(b[i] - want[i]); d > 1e-10*(math.Abs(want[i])+1) {
-				t.Fatalf("n=%d: sparse solve[%d]=%g, dense %g", n, i, b[i], want[i])
+		row := make([]float64, n)
+		w := make([]float64, n)
+		for i := range want {
+			ch.InverseRow(i, row, w)
+			got := 0.0
+			for j, v := range row {
+				got += v * b[j]
+			}
+			if d := math.Abs(got - want[i]); d > 1e-10*(math.Abs(want[i])+1) {
+				t.Fatalf("n=%d: sparse solve[%d]=%g, dense %g", n, i, got, want[i])
 			}
 		}
 	}
@@ -238,27 +244,73 @@ func TestFactorCSRSingularToRounding(t *testing.T) {
 	}
 }
 
-// TestSparseSolveMatchesInverseRow pins the internal consistency the
-// potential engine relies on: Solve and InverseRow are two routes to
-// the same linear system.
-func TestSparseSolveMatchesInverseRow(t *testing.T) {
-	r := rng.New(11)
-	n := 80
-	a := randSparseSPD(n, 2, r)
-	ch, err := FactorCSR(a, RCM(a))
-	if err != nil {
-		t.Fatal(err)
+// blockDiag returns diag(a, b): a matrix of two components that share
+// no column of the factor.
+func blockDiag(a, b *CSR) *CSR {
+	var ts []Triplet
+	n := 0
+	for _, m := range []*CSR{a, b} {
+		for i := 0; i < m.NumRows; i++ {
+			cols, vals := m.Row(i)
+			for k, c := range cols {
+				ts = append(ts, Triplet{n + i, n + int(c), vals[k]})
+			}
+		}
+		n += m.NumRows
 	}
-	i := 17
-	b := make([]float64, n)
-	b[i] = 1
-	ch.Solve(b)
-	row := make([]float64, n)
-	w := make([]float64, n)
-	ch.InverseRow(i, row, w)
-	for j := range b {
-		if b[j] != row[j] {
-			t.Fatalf("Solve(e_%d)[%d]=%g differs from InverseRow %g", i, j, b[j], row[j])
+	return CSRFromTriplets(n, n, ts)
+}
+
+// TestInverseRowsMatchesInverseRow: a block of every length 1..RowBlock
+// at every start position of the ordering, the short tail blocks
+// included, must reproduce InverseRow bit for bit, signed zeros
+// included. On the block-diagonal matrix the blocks that straddle the
+// two components have right-hand sides that are zero in columns where
+// others are not, so InverseRow's zero skip is taken lane by lane.
+func TestInverseRowsMatchesInverseRow(t *testing.T) {
+	r := rng.New(13)
+	cases := []struct {
+		name string
+		a    *CSR
+	}{
+		{"random n=5", randSparseSPD(5, 2, r)},
+		{"random n=61", randSparseSPD(61, 3, r)},
+		{"two components", blockDiag(randSparseSPD(37, 2, r), randSparseSPD(29, 3, r))},
+	}
+	for _, tc := range cases {
+		n := tc.a.NumRows
+		perm := RCM(tc.a)
+		ch, err := FactorCSR(tc.a, perm)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := make([][]float64, n)
+		w1 := make([]float64, n)
+		for i := range want {
+			want[i] = make([]float64, n)
+			ch.InverseRow(i, want[i], w1)
+		}
+		w := make([]float64, RowBlock*n)
+		for k := range w {
+			w[k] = math.NaN() // the scratch may hold anything
+		}
+		out := make([][]float64, RowBlock)
+		for j := range out {
+			out[j] = make([]float64, n)
+		}
+		for k0 := 0; k0 < n; k0++ {
+			for m := 1; m <= RowBlock && k0+m <= n; m++ {
+				ch.InverseRows(k0, out[:m], w)
+				for j, got := range out[:m] {
+					i := perm[k0+j]
+					for c := range got {
+						if math.Float64bits(got[c]) != math.Float64bits(want[i][c]) {
+							t.Fatalf("%s: block (k0=%d, m=%d) row %d col %d: %v, InverseRow %v",
+								tc.name, k0, m, i, c, got[c], want[i][c])
+						}
+					}
+				}
+			}
 		}
 	}
 }
