@@ -176,7 +176,11 @@ func BenchmarkFig7Delay(b *testing.B) {
 	p := logicnet.DefaultParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := bench.MeasureDelay(bm, p, Options{
+		ex, err := bench.BuildWorkload(bm, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = bench.MeasureDelayOn(ex, bm, Options{
 			Temp: bench.WorkloadTemp, Seed: uint64(77 + i), Adaptive: true,
 		})
 		if err != nil && err != ErrNoCrossing {

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 
 	"semsim"
@@ -19,40 +21,59 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchgen [name]")
 		os.Exit(2)
 	}
+	name := ""
 	if len(os.Args) == 2 {
-		emit(os.Args[1])
-		return
+		name = os.Args[1]
 	}
-	fmt.Printf("%-18s %10s %8s %8s %8s\n", "benchmark", "junctions", "SETs", "gates", "inputs")
+	if err := write(os.Stdout, name); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgen:", err)
+		os.Exit(1)
+	}
+}
+
+// write prints the gate netlist of benchmark name, or the table of all
+// benchmarks when name is empty, to out through one buffer, and returns
+// the first error.
+func write(out io.Writer, name string) error {
+	w := bufio.NewWriter(out)
+	if name == "" {
+		table(w)
+	} else {
+		b, ok := semsim.BenchmarkByName(name)
+		if !ok {
+			return fmt.Errorf("unknown benchmark %q", name)
+		}
+		emit(w, b)
+	}
+	return w.Flush()
+}
+
+func table(w io.Writer) {
+	fmt.Fprintf(w, "%-18s %10s %8s %8s %8s\n", "benchmark", "junctions", "SETs", "gates", "inputs")
 	for _, b := range semsim.Benchmarks() {
-		fmt.Printf("%-18s %10d %8d %8d %8d\n",
+		fmt.Fprintf(w, "%-18s %10d %8d %8d %8d\n",
 			b.Name, b.Netlist.NumJunctions(), b.Netlist.NumSETs(),
 			len(b.Netlist.Gates), len(b.Netlist.Inputs))
 	}
 }
 
-func emit(name string) {
-	b, ok := semsim.BenchmarkByName(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchgen: unknown benchmark %q\n", name)
-		os.Exit(1)
-	}
-	fmt.Printf("name %s\n", b.Name)
-	fmt.Print("input")
+func emit(w io.Writer, b semsim.Benchmark) {
+	fmt.Fprintf(w, "name %s\n", b.Name)
+	fmt.Fprint(w, "input")
 	for _, in := range b.Netlist.Inputs {
-		fmt.Printf(" %s", in)
+		fmt.Fprintf(w, " %s", in)
 	}
-	fmt.Println()
-	fmt.Print("output")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, "output")
 	for _, out := range b.Netlist.Outputs {
-		fmt.Printf(" %s", out)
+		fmt.Fprintf(w, " %s", out)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, g := range b.Netlist.Gates {
-		fmt.Printf("%s = %s", g.Out, g.Kind)
+		fmt.Fprintf(w, "%s = %s", g.Out, g.Kind)
 		for _, in := range g.In {
-			fmt.Printf(" %s", in)
+			fmt.Fprintf(w, " %s", in)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|obs-overhead|noise-bench|noise-spectroscopy|all}
+//	experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|noise-spectroscopy|all}
 //
 // See EXPERIMENTS.md for the mapping to the paper and the measured
 // outcomes.
@@ -45,7 +45,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|rate-engine|obs-overhead|noise-bench|noise-spectroscopy|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: experiments [flags] {fig1b|fig1c|fig5|fig6|fig7|validate|ablation|noise-spectroscopy|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,7 +60,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer stopObs()
 	run := func(name string, f func() error) {
 		fmt.Fprintf(stdout, "== %s ==\n", name)
 		start := time.Now()
@@ -87,12 +86,6 @@ func main() {
 		run("validate", validate)
 	case "ablation":
 		run("ablation", ablation)
-	case "rate-engine":
-		run("rate-engine", rateEngine)
-	case "obs-overhead":
-		run("obs-overhead", obsOverhead)
-	case "noise-bench":
-		run("noise-bench", noiseBench)
 	case "noise-spectroscopy":
 		run("noise-spectroscopy", noiseSpectroscopy)
 	case "all":
@@ -105,6 +98,9 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := stopObs(); err != nil {
+		fatal(err)
 	}
 }
 

@@ -123,7 +123,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer stopObs()
 
 	sim, err := semsim.NewSim(ex.Circuit, semsim.Options{Temp: *temp, Seed: *seed, Adaptive: *adaptive})
 	if err != nil {
@@ -217,6 +216,9 @@ func main() {
 		fmt.Fprintf(stdout, "wrote %s\n", *vcdPath)
 	}
 	flushStdout()
+	if err := stopObs(); err != nil {
+		fatal(err)
+	}
 }
 
 // stdout buffers the command's standard output; like every

@@ -78,7 +78,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer stopObs()
 
 	var in io.Reader = os.Stdin
 	name := "<stdin>"
@@ -145,6 +144,9 @@ func main() {
 		}
 	}
 	if err := errors.Join(writeTable(f, name, deck, pts), f.Close()); err != nil {
+		fatal(err)
+	}
+	if err := stopObs(); err != nil {
 		fatal(err)
 	}
 }

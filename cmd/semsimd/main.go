@@ -38,7 +38,8 @@
 // boundary, event streams deliver their jobs' terminal states, the
 // journal sink and final metrics snapshot are flushed, and only then
 // does the listener close — all bounded by -drain-timeout. A second
-// signal aborts immediately.
+// signal aborts immediately. The exit status is 1 when the drain is
+// incomplete or a journal or metrics write failed.
 package main
 
 import (
@@ -144,26 +145,30 @@ func main() {
 		cancel()
 	}()
 	drainErr := engine.Shutdown(shutCtx)
-	if j := o.Journal(); j != nil {
-		if err := j.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "semsimd: journal flush:", err)
+	writeFailed := false
+	report := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "semsimd: %s: %v\n", what, err)
+			writeFailed = true
 		}
+	}
+	if j := o.Journal(); j != nil {
+		report("journal flush", j.Flush())
 	}
 	if jsonl != nil {
-		if err := jsonl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "semsimd: journal close:", err)
-		}
+		report("journal close", jsonl.Close())
 	}
 	if *metricsOut != "" {
-		if err := writeMetricsSnapshot(*metricsOut, o); err != nil {
-			fmt.Fprintln(os.Stderr, "semsimd: metrics snapshot:", err)
-		}
+		report("metrics snapshot", writeMetricsSnapshot(*metricsOut, o))
 	}
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "semsimd:", err)
 	}
 	if drainErr != nil {
 		fmt.Fprintln(os.Stderr, "semsimd: drain incomplete:", drainErr)
+		os.Exit(1)
+	}
+	if writeFailed {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "semsimd: drained cleanly")

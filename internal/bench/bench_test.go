@@ -90,7 +90,11 @@ func TestMeasureDelaySmallBenchmark(t *testing.T) {
 	}
 	b, _ := ByName("2-to-10-decoder")
 	p := logicnet.DefaultParams()
-	res, err := MeasureDelay(b, p, solver.Options{Temp: WorkloadTemp, Seed: 77})
+	ex, err := BuildWorkload(b, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MeasureDelayOn(ex, b, solver.Options{Temp: WorkloadTemp, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +115,15 @@ func TestAdaptiveDelayWithinTolerance(t *testing.T) {
 	// seeds on the full suite; a single small benchmark is noisier).
 	b, _ := ByName("2-to-10-decoder")
 	p := logicnet.DefaultParams()
-	ref, _, err := MeanDelay(b, p, solver.Options{Temp: WorkloadTemp, Seed: 5}, 4)
+	ex, err := BuildWorkload(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, _, err := MeanDelay(b, p, solver.Options{Temp: WorkloadTemp, Seed: 5, Adaptive: true}, 4)
+	ref, _, err := MeanDelayOn(ex, b, solver.Options{Temp: WorkloadTemp, Seed: 5}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, _, err := MeanDelayOn(ex, b, solver.Options{Temp: WorkloadTemp, Seed: 5, Adaptive: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +138,15 @@ func TestAdaptiveCheaperOnMediumBenchmark(t *testing.T) {
 	}
 	b, _ := ByName("74LS153") // 224 junctions
 	p := logicnet.DefaultParams()
-	na, err := TimeSolver(b, p, solver.Options{Temp: WorkloadTemp, Seed: 9}, 3000, 0)
+	ex, err := BuildWorkload(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := TimeSolver(b, p, solver.Options{Temp: WorkloadTemp, Seed: 9, Adaptive: true}, 3000, 0)
+	na, err := TimeSolverOn(ex, solver.Options{Temp: WorkloadTemp, Seed: 9}, 3000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := TimeSolverOn(ex, solver.Options{Temp: WorkloadTemp, Seed: 9, Adaptive: true}, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,20 +68,12 @@ type DelayResult struct {
 	Dissipated float64
 }
 
-// MeasureDelay runs the delay workload once and extracts the 50%-swing
-// propagation delay at the benchmark's output.
-func MeasureDelay(b Benchmark, p logicnet.Params, opt solver.Options) (DelayResult, error) {
-	ex, err := BuildWorkload(b, p)
-	if err != nil {
-		return DelayResult{}, err
-	}
-	return MeasureDelayOn(ex, b, opt)
-}
-
-// MeasureDelayOn is MeasureDelay against a pre-built workload, so the
-// capacitance-matrix inversion (expensive for the large benchmarks) is
-// paid once across seeds and solvers. The expanded circuit is read-only
-// during simulation and safe to share between concurrent runs.
+// MeasureDelayOn runs the delay workload once on a pre-built workload
+// (BuildWorkload) and extracts the 50%-swing propagation delay at the
+// benchmark's output. Building once lets the capacitance-matrix
+// inversion (expensive for the large benchmarks) be paid once across
+// seeds and solvers. The expanded circuit is read-only during
+// simulation and safe to share between concurrent runs.
 func MeasureDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options) (DelayResult, error) {
 	defer obs.GlobalSpan("bench.measureDelay").End()
 	s, err := solver.New(ex.Circuit, opt)
@@ -108,22 +100,13 @@ func MeasureDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options) (Del
 	}, nil
 }
 
-// MeanDelay averages MeasureDelay over n seeds (the paper averages nine
-// SEMSIM runs per benchmark in Fig. 7). Individual runs whose output
-// never switches — a Monte Carlo run occasionally freezes a marginal
-// stage for the whole observation window — are skipped; the returned
-// count says how many runs contributed. It is an error if fewer than
-// half the runs produce a delay.
-func MeanDelay(b Benchmark, p logicnet.Params, opt solver.Options, n int) (float64, int, error) {
-	ex, err := BuildWorkload(b, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return MeanDelayOn(ex, b, opt, n)
-}
-
-// MeanDelayOn is MeanDelay against a pre-built workload. The seeds run
-// in parallel.
+// MeanDelayOn averages MeasureDelayOn over n seeds, run in parallel
+// (the paper averages nine SEMSIM runs per benchmark in Fig. 7).
+// Individual runs whose output never switches — a Monte Carlo run
+// occasionally freezes a marginal stage for the whole observation
+// window — are skipped; the returned count says how many runs
+// contributed. It is an error if fewer than half the runs produce a
+// delay.
 func MeanDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options, n int) (float64, int, error) {
 	if n < 1 {
 		n = 1
@@ -166,27 +149,15 @@ func MeanDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options, n int) 
 
 // TimingResult reports solver cost on a benchmark workload.
 type TimingResult struct {
-	Events          uint64
-	Wall            time.Duration
-	SimulatedTime   float64
-	RateCalcs       uint64
-	RatePerEvent    float64
+	RatePerEvent    float64 // rate calculations per event
 	WallPerSimETime float64 // wall seconds per simulated second
 }
 
-// TimeSolver runs the workload for a bounded number of events and
-// reports the cost metrics used by Fig. 6. Wall time per simulated
-// second is what the paper plots (normalized to 10 us of circuit time);
-// rate calculations per event is the machine-independent counterpart.
-func TimeSolver(b Benchmark, p logicnet.Params, opt solver.Options, maxEvents uint64, maxTime float64) (TimingResult, error) {
-	ex, err := BuildWorkload(b, p)
-	if err != nil {
-		return TimingResult{}, err
-	}
-	return TimeSolverOn(ex, opt, maxEvents, maxTime)
-}
-
-// TimeSolverOn is TimeSolver against a pre-built workload.
+// TimeSolverOn runs a pre-built workload (BuildWorkload) for a bounded
+// number of events and reports the cost metrics used by Fig. 6. Wall
+// time per simulated second is what the paper plots (normalized to
+// 10 us of circuit time); rate calculations per event is the
+// machine-independent counterpart.
 func TimeSolverOn(ex *logicnet.Expanded, opt solver.Options, maxEvents uint64, maxTime float64) (TimingResult, error) {
 	defer obs.GlobalSpan("bench.timeSolver").End()
 	s, err := solver.New(ex.Circuit, opt)
@@ -198,14 +169,8 @@ func TimeSolverOn(ex *logicnet.Expanded, opt solver.Options, maxEvents uint64, m
 		return TimingResult{}, err
 	}
 	wall := time.Since(start)
-	st := s.Stats()
-	res := TimingResult{
-		Events:        st.Events,
-		Wall:          wall,
-		SimulatedTime: s.Time(),
-		RateCalcs:     st.RateCalcs,
-	}
-	if st.Events > 0 {
+	var res TimingResult
+	if st := s.Stats(); st.Events > 0 {
 		res.RatePerEvent = float64(st.RateCalcs) / float64(st.Events)
 	}
 	if s.Time() > 0 {

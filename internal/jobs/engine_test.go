@@ -292,7 +292,9 @@ func TestEngineSubmitValidates(t *testing.T) {
 }
 
 // End-to-end on real simulations: several jobs in flight on a shared
-// pool produce exactly what a direct ExecuteDeck of the same deck does.
+// pool, with the engine's metrics and journal on, produce exactly what
+// a direct, unobserved ExecuteDeck of the same deck does — the task
+// telemetry is passive.
 func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 	decks := []string{
 		testDeck,
@@ -300,7 +302,8 @@ func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 		strings.Replace(testDeck, "seed 11", "seed 31", 1),
 		strings.Replace(testDeck, "seed 11", "seed 41", 1),
 	}
-	e := NewEngine(EngineConfig{Workers: 4, CheckpointDir: t.TempDir(), CheckpointEvery: 1})
+	o := obs.New(obs.Config{Trace: true, TraceCap: 1 << 12})
+	e := NewEngine(EngineConfig{Workers: 4, CheckpointDir: t.TempDir(), CheckpointEvery: 1, Obs: o})
 	t.Cleanup(e.Close)
 
 	jobsList := make([]*Job, len(decks))
@@ -322,5 +325,8 @@ func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 			t.Fatal(err)
 		}
 		samePoints(t, want, got, fmt.Sprintf("engine job %d", i))
+	}
+	if o.Registry().Snapshot().Counters["solver.events"] == 0 || o.Journal().Total() == 0 {
+		t.Error("the engine's observer recorded nothing")
 	}
 }

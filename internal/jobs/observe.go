@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"semsim/internal/obs"
-	"semsim/internal/solver"
 )
 
 // Job observability: every (point, run) task, checkpoint write, retry,
@@ -258,30 +257,6 @@ func (h *taskHooks) chunk(events uint64) {
 		return
 	}
 	h.e.publishProgress(h.j)
-}
-
-// BenchObservedRun advances s until its total event count reaches
-// maxEvents with the full jobs-layer telemetry attached — registry
-// counters and histograms on o, per-worker trace lanes, and bus
-// publishes, exactly as an Engine task wires them. It exists for the
-// obs-overhead benchmark, which compares this configuration against a
-// bare solver run to price the per-chunk instrumentation; it returns
-// the events applied. The trajectory is bit-identical to an
-// uninstrumented run of the same sim.
-func BenchObservedRun(s *solver.Sim, maxEvents uint64, o *obs.Observer, workers int) (uint64, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	e := &Engine{cfg: EngineConfig{Workers: workers}, bus: obs.NewBus(0, 0)}
-	e.eobs = newEngineObs(o, e)
-	j := &Job{id: "bench", created: time.Now(), total: 1}
-	j.trace = newJobTrace(workers, j.created)
-	p := newPhaseRunner(context.Background(), s,
-		RunConfig{hooks: &taskHooks{e: e, j: j, lane: j.trace.workers[0]}})
-	p.point, p.run = -1, -1
-	start := s.Stats().Events
-	err := p.runPhase(phaseSingle, 0, maxEvents, 0)
-	return s.Stats().Events - start, err
 }
 
 // publish emits one bus event on the job's topic (nil-safe; the bus

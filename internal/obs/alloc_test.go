@@ -64,8 +64,9 @@ func BenchmarkObsDisabledEventTouched(b *testing.B) {
 	}
 }
 
-// BenchmarkObsEnabledEvent is the enabled counterpart for the overhead
-// report: metrics on, tracing off. It must also stay allocation-free.
+// BenchmarkObsEnabledEvent is the enabled counterpart of
+// BenchmarkObsDisabledEvent: metrics on, tracing off. It must also
+// stay allocation-free.
 func BenchmarkObsEnabledEvent(b *testing.B) {
 	o := New(Config{})
 	b.ReportAllocs()

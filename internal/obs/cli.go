@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -26,11 +27,12 @@ type CLIConfig struct {
 // StartCLI installs a process-wide observer per cfg — every simulation,
 // sweep and master solve then reports to it without further plumbing —
 // and returns a stop function that writes the trace file, shuts the
-// HTTP endpoint down and uninstalls the observer. With every feature
-// off it installs nothing and stop is a no-op.
-func StartCLI(cfg CLIConfig) (stop func(), err error) {
+// HTTP endpoint down, uninstalls the observer and returns the errors
+// of the trace write and the shutdown, if any. With every feature off
+// it installs nothing and stop returns nil.
+func StartCLI(cfg CLIConfig) (stop func() error, err error) {
 	if cfg.Addr == "" && cfg.TraceFile == "" && !cfg.Progress {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
 	// The journal feeds both the trace file and the live /trace route.
 	o := New(Config{Trace: cfg.TraceFile != "" || cfg.Addr != ""})
@@ -48,21 +50,19 @@ func StartCLI(cfg CLIConfig) (stop func(), err error) {
 	if cfg.Progress {
 		prog = StartProgress(o, os.Stderr, 2*time.Second, cfg.TargetSim)
 	}
-	return func() {
+	return func() error {
 		prog.Stop()
+		var traceErr, closeErr error
 		if cfg.TraceFile != "" {
-			if err := writeTraceFile(cfg.TraceFile, o); err != nil {
-				fmt.Fprintln(os.Stderr, "obs:", err)
-			} else {
+			if traceErr = writeTraceFile(cfg.TraceFile, o); traceErr == nil {
 				fmt.Fprintf(os.Stderr, "obs: wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", cfg.TraceFile)
 			}
 		}
 		if srv != nil {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "obs:", err)
-			}
+			closeErr = srv.Close()
 		}
 		SetGlobal(nil)
+		return errors.Join(traceErr, closeErr)
 	}, nil
 }
 

@@ -138,9 +138,6 @@ func TaskOutcomeName(code int) string { return codeName(taskOutcomeNames[:], cod
 // "canceled", "timeout").
 func ErrClassName(code int) string { return codeName(errClassNames[:], code) }
 
-// JobStateName names a JobState code ("queued" through "interrupted").
-func JobStateName(code int) string { return codeName(jobStateNames[:], code) }
-
 // String names the kind for exports.
 func (k Kind) String() string {
 	switch k {

@@ -118,11 +118,12 @@ func TestStepHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTablesNotSlowerThanExact pins the satellite regression: with the
-// flat uniform-grid kernel, routing rates through the tables must never
-// cost more than exact evaluation. Timing asserts are flaky on shared
-// machines, so the gate is generous — tables must reach at least 80% of
-// exact recompute throughput, where the expected ratio is well above 1.
+// TestTablesNotSlowerThanExact is the live check behind RateTables:
+// with the flat uniform-grid kernel, routing rates through the tables
+// must never cost more than exact evaluation. Timing asserts are flaky
+// on shared machines, so the gate is generous — tables must reach at
+// least 80% of exact recompute throughput, where the expected ratio is
+// well above 1.
 func TestTablesNotSlowerThanExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmarking under -short")

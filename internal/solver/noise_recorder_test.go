@@ -130,31 +130,76 @@ func TestNoiseSpectralWhiteTail(t *testing.T) {
 }
 
 // TestNoisePassiveTrajectory: attaching a recorder must not perturb
-// the simulation — identical seed, bit-identical trajectory.
+// the simulation — identical seed, bit-identical trajectory — on one
+// junction of a SET, and on every junction of an adaptive chain with
+// rate tables, each with a counting window and the uniform grid
+// ω_k = (k+1)·ω₀, k = 0…3, that takes the recorder's rotation fast
+// path.
 func TestNoisePassiveTrajectory(t *testing.T) {
-	mk := func(withNoise bool) *Sim {
-		c, nd := circuit.NewSET(circuit.SETConfig{
-			R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
-			Vs: 0.1, Vd: -0.1,
-		})
-		s, err := New(c, Options{Temp: 2, Seed: 99, Adaptive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withNoise {
-			if err := s.EnableNoise(noise.Config{Juncs: []noise.JuncConfig{
-				{Junc: nd.JuncSource, Omegas: []float64{1e8}, Window: 1e-9},
-			}}); err != nil {
+	t.Run("set", func(t *testing.T) {
+		var nd circuit.SETNodes
+		mk := func() *Sim {
+			var c *circuit.Circuit
+			c, nd = circuit.NewSET(circuit.SETConfig{
+				R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
+				Vs: 0.1, Vd: -0.1,
+			})
+			s, err := New(c, Options{Temp: 2, Seed: 99, Adaptive: true})
+			if err != nil {
 				t.Fatal(err)
 			}
+			return s
 		}
-		return s
-	}
-	a, b := mk(true), mk(false)
-	if _, err := a.Run(20000, 0); err != nil {
+		requireNoisePassive(t, mk, 20000, func(*Sim) noise.Config {
+			return noise.Config{Juncs: []noise.JuncConfig{
+				{Junc: nd.JuncSource, Omegas: []float64{1e8}, Window: 1e-9},
+			}}
+		})
+	})
+	t.Run("chain-all-junctions", func(t *testing.T) {
+		mk := func() *Sim {
+			s, err := New(hotChain(t, 16), Options{Temp: 2, Seed: 11, Adaptive: true, RateTables: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		// The window and ω₀ follow the bare run's event rate, the way a
+		// deck's auto-calibrated windows do.
+		requireNoisePassive(t, mk, 20000, func(bare *Sim) noise.Config {
+			rate := float64(bare.Stats().Events) / bare.Time()
+			w0 := rate / 100
+			// ω_0 + k·ω_0 is the grid the rotation recurrence implies,
+			// bit for bit.
+			omegas := make([]float64, 4)
+			for k := range omegas {
+				omegas[k] = w0 + float64(k)*w0
+			}
+			cfg := noise.Config{Juncs: make([]noise.JuncConfig, bare.c.NumJunctions())}
+			for j := range cfg.Juncs {
+				cfg.Juncs[j] = noise.JuncConfig{Junc: j, Window: noise.DefaultWindowEvents / rate, Omegas: omegas}
+			}
+			return cfg
+		})
+	})
+}
+
+// requireNoisePassive runs a bare simulation from mk for events, then a
+// second one with the recorder cfg(bare) attached, and requires
+// bit-identical clocks, statistics and junction charges, with events
+// on every recorder so the comparison is not vacuous.
+func requireNoisePassive(t *testing.T, mk func() *Sim, events uint64, cfg func(bare *Sim) noise.Config) {
+	t.Helper()
+	b := mk()
+	if _, err := b.Run(events, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Run(20000, 0); err != nil {
+	a := mk()
+	rc := cfg(b)
+	if err := a.EnableNoise(rc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(events, 0); err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(a.Time()) != math.Float64bits(b.Time()) {
@@ -163,9 +208,14 @@ func TestNoisePassiveTrajectory(t *testing.T) {
 	if a.Stats() != b.Stats() {
 		t.Errorf("recorder perturbed event statistics:\n%+v\n%+v", a.Stats(), b.Stats())
 	}
-	for j := 0; j < 2; j++ {
+	for j := 0; j < a.c.NumJunctions(); j++ {
 		if math.Float64bits(a.JunctionCharge(j)) != math.Float64bits(b.JunctionCharge(j)) {
 			t.Errorf("junction %d charge diverged: %g vs %g", j, a.JunctionCharge(j), b.JunctionCharge(j))
+		}
+	}
+	for _, jc := range rc.Juncs {
+		if st, ok := a.NoiseStats(jc.Junc); !ok || st.Events == 0 {
+			t.Errorf("junction %d recorder saw no events (%+v)", jc.Junc, st)
 		}
 	}
 }
@@ -302,8 +352,9 @@ func TestNoiseCheckpointRoundTrip(t *testing.T) {
 }
 
 // BenchmarkStepHotPathNoise measures the full per-event loop with a
-// recorder accumulating windows and a 3-point spectral grid — the
-// configuration the <5% overhead budget refers to.
+// recorder accumulating windows and a 3-point spectral grid; against
+// BenchmarkStepHotPath (the same chain, seed and kernels) it prices
+// recording per event.
 func BenchmarkStepHotPathNoise(b *testing.B) {
 	s, err := New(hotChain(b, 16), Options{Temp: 2, Seed: 7, RateTables: true})
 	if err != nil {
