@@ -49,7 +49,17 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.NArg() != 1 {
+	experiments := map[string]func() error{
+		"fig1b": fig1b, "fig1c": fig1c, "fig5": fig5, "fig6": fig6, "fig7": fig7,
+		"validate": validate, "ablation": ablation, "noise-spectroscopy": noiseSpectroscopy,
+	}
+	todo := []string{flag.Arg(0)}
+	if todo[0] == "all" {
+		todo = []string{"validate", "fig1b", "fig1c", "fig5", "fig6", "fig7"}
+	}
+	// A usage error leaves nothing behind: no output directory, no
+	// listener.
+	if flag.NArg() != 1 || experiments[todo[0]] == nil {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -71,33 +81,8 @@ func main() {
 			fatal(stdout.err)
 		}
 	}
-	switch flag.Arg(0) {
-	case "fig1b":
-		run("fig1b", fig1b)
-	case "fig1c":
-		run("fig1c", fig1c)
-	case "fig5":
-		run("fig5", fig5)
-	case "fig6":
-		run("fig6", fig6)
-	case "fig7":
-		run("fig7", fig7)
-	case "validate":
-		run("validate", validate)
-	case "ablation":
-		run("ablation", ablation)
-	case "noise-spectroscopy":
-		run("noise-spectroscopy", noiseSpectroscopy)
-	case "all":
-		run("validate", validate)
-		run("fig1b", fig1b)
-		run("fig1c", fig1c)
-		run("fig5", fig5)
-		run("fig6", fig6)
-		run("fig7", fig7)
-	default:
-		flag.Usage()
-		os.Exit(2)
+	for _, name := range todo {
+		run(name, experiments[name])
 	}
 	if err := stopObs(); err != nil {
 		fatal(err)

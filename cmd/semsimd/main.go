@@ -17,7 +17,7 @@
 //	GET  /api/v1/jobs/{id}/result folded sweep points (when done)
 //	POST /api/v1/jobs/{id}/cancel abort a job
 //	GET  /api/v1/jobs/{id}/events live progress (Server-Sent Events; also /jobs/{id}/events)
-//	GET  /api/v1/jobs/{id}/trace  merged per-worker Chrome trace (also /jobs/{id}/trace)
+//	GET  /api/v1/jobs/{id}/trace  Chrome trace, one lane per worker (also /jobs/{id}/trace)
 //	GET  /healthz                 liveness
 //	GET  /metrics /trace /heatmap /debug/pprof/   observability
 //
@@ -28,6 +28,11 @@
 // key besides "deck" — including the retired "overrides" object — is
 // refused with HTTP 400 naming the key, so no setting is ever silently
 // dropped.
+//
+// Each job keeps one bounded event log, its newest 2048·workers + 1024
+// events, and the events and trace routes both render it. An event
+// stream that falls behind the log gets one "event: dropped" record
+// with the number of events it missed; it never stalls the engine.
 //
 // /metrics content-negotiates: the stable JSON snapshot by default, the
 // Prometheus text exposition for scrapers (Accept: text/plain or

@@ -59,13 +59,7 @@ func BuildWorkloadWith(b Benchmark, p logicnet.Params, bo circuit.BuildOptions) 
 type DelayResult struct {
 	Delay     float64 // seconds
 	Events    uint64
-	Wall      time.Duration
 	RateCalcs uint64
-	// Dissipated is the total tunneling heat (joules) over the run —
-	// settle plus one input transition. Divided by the circuit's gate
-	// count it gives the per-switching-event energy scale the paper's
-	// introduction quotes (~1e-18 J).
-	Dissipated float64
 }
 
 // MeasureDelayOn runs the delay workload once on a pre-built workload
@@ -82,11 +76,9 @@ func MeasureDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options) (Del
 	}
 	out := ex.Wire[b.OutputWire]
 	s.AddProbe(out)
-	start := time.Now()
 	if _, err := s.Run(0, SettleTime+ObserveFor); err != nil && err != solver.ErrBlockaded {
 		return DelayResult{}, err
 	}
-	wall := time.Since(start)
 	w := s.Waveform(out)
 	// Smooth over a few single-electron steps; threshold at half swing.
 	delay, err := trace.PropagationDelay(w, SettleTime+StepRamp, ex.LogicThreshold(), 20e-9, b.OutputRises)
@@ -94,10 +86,7 @@ func MeasureDelayOn(ex *logicnet.Expanded, b Benchmark, opt solver.Options) (Del
 		return DelayResult{}, fmt.Errorf("bench %s: %w", b.Name, err)
 	}
 	st := s.Stats()
-	return DelayResult{
-		Delay: delay, Events: st.Events, Wall: wall,
-		RateCalcs: st.RateCalcs, Dissipated: st.Dissipated,
-	}, nil
+	return DelayResult{Delay: delay, Events: st.Events, RateCalcs: st.RateCalcs}, nil
 }
 
 // MeanDelayOn averages MeasureDelayOn over n seeds, run in parallel

@@ -169,15 +169,8 @@ func loadRunFile(path string) (*runFile, error) {
 	return &f, nil
 }
 
-// SaveSim persists a single simulation snapshot to path using the same
-// atomic, checksummed envelope as batch-run checkpoints. It is the
-// persistence half of the CLI -resume flow (see LoadSim).
-func SaveSim(path string, cp *solver.Checkpoint) error {
-	return saveRunFile(path, &runFile{Phase: phaseSingle, Point: -1, Run: -1, Solver: cp})
-}
-
-// LoadSim reads a snapshot written by SaveSim (or by a Checkpointer)
-// and returns the solver state, validating the envelope's format,
+// LoadSim reads a snapshot written by RunSim's Checkpointer and
+// returns the solver state, validating the envelope's format,
 // version and checksum first. Restoring it into a Sim additionally
 // validates the solver-side version and options hash.
 func LoadSim(path string) (*solver.Checkpoint, error) {

@@ -124,28 +124,6 @@ func TestLoadRejectsCorruptCheckpoints(t *testing.T) {
 	}
 }
 
-// SaveSim/LoadSim round-trip through the same envelope.
-func TestSaveSimRoundTrip(t *testing.T) {
-	src := writeTestCheckpoint(t, t.TempDir())
-	f, err := loadRunFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sim.ckpt")
-	if err := SaveSim(path, f.Solver); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := LoadSim(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(f.Solver)
-	b, _ := json.Marshal(cp)
-	if string(a) != string(b) {
-		t.Fatal("SaveSim/LoadSim altered the solver snapshot")
-	}
-}
-
 // killDeck is a longer sweep for the SIGKILL test: slow enough that the
 // parent reliably lands a kill mid-run, checkpointed often.
 const killDeck = `

@@ -85,11 +85,11 @@ type Job struct {
 	cancel    context.CancelFunc
 	completed chan struct{} // closed when the job reaches a terminal state
 
-	// Observability (see observe.go): the per-job trace lanes and the
+	// Observability (see observe.go): the job's event log and the
 	// atomics feeding progress events. All passive.
-	trace        *jobTrace
+	log          *eventLog
 	events       atomic.Uint64 // solver events applied across all tasks
-	lastProgress atomic.Int64  // wall ns of the last progress publish
+	lastProgress atomic.Int64  // wall ns of the last progress event
 }
 
 // JobStatus is a JSON-friendly snapshot of a job's progress.
@@ -125,10 +125,10 @@ type Engine struct {
 	seq    int
 	closed bool
 
-	// Observability (see observe.go): the live-progress event bus, the
-	// pre-resolved engine metrics (nil without an observer), and the
-	// atomics behind the queue/worker gauges.
-	bus       *obs.Bus
+	// Observability (see observe.go): how many events each job's log
+	// keeps, the pre-resolved engine metrics (nil without an observer),
+	// and the atomics behind the queue/worker gauges.
+	logKeep   int
 	eobs      *engineObs
 	unstarted atomic.Int64 // tasks of unfinished jobs not yet started
 	running   atomic.Int64
@@ -160,16 +160,14 @@ func newEngine(cfg EngineConfig, runTask taskFunc) *Engine {
 	// later tasks of the same deck (and later jobs over the same deck)
 	// re-seed the cached solver instead of rebuilding it.
 	e := &Engine{
-		cfg:   cfg,
-		drain: make(chan struct{}),
-		pool:  newPool(cfg.Workers),
-		jobs:  map[string]*Job{},
-		bus:   obs.NewBus(0, 0),
+		cfg:     cfg,
+		drain:   make(chan struct{}),
+		pool:    newPool(cfg.Workers),
+		jobs:    map[string]*Job{},
+		logKeep: logPerWorker*cfg.Workers + logBase,
 	}
 	if o := e.observer(); o != nil {
 		e.eobs = newEngineObs(o, e)
-		e.bus.CountOn(o.Registry().Counter("jobs.events_published"),
-			o.Registry().Counter("jobs.events_dropped"))
 	}
 	e.runTask = runTask
 	if e.runTask == nil {
@@ -209,8 +207,8 @@ func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
 		points:    len(r.pts),
 		total:     len(r.pts) * r.runs,
 		completed: make(chan struct{}),
+		log:       newEventLog(e.logKeep),
 	}
-	j.trace = newJobTrace(e.cfg.Workers, j.created)
 	base := context.Background()
 	if e.cfg.JobTimeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(base, e.cfg.JobTimeout)
@@ -220,8 +218,7 @@ func (e *Engine) Submit(d *netlist.Deck) (*Job, error) {
 	e.jobs[j.id] = j
 	e.unstarted.Add(int64(j.total))
 	count(e.observer(), "jobs.submitted")
-	j.trace.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateQueued, Wall: j.trace.wall()})
-	e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q,"tasks_total":%d}`, j.id, StateQueued, j.total))
+	e.emit(j, jobEvent{kind: evState, code: stateCode(StateQueued), wall: j.wall(), total: int32(j.total)})
 	e.wg.Add(1)
 	go e.runJob(j)
 	return j, nil
@@ -286,6 +283,16 @@ func (e *Engine) statusLocked(j *Job) JobStatus {
 	return st
 }
 
+// errText returns the job's error message, "" while it has none.
+func (e *Engine) errText(j *Job) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if j.err == nil {
+		return ""
+	}
+	return j.err.Error()
+}
+
 // Result returns the folded points of a completed job. It errors until
 // the job reaches StateDone.
 func (e *Engine) Result(j *Job) ([]Point, error) {
@@ -307,6 +314,10 @@ func (e *Engine) Result(j *Job) ([]Point, error) {
 
 // ID returns the job's engine-assigned identifier.
 func (j *Job) ID() string { return j.id }
+
+// wall returns nanoseconds since the job's submission: the clock its
+// events are stamped on.
+func (j *Job) wall() int64 { return int64(time.Since(j.created)) }
 
 // Wait blocks until the job reaches a terminal state or ctx is
 // canceled.
@@ -330,7 +341,7 @@ func (e *Engine) draining() bool {
 
 // runJob executes j's deck on the engine's pool and finalizes the job.
 // Workers flow from one wave straight into the next, and a refinement
-// wave grows the job's totals and publishes a refine event before its
+// wave grows the job's totals and emits a refine event before its
 // tasks start.
 func (e *Engine) runJob(j *Job) {
 	defer e.wg.Done()
@@ -350,8 +361,7 @@ func (e *Engine) runJob(j *Job) {
 		j.points += points
 		j.total += points * j.run.runs
 		e.unstarted.Add(int64(points * j.run.runs))
-		e.publish(j, "refine", fmt.Sprintf(`{"job":%q,"level":%d,"new_points":%d,"tasks_total":%d}`,
-			j.id, level, points, j.total))
+		e.emit(j, jobEvent{kind: evRefine, wall: j.wall(), a: int32(level), n: uint64(points), total: int32(j.total)})
 	})
 	e.finish(j, err)
 }
@@ -359,8 +369,7 @@ func (e *Engine) runJob(j *Job) {
 // runJobTask runs one task of j with the daemon's additions:
 // the queued→running transition, no start once the engine drains,
 // bounded retry of transient failures with exponential backoff (the
-// task keeps its worker meanwhile), the worker's trace lane, bus events
-// and engine metrics.
+// task keeps its worker meanwhile), job events and engine metrics.
 func (e *Engine) runJobTask(ctx context.Context, j *Job, t task, cfg RunConfig) (runResult, error) {
 	if e.draining() {
 		// A draining engine starts no new work; the job stays
@@ -368,33 +377,28 @@ func (e *Engine) runJobTask(ctx context.Context, j *Job, t task, cfg RunConfig) 
 		return runResult{}, ErrInterrupted
 	}
 	e.unstarted.Add(-1)
-	tr := j.trace
 	e.mu.Lock()
 	j.begun++
 	if j.state == StateQueued {
-		// The queued span closes when the first task starts.
 		j.state, j.started = StateRunning, time.Now()
-		now := tr.wall()
-		tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("queued"), Dur: now})
-		tr.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateRunning, Wall: now})
-		e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q}`, j.id, StateRunning))
+		e.emit(j, jobEvent{kind: evState, code: stateCode(StateRunning), wall: int64(j.started.Sub(j.created))})
 	}
 	e.mu.Unlock()
 
-	lane := tr.workers[t.w.id]
-	cfg.hooks = &taskHooks{e: e, j: j, lane: lane, point: t.point, run: t.run}
+	h := &taskHooks{e: e, j: j, worker: t.w.id, point: t.point, run: t.run}
+	cfg.hooks = h
 	var (
 		res runResult
 		err error
+		// span is the latest attempt: its start, length and events.
+		span = h.event(evTaskDone)
 	)
 	for attempt := 0; ; attempt++ {
 		e.running.Add(1)
-		startWall := tr.wall()
+		span.wall = j.wall()
 		res, err = e.runTask(ctx, t, cfg)
 		e.running.Add(-1)
-		lane.Record(obs.Event{Kind: obs.KindTaskRun, Junc: int32(t.point), A: int32(t.run),
-			B: taskOutcome(err), V1: float64(res.Events),
-			Wall: startWall, Dur: tr.wall() - startWall})
+		span.dur, span.n, span.a = j.wall()-span.wall, res.Events, int32(attempt+1)
 		if err == nil || !isTransient(err) || attempt >= e.cfg.MaxRetries || ctx.Err() != nil || e.draining() {
 			break
 		}
@@ -402,35 +406,35 @@ func (e *Engine) runJobTask(ctx context.Context, j *Job, t task, cfg RunConfig) 
 			m.tasksRetried.Add(1)
 		}
 		delay := e.cfg.RetryBackoff << uint(attempt)
-		lane.Record(obs.Event{Kind: obs.KindTaskRetry, Junc: int32(t.point), A: int32(t.run),
-			B: int32(attempt + 1), V1: delay.Seconds(), V2: float64(errClass(err)),
-			Wall: tr.wall()})
-		e.publish(j, "retry", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"attempt":%d,"delay_sec":%g,"error_class":%q}`,
-			j.id, t.point, t.run, attempt+1, delay.Seconds(), obs.ErrClassName(int(errClass(err)))))
+		retry := span
+		retry.kind, retry.ns = evRetry, int64(delay)
+		e.emit(j, retry)
 		select {
 		case <-time.After(delay):
 			continue
 		case <-ctx.Done():
 		case <-e.drain:
 		}
-		break // canceled or drained during the backoff: the error stands
+		// Canceled or drained during the backoff: the error stands, and
+		// the retry event already carried the attempt.
+		span.a = 0
+		break
 	}
 
 	e.mu.Lock()
 	j.done++
-	done, total := j.done, j.total
+	span.done, span.total = int32(j.done), int32(j.total)
 	e.mu.Unlock()
-	outcome := taskOutcome(err)
-	e.eobs.finished(outcome)
-	e.publish(j, "task_done", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"outcome":%q,"events":%d,"done":%d,"total":%d}`,
-		j.id, t.point, t.run, obs.TaskOutcomeName(int(outcome)), res.Events, done, total))
+	span.code = taskOutcome(err)
+	e.eobs.finished(span.code)
+	e.emit(j, span)
 	return res, err
 }
 
 // finish records a job's outcome: the folded points of a completed run
 // (whose done markers are then removed unless ResultCache keeps them
 // for identical decks submitted later), or the terminal state the error
-// implies. The terminal bus event is published before completed is
+// implies. The terminal state event is emitted before completed is
 // closed, so event streams always observe the final state.
 func (e *Engine) finish(j *Job, err error) {
 	var pts []Point
@@ -458,21 +462,12 @@ func (e *Engine) finish(j *Job, err error) {
 		j.state = StateFailed
 		count(e.observer(), "jobs.failed")
 	}
-	tr := j.trace
-	now := tr.wall()
+	ev := jobEvent{kind: evState, code: stateCode(j.state), wall: int64(j.finished.Sub(j.created)),
+		ns: -1, done: int32(j.done), total: int32(j.total)}
 	if !j.started.IsZero() {
-		// The running span covers first task start to job finish.
-		start := int64(j.started.Sub(tr.epoch))
-		tr.job.Record(obs.Event{Kind: obs.KindSpan, Junc: tr.job.InternName("running"),
-			Wall: start, Dur: now - start})
+		ev.ns = int64(j.started.Sub(j.created))
 	}
-	tr.job.Record(obs.Event{Kind: obs.KindJobState, A: jobStateCode(j.state), Wall: now})
-	errText := ""
-	if err != nil {
-		errText = err.Error()
-	}
-	e.publish(j, "state", fmt.Sprintf(`{"job":%q,"state":%q,"done":%d,"total":%d,"error":%q}`,
-		j.id, j.state, j.done, j.total, errText))
+	e.emit(j, ev)
 	j.cancel() // release the timeout timer
 	close(j.completed)
 }

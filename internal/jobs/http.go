@@ -45,19 +45,20 @@ type ResultResponse struct {
 //	GET  /api/v1/jobs/{id}/result completed points     (ResultResponse)
 //	POST /api/v1/jobs/{id}/cancel abort a job
 //	GET  /api/v1/jobs/{id}/events live progress stream (Server-Sent Events)
-//	GET  /api/v1/jobs/{id}/trace  merged per-worker Chrome trace
+//	GET  /api/v1/jobs/{id}/trace  Chrome trace, one lane per worker
 //	GET  /healthz                 liveness probe
 //	/metrics /trace /heatmap /debug/pprof/   obs routes (o != nil)
 //
 // The events and trace routes are also reachable at the short aliases
 // /jobs/{id}/events and /jobs/{id}/trace (curl-friendly).
 //
-// The event stream replays from the job's retained ring: a reconnecting
-// client sends the standard Last-Event-ID header (or ?after=N) and
-// receives every retained event with a greater sequence number. A slow
-// client never stalls the engine — its per-subscriber ring drops oldest
-// events instead, and the stream reports the gap as an
-// `event: dropped` record.
+// Both routes render the job's event log (eventlog.go). The event
+// stream replays from it: a reconnecting client sends the standard
+// Last-Event-ID header (or ?after=N) and receives every retained event
+// with a greater sequence number. A slow client never stalls the engine:
+// it reads from the log at its own pace, and when the log has
+// overwritten events it had not read yet, the stream reports the gap as
+// one `event: dropped` record.
 func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 	mux := http.NewServeMux()
 
@@ -149,7 +150,8 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteMergedChromeTrace(w, j.trace.lanes()); err != nil {
+		evs, dropped := j.log.snapshot()
+		if err := writeTrace(w, e.cfg.Workers, evs, dropped); err != nil {
 			// The client hung up mid-response; nothing to clean up.
 			return
 		}
@@ -169,27 +171,29 @@ func NewHandler(e *Engine, o *obs.Observer) http.Handler {
 	return mux
 }
 
-// serveJobEvents streams one job's bus topic as Server-Sent Events
+// sseBatch bounds how many events one read of the log copies out.
+const sseBatch = 256
+
+// serveJobEvents streams one job's event log as Server-Sent Events
 // until the job reaches a terminal state (the terminal state event is
 // always delivered first) or the client disconnects. Replay honors the
-// Last-Event-ID header and the ?after=N query; ring overwrites on a
-// slow connection surface as `event: dropped` records carrying the gap
-// size, never as a stalled engine.
+// Last-Event-ID header and the ?after=N query. Events the log
+// overwrote before this client read them surface as one
+// `event: dropped` record carrying the exact count, never as a stalled
+// engine.
 func serveJobEvents(e *Engine, j *Job, w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "jobs: event streaming needs a flushable connection", http.StatusInternalServerError)
 		return
 	}
-	var after uint64
+	var next uint64 // the last event number this client has
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
+		next, _ = strconv.ParseUint(v, 10, 64)
 	}
 	if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
+		next, _ = strconv.ParseUint(v, 10, 64)
 	}
-	sub := e.bus.Subscribe(j.id, after)
-	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -197,42 +201,47 @@ func serveJobEvents(e *Engine, j *Job, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	var reported uint64 // subscriber drops already told to this client
-	drain := func() bool {
-		wrote := false
+	buf := make([]jobEvent, sseBatch)
+	// drain writes every event after next and returns the channel the
+	// next append closes; nil when the client hung up.
+	drain := func() <-chan struct{} {
 		for {
-			if d := sub.Dropped(); d > reported {
-				fmt.Fprintf(w, "event: dropped\ndata: {\"job\":%q,\"dropped\":%d}\n\n", j.id, d-reported)
-				reported = d
-				wrote = true
+			n, first, wake := j.log.read(next, buf)
+			if missed := first - next - 1; n > 0 && missed > 0 {
+				if m := e.eobs; m != nil {
+					m.dropped.Add(missed)
+				}
+				if writeSSEDropped(w, j.id, missed) != nil {
+					return nil
+				}
 			}
-			ev, ok := sub.Next()
-			if !ok {
-				break
+			for i := 0; i < n; i++ {
+				if e.writeSSE(w, j, first+uint64(i), &buf[i]) != nil {
+					return nil
+				}
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data); err != nil {
-				return false
+			// With nothing read, first-1 is next itself.
+			next = first + uint64(n) - 1
+			if n < len(buf) {
+				fl.Flush()
+				return wake
 			}
-			wrote = true
 		}
-		if wrote {
-			fl.Flush()
-		}
-		return true
 	}
 	for {
-		if !drain() {
+		wake := drain()
+		if wake == nil {
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-j.completed:
-			// The terminal state event was published before completed
+			// The terminal state event was emitted before completed
 			// closed, so one final drain delivers it.
 			drain()
 			return
-		case <-sub.Ready():
+		case <-wake:
 		}
 	}
 }

@@ -49,6 +49,7 @@ import (
 	"semsim/internal/netlist"
 	"semsim/internal/noise"
 	"semsim/internal/obs"
+	"semsim/internal/solver"
 	"semsim/internal/sweep"
 )
 
@@ -139,8 +140,10 @@ const cinvEngine = "truncated-rows(default=1e-14,applied-shift-test)"
 // deckKey fingerprints everything that determines a run's trajectory
 // and its recorded state: SHA-256 over the deck's canonical Format
 // output (circuit, spec, seeds, noise windows) without its probe lines,
-// which no deck run reads, the task seed derivation and the C^-1
-// engine, truncated to 128 bits of hex.
+// which no deck run reads, the task seed derivation, the C^-1 engine and
+// the solver snapshot version, truncated to 128 bits of hex. The
+// version term means checkpoints an older build wrote under another
+// snapshot format are not found, rather than failing their tasks.
 // Checkpoint files embed and verify the key and the result cache is
 // keyed on it, so a resumed or cached submission only picks up state
 // that provably belongs to the same work. The key also names every
@@ -153,7 +156,7 @@ func deckKey(d *netlist.Deck) (string, error) {
 	if err := unprobed.Format(&buf); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s", seedScheme, cinvEngine)
+	fmt.Fprintf(&buf, "|seeds=%s|cinv=%s|snapshot=v%d", seedScheme, cinvEngine, solver.CheckpointVersion)
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:16]), nil
 }

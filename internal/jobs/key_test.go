@@ -77,6 +77,21 @@ func TestDeckKeyDropsWindowOverride(t *testing.T) {
 	}
 }
 
+// TestDeckKeyNamesSnapshotVersion: the deck key carries the solver
+// snapshot version, so checkpoints written under snapshot version 4 are
+// not found (and their tasks start over) instead of failing Restore.
+// The pinned key is multiIslandDeck's under version 4.
+func TestDeckKeyNamesSnapshotVersion(t *testing.T) {
+	const version4Key = "72dc0096c76fe738b5f021b0d1ae51c8"
+	k, err := deckKey(parseDeck(t, multiIslandDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k == version4Key {
+		t.Fatalf("deck key %s is the version-4 snapshot scheme's", k)
+	}
+}
+
 // TestDeckKeyIgnoresProbes: a probe line changes no deck run, so a deck
 // with one shares the key of the same deck without it, and semsimd's
 // result cache and resume find the runs of either. Keying does not

@@ -1,9 +1,7 @@
 package jobs
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"semsim/internal/obs"
@@ -11,19 +9,18 @@ import (
 
 // Job observability: every (point, run) task, checkpoint write, retry,
 // resume and job state transition is (a) counted on the engine
-// observer's registry, (b) journaled into per-worker trace lanes merged
-// by GET /jobs/{id}/trace, and (c) published on the engine's event bus
-// feeding GET /jobs/{id}/events. All three are passive — recording
-// never touches simulator state or random streams — and nil-safe, so an
-// engine without an observer pays one branch per hook.
+// observer's registry and (b) appended once to the job's event log
+// (eventlog.go), which feeds both GET /jobs/{id}/events and GET
+// /jobs/{id}/trace. Both are passive — recording never touches
+// simulator state or random streams — and the task hooks are nil-safe,
+// so ExecuteDeck and RunSim pay one branch per hook.
 
-// jobTraceLaneCap bounds each per-worker journal ring of a job trace
-// (the job lane uses jobTraceJobCap). Events are ~48 bytes, so a lane
-// costs ~100 KiB; the ring overwrites its oldest events and the export
-// carries a journal_dropped note when it does.
+// Each job's event log keeps its newest logPerWorker·Workers + logBase
+// events: room for the task, checkpoint, retry and resume events of
+// every worker plus the job's own state and progress events.
 const (
-	jobTraceLaneCap = 1 << 11
-	jobTraceJobCap  = 1 << 10
+	logPerWorker = 2048
+	logBase      = 1024
 )
 
 // count adds one to the named counter of o (nil-safe).
@@ -33,49 +30,15 @@ func count(o *obs.Observer, name string) {
 	}
 }
 
-// jobStateCode maps an engine State to its journal code.
-func jobStateCode(s State) int32 {
-	switch s {
-	case StateQueued:
-		return obs.JobStateQueued
-	case StateRunning:
-		return obs.JobStateRunning
-	case StateDone:
-		return obs.JobStateDone
-	case StateFailed:
-		return obs.JobStateFailed
-	case StateCanceled:
-		return obs.JobStateCanceled
-	case StateInterrupted:
-		return obs.JobStateInterrupted
-	}
-	return obs.JobStateQueued
-}
-
-// errClass classifies a task error for retry events and SSE payloads.
-func errClass(err error) int32 {
+// taskOutcome classifies a task's end for task_done events.
+func taskOutcome(err error) uint8 {
 	switch {
 	case err == nil:
-		return obs.ErrClassOther
-	case isTransient(err):
-		return obs.ErrClassCheckpointIO
-	case errors.Is(err, context.DeadlineExceeded):
-		return obs.ErrClassTimeout
-	case errors.Is(err, context.Canceled):
-		return obs.ErrClassCanceled
-	}
-	return obs.ErrClassOther
-}
-
-// taskOutcome classifies a task's end for KindTaskRun events.
-func taskOutcome(err error) int32 {
-	switch {
-	case err == nil:
-		return obs.TaskOutcomeDone
+		return outcomeDone
 	case errors.Is(err, ErrInterrupted):
-		return obs.TaskOutcomeInterrupted
+		return outcomeInterrupted
 	}
-	return obs.TaskOutcomeFailed
+	return outcomeFailed
 }
 
 // engineObs holds the engine's pre-resolved metric handles, so the
@@ -91,6 +54,8 @@ type engineObs struct {
 	ckptWriteNS  *obs.Histogram
 	ckptFsyncNS  *obs.Histogram
 	ckptBytes    *obs.Histogram
+	published    *obs.Counter // events appended to job logs
+	dropped      *obs.Counter // events SSE subscribers missed
 }
 
 // newEngineObs resolves the engine's metric handles on o's registry and
@@ -112,6 +77,8 @@ func newEngineObs(o *obs.Observer, e *Engine) *engineObs {
 		ckptWriteNS:  r.Histogram("jobs.checkpoint_write_ns", ns),
 		ckptFsyncNS:  r.Histogram("jobs.checkpoint_fsync_ns", ns),
 		ckptBytes:    r.Histogram("jobs.checkpoint_bytes", bytes),
+		published:    r.Counter("jobs.events_published"),
+		dropped:      r.Counter("jobs.events_dropped"),
 	}
 	workers := float64(e.cfg.Workers)
 	r.GaugeFunc("jobs.queue_depth", func() float64 { return float64(e.unstarted.Load()) })
@@ -131,59 +98,32 @@ func (m *engineObs) checkpoint(st ckptStats) {
 	m.ckptBytes.Observe(float64(st.bytes))
 }
 
-func (m *engineObs) finished(outcome int32) {
+func (m *engineObs) finished(outcome uint8) {
 	if m == nil {
 		return
 	}
-	if outcome == obs.TaskOutcomeDone {
+	if outcome == outcomeDone {
 		m.tasksDone.Add(1)
 	} else {
 		m.tasksFailed.Add(1)
 	}
 }
 
-// jobTrace is one job's merged-trace material: a job lane for lifecycle
-// transitions and progress, plus one lane per engine worker for task
-// spans, checkpoint writes, retries and resumes. Lanes share the job's
-// epoch so the merged export lines them up on one wall clock.
-type jobTrace struct {
-	epoch   time.Time
-	job     *obs.Journal
-	workers []*obs.Journal
-}
-
-func newJobTrace(workers int, epoch time.Time) *jobTrace {
-	t := &jobTrace{epoch: epoch, job: obs.NewJournal(jobTraceJobCap, nil)}
-	t.workers = make([]*obs.Journal, workers)
-	for i := range t.workers {
-		t.workers[i] = obs.NewJournal(jobTraceLaneCap, nil)
-	}
-	return t
-}
-
-// wall returns nanoseconds since the job's epoch (its submission).
-func (t *jobTrace) wall() int64 { return int64(time.Since(t.epoch)) }
-
-// lanes snapshots the trace for the merged Chrome export.
-func (t *jobTrace) lanes() []obs.TraceLane {
-	out := make([]obs.TraceLane, 0, 1+len(t.workers))
-	out = append(out, t.job.Lane("job"))
-	for i, w := range t.workers {
-		out = append(out, w.Lane(fmt.Sprintf("worker %d", i)))
-	}
-	return out
-}
-
 // taskHooks carries one task's observability context into the runner:
-// the worker's trace lane, the engine metrics, and the job's event bus
-// topic. A nil *taskHooks (ExecuteDeck, RunSim, disabled engines) makes
-// every method a no-op, keeping the library paths allocation-free.
+// its job, its worker's lane and the engine metrics. A nil *taskHooks
+// (ExecuteDeck, RunSim, disabled engines) makes every method a no-op,
+// keeping the library paths allocation-free.
 type taskHooks struct {
-	e     *Engine
-	j     *Job
-	lane  *obs.Journal
-	point int
-	run   int
+	e      *Engine
+	j      *Job
+	worker int
+	point  int
+	run    int
+}
+
+// event starts an event of this task.
+func (h *taskHooks) event(kind eventKind) jobEvent {
+	return jobEvent{kind: kind, worker: int16(h.worker), point: int32(h.point), run: int32(h.run)}
 }
 
 // resumed records a task picking up a persisted checkpoint (events =
@@ -198,12 +138,9 @@ func (h *taskHooks) resumed(events uint64) {
 	if m := h.e.eobs; m != nil {
 		m.tasksResumed.Add(1)
 	}
-	if tr := h.j.trace; tr != nil {
-		h.lane.Record(obs.Event{Kind: obs.KindTaskResume, Junc: int32(h.point), A: int32(h.run),
-			V1: float64(events), Wall: tr.wall()})
-	}
-	h.e.publish(h.j, "resume", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"events_at_resume":%d}`,
-		h.j.id, h.point, h.run, events))
+	ev := h.event(evResume)
+	ev.wall, ev.n = h.j.wall(), events
+	h.e.emit(h.j, ev)
 }
 
 // fresh records a task starting with no checkpoint to pick up.
@@ -217,28 +154,23 @@ func (h *taskHooks) fresh() {
 }
 
 // checkpoint records one persisted snapshot: write latency, fsync
-// latency and size on the registry, a KindCkptWrite span in the worker
-// lane, a checkpoint instant in the job lane, and a bus event.
+// latency and size on the registry and one checkpoint event.
 func (h *taskHooks) checkpoint(st ckptStats) {
 	if h == nil {
 		return
 	}
 	h.e.eobs.checkpoint(st)
-	if tr := h.j.trace; tr != nil {
-		end := tr.wall()
-		h.lane.Record(obs.Event{Kind: obs.KindCkptWrite, Junc: int32(h.point), A: int32(h.run),
-			V1: float64(st.bytes), V2: float64(st.fsyncNS), Wall: end - st.totalNS, Dur: st.totalNS})
-		tr.job.Record(obs.Event{Kind: obs.KindJobState, A: obs.JobStateCheckpoint, Wall: end})
-	}
-	h.e.publish(h.j, "checkpoint", fmt.Sprintf(`{"job":%q,"point":%d,"run":%d,"bytes":%d,"fsync_ns":%d,"write_ns":%d}`,
-		h.j.id, h.point, h.run, st.bytes, st.fsyncNS, st.totalNS))
+	ev := h.event(evCheckpoint)
+	ev.wall, ev.dur = h.j.wall()-st.totalNS, st.totalNS
+	ev.n, ev.ns = uint64(st.bytes), st.fsyncNS
+	h.e.emit(h.j, ev)
 }
 
-// progressEvery rate-limits per-chunk progress publishes.
+// progressEvery rate-limits per-chunk progress events.
 const progressEvery = 200 * time.Millisecond
 
 // chunk accumulates solver events applied by one runner chunk and
-// publishes a rate-limited progress event (tasks done, events/s, ETA).
+// emits a rate-limited progress event.
 //
 //semsim:publish
 func (h *taskHooks) chunk(events uint64) {
@@ -251,48 +183,32 @@ func (h *taskHooks) chunk(events uint64) {
 	}
 	// Monotonic nanoseconds since the job's submission — a rate-limit
 	// stamp, deliberately not wall-clock.
-	now := h.j.trace.wall()
+	now := h.j.wall()
 	last := h.j.lastProgress.Load()
 	if now-last < int64(progressEvery) || !h.j.lastProgress.CompareAndSwap(last, now) {
 		return
 	}
-	h.e.publishProgress(h.j)
+	h.e.emitProgress(h.j, now)
 }
 
-// publish emits one bus event on the job's topic (nil-safe; the bus
-// itself never blocks).
+// emit appends one event to j's log and counts it.
 //
 //semsim:publish
-func (e *Engine) publish(j *Job, typ, data string) {
-	if e == nil || e.bus == nil {
-		return
+//semsim:hot
+func (e *Engine) emit(j *Job, ev jobEvent) {
+	j.log.append(ev)
+	if m := e.eobs; m != nil {
+		m.published.Add(1)
 	}
-	e.bus.Publish(j.id, typ, data)
 }
 
-// publishProgress emits a progress event: tasks done/total, solver
-// events applied, the job-wide event rate, and a task-count ETA. It also
-// samples the job lane so the merged trace carries the progress curve.
+// emitProgress emits a progress event stamped now: tasks done and
+// total, and the solver events applied so far.
 //
 //semsim:publish
-func (e *Engine) publishProgress(j *Job) {
+func (e *Engine) emitProgress(j *Job, now int64) {
 	e.mu.Lock()
 	done, total := j.done, j.total
-	created := j.created
 	e.mu.Unlock()
-	events := j.events.Load()
-	elapsed := time.Since(created).Seconds()
-	var rate float64
-	if elapsed > 0 {
-		rate = float64(events) / elapsed
-	}
-	eta := -1.0
-	if done > 0 {
-		eta = elapsed * float64(total-done) / float64(done)
-	}
-	if tr := j.trace; tr != nil {
-		tr.job.Record(obs.Event{Kind: obs.KindProgress, V1: float64(done), V2: rate, Wall: tr.wall()})
-	}
-	e.publish(j, "progress", fmt.Sprintf(`{"job":%q,"done":%d,"total":%d,"events":%d,"events_per_sec":%.1f,"eta_sec":%.1f}`,
-		j.id, done, total, events, rate, eta))
+	e.emit(j, jobEvent{kind: evProgress, wall: now, n: j.events.Load(), done: int32(done), total: int32(total)})
 }

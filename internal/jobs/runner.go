@@ -22,7 +22,7 @@ const (
 	phaseWarm    = "warm"
 	phaseMeasure = "measure"
 	phaseDone    = "done"   // task finished; the envelope carries its result, not solver state
-	phaseSingle  = "single" // RunSim / SaveSim snapshots outside deck execution
+	phaseSingle  = "single" // RunSim snapshots outside deck execution
 )
 
 // runResult is one (point, run) task's contribution before folding:

@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"semsim/internal/obs"
 )
 
 // sseEvent is one parsed Server-Sent Events frame.
@@ -240,7 +238,7 @@ func TestSSELastEventIDReplay(t *testing.T) {
 	}
 }
 
-// A subscriber ring smaller than the retained history forces drops, and
+// A job log that keeps less than the job's history forces drops, and
 // the stream accounts for them: an `event: dropped` record reports the
 // gap before the surviving (newest) events, which still end terminal.
 func TestSSESlowSubscriberDropAccounting(t *testing.T) {
@@ -248,16 +246,18 @@ func TestSSESlowSubscriberDropAccounting(t *testing.T) {
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			return runResult{Current: map[int]float64{1: 1, 2: 1}}, nil
 		})
-	// Tiny per-subscriber rings (the engine default is 256) so replaying
-	// the job's history overflows them. Set before Submit: the workers
-	// observe the field through the queue's happens-before edge.
-	e.bus = obs.NewBus(1024, 2)
+	// A two-event log (the engine keeps Workers·2048 + 1024) so a
+	// subscriber that starts after the job is done finds most of its
+	// history overwritten. Set before Submit, which sizes the log.
+	e.logKeep = 2
 	srv := httptest.NewServer(NewHandler(e, nil))
 	t.Cleanup(srv.Close)
 
 	j := submit(t, e)
 	waitState(t, e, j, StateDone)
-	published := e.bus.Last(j.ID())
+	j.log.mu.Lock()
+	published := j.log.last
+	j.log.mu.Unlock()
 	if published <= 2 {
 		t.Fatalf("job published only %d events", published)
 	}

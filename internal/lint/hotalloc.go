@@ -29,16 +29,16 @@ import (
 // capacity; a PWL ramp's RampStep runs once per step, not per rate).
 //
 // The pass runs only over internal/solver, internal/rng,
-// internal/numeric and internal/obs — the packages with code on the
-// per-event path (the event bus's publish fan-out runs once per
-// published job event and must stay amortized-allocation-free) — and,
-// like every pass, skips _test.go files.
+// internal/numeric, internal/obs, internal/noise and internal/jobs —
+// the packages with code on the per-event path (a job event log's
+// append runs once per job event and must stay amortized-allocation-
+// free) — and, like every pass, skips _test.go files.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Run:  runHotalloc,
 }
 
-var hotallocPkgs = []string{"internal/solver", "internal/rng", "internal/numeric", "internal/obs", "internal/noise"}
+var hotallocPkgs = []string{"internal/solver", "internal/rng", "internal/numeric", "internal/obs", "internal/noise", "internal/jobs"}
 
 func runHotalloc(pass *Pass) error {
 	if !pathHasSuffixAny(pass.Path, hotallocPkgs) {

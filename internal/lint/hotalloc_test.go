@@ -13,3 +13,7 @@ func TestHotallocOnlyFiresOnEventPath(t *testing.T) {
 func TestHotallocCoversBusPublish(t *testing.T) {
 	RunFixture(t, Hotalloc, "hotalloc/internal/obs")
 }
+
+func TestHotallocCoversJobEventLog(t *testing.T) {
+	RunFixture(t, Hotalloc, "hotalloc/internal/jobs")
+}

@@ -31,11 +31,11 @@ import (
 //
 // Independently of the hot set, the pass enforces the publish-path
 // contract in EVERY package: a function marked with a
-// `//semsim:publish` doc-comment line (the event bus's Publish and
-// push, the jobs engine's per-task publish hooks) promises to never
-// block on a subscriber. In such functions every channel send must be a
-// case of a select statement that has a default clause — the only form
-// Go guarantees cannot block. A bare `ch <- v`, or a send in a select
+// `//semsim:publish` doc-comment line (a job event log's append, the
+// jobs engine's per-task event hooks) promises to never block on a
+// subscriber. In such functions every channel send must be a case of a
+// select statement that has a default clause — the only form Go
+// guarantees cannot block. A bare `ch <- v`, or a send in a select
 // without a default, is reported. The marker is the enforcement
 // boundary: callees reachable from a publish path either carry the
 // marker themselves or take no channels at all.

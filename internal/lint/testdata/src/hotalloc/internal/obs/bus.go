@@ -1,5 +1,5 @@
-// Package obs is a hotalloc fixture shaped like the event bus: the
-// per-event publish fan-out is hot, the subscription setup is not.
+// Package obs is a hotalloc fixture shaped like a bounded publish
+// ring: the per-event publish is hot, the subscription setup is not.
 package obs
 
 type busEvent struct {

@@ -24,8 +24,10 @@
 package noise
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"semsim/internal/numeric"
@@ -225,16 +227,13 @@ func uniformSpacing(omegas []float64) float64 {
 
 // configHash fingerprints everything that shapes the accumulator
 // layout, so RestoreState can reject state from a differently
-// configured recorder (FNV-1a over juncs, ω grids and windows).
+// configured recorder (FNV-1a 64 over juncs, ω grids and windows).
 func configHash(cfg *Config) string {
-	const offset, prime = 1469598103934665603, 1099511628211
-	h := uint64(offset)
+	h := fnv.New64a()
+	var b [8]byte
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
 	}
 	mixf := func(f float64) { mix(math.Float64bits(f)) }
 	for _, jc := range cfg.Juncs {
@@ -245,7 +244,7 @@ func configHash(cfg *Config) string {
 			mixf(w)
 		}
 	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // SetObserver attaches an observability handle (nil disables). Called

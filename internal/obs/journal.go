@@ -40,103 +40,14 @@ const (
 	// duration in nanoseconds.
 	KindSpan
 	// KindProgress is a periodic progress sample emitted by a Progress
-	// reporter: V1 events so far, V2 events/s. In a batch job lane the
-	// same kind carries V1 tasks done, V2 events/s across the job.
+	// reporter: V1 events so far, V2 events/s.
 	KindProgress
-	// KindTaskRun is one completed (point, run) batch task execution:
-	// Junc the sweep-point index, A the run index, B the outcome code
-	// (see TaskOutcome*), V1 the events applied by this execution,
-	// Wall/Dur the start offset and duration in nanoseconds.
-	KindTaskRun
-	// KindCkptWrite is one checkpoint persistence: Junc the point, A the
-	// run, V1 the bytes written, V2 the fsync nanoseconds, Wall/Dur the
-	// start offset and total write duration.
-	KindCkptWrite
-	// KindTaskRetry is a bounded-backoff retry decision: Junc the point,
-	// A the run, B the attempt number being retried, V1 the backoff
-	// delay in seconds, V2 the error class code (see ErrClass*).
-	KindTaskRetry
-	// KindTaskResume marks a task picking up a persisted checkpoint:
-	// Junc the point, A the run, V1 the events already applied at the
-	// resume point (0 when the checkpoint was a done marker).
-	KindTaskResume
-	// KindJobState is a job lifecycle transition recorded in a job lane:
-	// A the state code (see JobState*).
-	KindJobState
 	// KindNoiseWindow is a noise-accumulator counting-window closure:
 	// Junc the recorded junction, A the number of windows completed at
 	// once (1 plus any empty windows the closing event skipped), V1 the
 	// closing window's charge in units of e.
 	KindNoiseWindow
 )
-
-// Task outcome codes carried by KindTaskRun events (field B).
-const (
-	// TaskOutcomeDone marks a task that completed and produced a result.
-	TaskOutcomeDone = 0
-	// TaskOutcomeFailed marks a task that ended with an error.
-	TaskOutcomeFailed = 1
-	// TaskOutcomeInterrupted marks a task stopped by a drain after
-	// persisting a resumable checkpoint.
-	TaskOutcomeInterrupted = 2
-)
-
-// Error class codes carried by KindTaskRetry events (field V2).
-const (
-	// ErrClassOther is any error without a more specific class.
-	ErrClassOther = 0
-	// ErrClassCheckpointIO is transient checkpoint I/O (the retryable
-	// class).
-	ErrClassCheckpointIO = 1
-	// ErrClassCanceled is a context cancellation.
-	ErrClassCanceled = 2
-	// ErrClassTimeout is a job deadline expiry.
-	ErrClassTimeout = 3
-)
-
-// Job state codes carried by KindJobState events (field A). They mirror
-// the jobs engine's lifecycle: queued -> running -> checkpointing ->
-// one of the terminal states.
-const (
-	// JobStateQueued marks submission.
-	JobStateQueued = 0
-	// JobStateRunning marks the first task starting.
-	JobStateRunning = 1
-	// JobStateCheckpoint marks a checkpoint being persisted.
-	JobStateCheckpoint = 2
-	// JobStateDone marks successful completion.
-	JobStateDone = 3
-	// JobStateFailed marks terminal failure.
-	JobStateFailed = 4
-	// JobStateCanceled marks cancellation or timeout.
-	JobStateCanceled = 5
-	// JobStateInterrupted marks a drain with resumable checkpoints.
-	JobStateInterrupted = 6
-)
-
-// taskOutcomeNames, errClassNames and jobStateNames label the small
-// integer codes in exports.
-var (
-	taskOutcomeNames = [...]string{"done", "failed", "interrupted"}
-	errClassNames    = [...]string{"other", "checkpoint-io", "canceled", "timeout"}
-	jobStateNames    = [...]string{"queued", "running", "checkpoint", "done", "failed", "canceled", "interrupted"}
-)
-
-// codeName resolves a small code against its name table.
-func codeName(names []string, code int) string {
-	if code >= 0 && code < len(names) {
-		return names[code]
-	}
-	return fmt.Sprintf("code#%d", code)
-}
-
-// TaskOutcomeName names a TaskOutcome code ("done", "failed",
-// "interrupted").
-func TaskOutcomeName(code int) string { return codeName(taskOutcomeNames[:], code) }
-
-// ErrClassName names an ErrClass code ("other", "checkpoint-io",
-// "canceled", "timeout").
-func ErrClassName(code int) string { return codeName(errClassNames[:], code) }
 
 // String names the kind for exports.
 func (k Kind) String() string {
@@ -161,16 +72,6 @@ func (k Kind) String() string {
 		return "span"
 	case KindProgress:
 		return "progress"
-	case KindTaskRun:
-		return "taskRun"
-	case KindCkptWrite:
-		return "checkpointWrite"
-	case KindTaskRetry:
-		return "taskRetry"
-	case KindTaskResume:
-		return "taskResume"
-	case KindJobState:
-		return "jobState"
 	case KindNoiseWindow:
 		return "noiseWindow"
 	}
@@ -266,10 +167,6 @@ func (j *Journal) internName(name string) int32 {
 	j.names = append(j.names, name)
 	return int32(len(j.names) - 1)
 }
-
-// InternName maps a span name to its stable small id for callers that
-// build KindSpan events directly (the Span API does this internally).
-func (j *Journal) InternName(name string) int32 { return j.internName(name) }
 
 // SpanName resolves an interned span name id.
 func (j *Journal) SpanName(id int32) string {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -106,5 +108,33 @@ func TestSpanNameInterning(t *testing.T) {
 	}
 	if got := j.SpanName(99); got != "span#99" {
 		t.Fatalf("unknown id resolved to %q", got)
+	}
+}
+
+// Drop accounting flows into the registry counter and the single-run
+// Chrome export's note.
+func TestJournalDropAccounting(t *testing.T) {
+	r := NewRegistry()
+	j := NewJournal(4, nil)
+	j.CountDrops(r.Counter("obs.journal_dropped_events"))
+	for i := 0; i < 10; i++ {
+		j.Record(Event{Kind: KindTunnel, Junc: 1, Wall: int64(i)})
+	}
+	if got := j.Dropped(); got != 6 {
+		t.Fatalf("Dropped = %d, want 6", got)
+	}
+	if got := r.Snapshot().Counters["obs.journal_dropped_events"]; got != 6 {
+		t.Fatalf("registry dropped counter = %d, want 6", got)
+	}
+	var buf bytes.Buffer
+	if err := j.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"journal_dropped"`) ||
+		!strings.Contains(buf.String(), `"dropped_events":6`) {
+		t.Fatalf("chrome export missing dropped note:\n%s", buf.String())
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("invalid JSON with dropped note:\n%s", buf.String())
 	}
 }

@@ -1,11 +1,14 @@
 package solver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 
+	"semsim/internal/circuit"
 	"semsim/internal/noise"
 )
 
@@ -19,8 +22,10 @@ import (
 // the adaptive test reads the shift each event applied, so a version-2
 // snapshot would continue under another b(i). Version 4 drops the
 // Cooper-pair width floor and the probe interval from the options hash
-// and the autocorrelation ring from the noise state.
-const CheckpointVersion = 4
+// and the autocorrelation ring from the noise state. Version 5 extends
+// the hash to the circuit the Sim runs, sources included, and computes
+// it with FNV-1a 64 at its standard offset basis.
+const CheckpointVersion = 5
 
 // Checkpoint is a resumable snapshot of a simulation's dynamic state.
 // It is plain data (JSON-serializable) and deliberately excludes the
@@ -38,9 +43,10 @@ const CheckpointVersion = 4
 // DESIGN.md §10 for the full determinism argument.
 //
 // The encoding is self-describing: Version names the layout and
-// OptionsHash fingerprints every trajectory-relevant solver option, so
-// resuming under mismatched options (different temperature, adaptive
-// threshold, refresh period, C^-1 truncation, rate tables, ...) is
+// OptionsHash fingerprints every trajectory-relevant solver option and
+// the circuit as the Sim runs it, so resuming under mismatched options
+// (different temperature, adaptive threshold, refresh period, C^-1
+// truncation, rate tables, ...) or into another circuit or bias is
 // rejected loudly instead of silently diverging. Options.Seed is
 // deliberately excluded: the live RNG state travels in the snapshot.
 //
@@ -71,32 +77,31 @@ type Checkpoint struct {
 	Noise *noise.State `json:"noise,omitempty"`
 }
 
-// trajectoryHash fingerprints what influences the simulated trajectory
-// beyond the dynamic state: the options after defaulting, and the C^-1
-// truncation threshold of the circuit's potential engine. Two Sims whose
-// hashes match produce bit-identical continuations from the same
-// dynamic state; options that provably cannot change the trajectory
-// (Obs, Seed — the RNG state is checkpointed directly — and the ignored
-// Parallel) are excluded.
+// trajectoryHash fingerprints what the dynamic state of a snapshot
+// continues bit for bit under, with FNV-1a 64: the options after
+// defaulting, the C^-1 truncation threshold, and the circuit as this
+// Sim runs it — topology, R and C, background charges, superconducting
+// parameters and every source, DC sources at the value a Reset override
+// installed. A Reset session and a fresh build at the same bias hash
+// alike. Options that provably cannot change the trajectory are
+// excluded: Obs, and Seed, since the RNG state is checkpointed
+// directly. New and Reset compute it once into s.ckptHash.
 func (s *Sim) trajectoryHash() string {
-	o := &s.opt
-	const offset, prime = 1469598103934665603, 1099511628211
-	h := uint64(offset)
+	h := fnv.New64a()
+	var b [8]byte
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
 	}
 	mixf := func(f float64) { mix(math.Float64bits(f)) }
-	mixb := func(b bool) {
-		if b {
+	mixb := func(v bool) {
+		if v {
 			mix(1)
 		} else {
 			mix(0)
 		}
 	}
+	o := &s.opt
 	mixf(o.Temp)
 	mixb(o.Adaptive)
 	mixf(o.Alpha)
@@ -104,7 +109,38 @@ func (s *Sim) trajectoryHash() string {
 	mixb(o.Cotunneling)
 	mixf(s.pe.Eps())
 	mixb(o.RateTables)
-	return fmt.Sprintf("%016x", h)
+	c := s.c
+	for id := 0; id < c.NumNodes(); id++ {
+		mix(uint64(c.NodeKindOf(id)))
+		mixf(c.BackgroundCharge(id))
+	}
+	for _, j := range c.Junctions() {
+		mix(uint64(j.A))
+		mix(uint64(j.B))
+		mixf(j.R)
+		mixf(j.C)
+	}
+	for _, k := range c.AllCapacitors() {
+		mix(uint64(k.A))
+		mix(uint64(k.B))
+		mixf(k.C)
+	}
+	sp := c.Super()
+	mixf(sp.GapAt0)
+	mixf(sp.Tc)
+	for e, id := range s.extIDs {
+		src := c.SourceOf(id)
+		if s.srcMask != nil && s.srcMask[e] {
+			src = circuit.DC(s.srcOverride[e])
+		}
+		if v, ok := src.(circuit.DC); ok {
+			mixf(float64(v)) // the common case, without fmt's reflection
+		} else {
+			// %v prints every float in its shortest exact form.
+			fmt.Fprintf(h, "%T%v", src, src)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Checkpoint captures the current dynamic state.
@@ -115,7 +151,7 @@ func (s *Sim) Checkpoint() (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{
 		Version:     CheckpointVersion,
-		OptionsHash: s.trajectoryHash(),
+		OptionsHash: s.ckptHash,
 		Time:        s.t,
 		Electrons:   append([]int(nil), s.n...),
 		Rng:         rngState,
@@ -138,9 +174,8 @@ func (s *Sim) Checkpoint() (*Checkpoint, error) {
 }
 
 // Restore resets the simulation to a checkpoint taken from a Sim over
-// the same circuit (validated by vector lengths) under
-// trajectory-equivalent options (validated by the checkpoint's options
-// hash). When the checkpoint carries probe state, the simulation's
+// the same circuit and sources under trajectory-equivalent options
+// (validated by the checkpoint's options hash and vector lengths). When the checkpoint carries probe state, the simulation's
 // probe set and recorded waveforms are replaced by the snapshot's;
 // otherwise existing probes and their waveforms are kept.
 func (s *Sim) Restore(cp *Checkpoint) error {
@@ -153,8 +188,8 @@ func (s *Sim) Restore(cp *Checkpoint) error {
 		}
 		return fmt.Errorf("solver: checkpoint version %d, this build reads version %d", cp.Version, CheckpointVersion)
 	}
-	if want := s.trajectoryHash(); cp.OptionsHash != want {
-		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, cinv-eps and rate-tables settings must all match", cp.OptionsHash, want)
+	if cp.OptionsHash != s.ckptHash {
+		return fmt.Errorf("solver: checkpoint was written under different trajectory-relevant options or another circuit (hash %s, this simulation %s): temperature, adaptive/alpha/refresh, cotunneling, cinv-eps and rate-tables settings, the circuit and every source value must all match", cp.OptionsHash, s.ckptHash)
 	}
 	if len(cp.Electrons) != len(s.n) {
 		return fmt.Errorf("solver: checkpoint has %d islands, circuit has %d", len(cp.Electrons), len(s.n))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"semsim/internal/circuit"
+	"semsim/internal/units"
 )
 
 func TestCheckpointResumeBitExact(t *testing.T) {
@@ -118,6 +119,86 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	// in the snapshot), so it must stay resumable.
 	if err := mk(Options{Temp: 5, Seed: 12345}).Restore(cp); err != nil {
 		t.Errorf("trajectory-equivalent seed rejected: %v", err)
+	}
+}
+
+// A snapshot restores only into the circuit it was taken on, at the
+// same sources: the Fig. 1 SET checkpointed at Vs = 0.02 V after one
+// refresh period used to restore silently into the same SET built at
+// Vs = 0.05 V, since the shape check only counts islands and junctions.
+// A session Reset to the other bias is refused the same way, and Reset
+// back to the snapshot's bias accepts it.
+func TestRestoreRejectsAnotherCircuit(t *testing.T) {
+	base := circuit.SETConfig{R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF, Vs: 0.02, Vd: -0.02, Vg: 0.005}
+	mk := func(c *circuit.Circuit) *Sim {
+		s, err := New(c, Options{Temp: 5, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	set := func(edit func(*circuit.SETConfig)) *Sim {
+		cfg := base
+		edit(&cfg)
+		c, _ := circuit.NewSET(cfg)
+		return mk(c)
+	}
+	src := set(func(*circuit.SETConfig) {})
+	if _, err := src.Run(uint64(src.RefreshPeriod()), 0); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, edit := range map[string]func(*circuit.SETConfig){
+		"source bias":       func(c *circuit.SETConfig) { c.Vs = 0.05 },
+		"gate bias":         func(c *circuit.SETConfig) { c.Vg = 0.006 },
+		"tunnel resistance": func(c *circuit.SETConfig) { c.R2 = 2e6 },
+		"gate capacitance":  func(c *circuit.SETConfig) { c.Cg = 4 * aF },
+		"background charge": func(c *circuit.SETConfig) { c.Qb = 0.1 * units.E },
+	} {
+		if err := set(edit).Restore(cp); err == nil {
+			t.Errorf("snapshot restored into a SET with another %s", name)
+		}
+	}
+	// A ramp on the gate starts at the snapshot's DC gate value but is
+	// another source.
+	c, nd := circuit.NewSET(base)
+	c2 := circuit.New()
+	for id := 0; id < c.NumNodes(); id++ {
+		c2.AddNode(c.NodeName(id), c.NodeKindOf(id))
+		if src := c.SourceOf(id); src != nil {
+			c2.SetSource(id, src)
+		}
+	}
+	c2.SetSource(nd.Gate, circuit.PWL{T: []float64{0, 1e-9}, Volt: []float64{base.Vg, 0.02}})
+	for _, j := range c.Junctions() {
+		c2.AddJunction(j.A, j.B, j.R, j.C)
+	}
+	for _, k := range c.AllCapacitors() {
+		c2.AddCap(k.A, k.B, k.C)
+	}
+	if err := c2.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mk(c2).Restore(cp); err == nil {
+		t.Error("snapshot restored into a SET whose gate ramps")
+	}
+
+	sess := set(func(c *circuit.SETConfig) { c.Vs = 0.05 })
+	if err := sess.Reset(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Restore(cp); err == nil {
+		t.Error("snapshot restored into a session at another bias")
+	}
+	if err := sess.Reset(1, map[int]float64{nd.Source: base.Vs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Restore(cp); err != nil {
+		t.Errorf("session Reset to the snapshot's bias refused it: %v", err)
 	}
 }
 

@@ -38,7 +38,11 @@ import (
 // from the restored configuration and the currently installed sources.
 // Reset must not be called concurrently with Run/Step on the same Sim.
 func (s *Sim) Reset(seed uint64, dcOverride map[int]float64) error {
-	if err := s.installOverrides(dcOverride); err != nil {
+	err := s.installOverrides(dcOverride)
+	// The hash follows whatever overrides are installed, even the part
+	// of a rejected set that was.
+	s.ckptHash = s.trajectoryHash()
+	if err != nil {
 		return err
 	}
 	s.rnd.Reseed(seed)

@@ -278,6 +278,11 @@ type Sim struct {
 	srcOverride []float64
 	srcMask     []bool
 
+	// ckptHash is trajectoryHash of the options, circuit and installed
+	// overrides, computed by New and Reset: Checkpoint stamps it and
+	// Restore compares against it.
+	ckptHash string
+
 	// extV caches the external voltages per external index, refreshed
 	// whenever t moves, so rate kernels read array slots instead of
 	// dispatching into Source implementations per evaluation.
@@ -438,6 +443,7 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	s.vextScratch = make([]float64, len(s.vext))
 	s.dvIsl = make([]float64, c.NumIslands())
 	s.dvExt = make([]float64, len(s.vext))
+	s.ckptHash = s.trajectoryHash()
 	s.fullRefresh()
 	return s, nil
 }
