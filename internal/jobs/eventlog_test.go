@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -333,6 +335,125 @@ func TestJobTraceSpansAttemptsCheckpointsAndDrops(t *testing.T) {
 	}
 	if note != 1 {
 		t.Errorf("wrapped log's trace carries %d drop notes, want 1", note)
+	}
+}
+
+// The trace loads in chrome://tracing: valid JSON, one thread_name
+// record per lane, each span on its lane, the args of every kind, and
+// the same bytes for the same events.
+func TestJobTraceWellFormed(t *testing.T) {
+	evs := []jobEvent{
+		{kind: evState, code: stateCode(StateQueued), total: 2},
+		{kind: evState, code: stateCode(StateRunning), wall: 100},
+		{kind: evResume, point: 0, run: 0, n: 500, wall: 150},
+		{kind: evRetry, worker: 1, point: 1, run: 0, a: 1, wall: 2100, dur: 3000, n: 900, ns: int64(50 * time.Millisecond)},
+		{kind: evCheckpoint, point: 0, run: 0, wall: 3000, dur: 2000, n: 2048, ns: 1200},
+		{kind: evTaskDone, point: 0, run: 0, code: outcomeDone, a: 1, wall: 150, dur: 4000, n: 1500, done: 1, total: 2},
+		{kind: evProgress, wall: 5000, n: 125000, done: 1, total: 2},
+		{kind: evTaskDone, worker: 1, point: 1, run: 0, code: outcomeDone, a: 2, wall: 5200, dur: 3000, n: 1400, done: 2, total: 2},
+		{kind: evState, code: stateCode(StateDone), wall: 9000, ns: 100, done: 2, total: 2},
+	}
+	var buf bytes.Buffer
+	if err := writeTrace(&buf, 2, evs, 0); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+
+	lanes := map[string]int{}
+	spans := map[string]int{} // "name@tid" -> count
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "M":
+			lanes[ev.Args["name"].(string)] = ev.Tid
+		case "X":
+			spans[fmt.Sprintf("%s@%d", ev.Name, ev.Tid)]++
+		}
+	}
+	if len(lanes) != 3 {
+		t.Fatalf("thread_name records %v, want 3", lanes)
+	}
+	for name, tid := range map[string]int{"job": 1, "worker 0": 2, "worker 1": 3} {
+		if lanes[name] != tid {
+			t.Errorf("lane %q has tid %d, want %d (lanes %v)", name, lanes[name], tid, lanes)
+		}
+	}
+	// queued and running on the job lane; task and checkpoint on worker
+	// 0; the failed and the finished attempt of p1 r0 on worker 1.
+	want := map[string]int{"queued@1": 1, "running@1": 1, "task p0 r0@2": 1, "checkpoint p0 r0@2": 1, "task p1 r0@3": 2}
+	if fmt.Sprint(spans) != fmt.Sprint(want) {
+		t.Errorf("X spans %v, want %v", spans, want)
+	}
+	for _, s := range []string{
+		`"state":"queued"`, `"state":"done"`,
+		`"outcome":"done"`, `"outcome":"failed"`,
+		`"error_class":"checkpoint-io"`,
+		`"events_at_resume":500`,
+		`"bytes":2048`,
+		`"name":"tasks_done"`,
+	} {
+		if !strings.Contains(buf.String(), s) {
+			t.Errorf("trace missing %s:\n%s", s, buf.String())
+		}
+	}
+	if strings.Contains(buf.String(), "events_dropped") {
+		t.Error("a trace of a log that dropped nothing carries a drop note")
+	}
+
+	var buf2 bytes.Buffer
+	if err := writeTrace(&buf2, 2, evs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatal("the trace is not deterministic")
+	}
+}
+
+// A log that overwrote events gives its trace one events_dropped note
+// with the count; a worker with no retained events, and a job with no
+// events at all, still render as named, empty lanes.
+func TestJobTraceDroppedNoteAndIdleLanes(t *testing.T) {
+	l := newEventLog(2)
+	for i := 0; i < 5; i++ {
+		l.append(jobEvent{kind: evCheckpoint, point: int32(i), wall: int64(i), n: 64})
+	}
+	evs, dropped := l.snapshot()
+	if len(evs) != 2 || dropped != 3 {
+		t.Fatalf("snapshot kept %d events and dropped %d, want 2 and 3", len(evs), dropped)
+	}
+	var buf bytes.Buffer
+	if err := writeTrace(&buf, 2, evs, dropped); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("invalid JSON:\n%s", buf.String())
+	}
+	if n := strings.Count(buf.String(), `"name":"events_dropped"`); n != 1 {
+		t.Fatalf("%d drop notes, want 1:\n%s", n, buf.String())
+	}
+	if !strings.Contains(buf.String(), `"dropped_events":3`) {
+		t.Fatalf("drop note does not say 3 events:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), `"args":{"name":"worker 1"}`) {
+		t.Fatalf("idle worker lane missing:\n%s", buf.String())
+	}
+	if strings.Contains(buf.String(), `"tid":3,"name":"checkpoint`) {
+		t.Fatalf("worker 0's checkpoints drawn on the idle lane:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	if err := writeTrace(&buf, 1, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("invalid JSON for a job with no events:\n%s", buf.String())
+	}
+	if n := strings.Count(buf.String(), `"name":"thread_name"`); n != 2 {
+		t.Fatalf("a job with no events renders %d lanes, want 2:\n%s", n, buf.String())
 	}
 }
 
