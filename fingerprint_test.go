@@ -294,8 +294,55 @@ func fingerprints(t *testing.T) map[string]string {
 	}
 	put("solver/chain3", "cinv-eps-1e-6", chainSeed, fpSim(s, cc.Circuit))
 
+	// The T = 0 kernel on the same chain, biased above its blockade
+	// threshold.
+	cc0, err := fpParse(t, fpDeckChain).Compile(map[int]float64{1: 0.1, 5: -0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, adaptive := range []bool{true, false} {
+		s, err := solver.New(cc0.Circuit, solver.Options{Seed: chainSeed, Adaptive: adaptive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(20000, 0); err != nil {
+			t.Fatal(err)
+		}
+		mode := "t0-nonadaptive"
+		if adaptive {
+			mode = "t0-adaptive"
+		}
+		put("solver/chain3", mode, chainSeed, fpSim(s, cc0.Circuit))
+	}
+
 	// A normal-state SET, one fresh build per seed.
 	setCfg := SETConfig{R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF, Vs: 0.02, Vd: -0.02}
+
+	// Cotunneling through the rate tables, at a bias where most events
+	// cotunnel and a few tunnel in sequence.
+	cotCfg := setCfg
+	cotCfg.Vs, cotCfg.Vd = 0.015, -0.015
+	for _, adaptive := range []bool{true, false} {
+		const seed = 6
+		c, _ := NewSET(cotCfg)
+		s, err := solver.New(c, solver.Options{
+			Temp: 5, Seed: seed, Adaptive: adaptive, Cotunneling: true, RateTables: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(5000, 0); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().CotunnelEvents == 0 {
+			t.Fatal("cotunneling SET ran no cotunnel event")
+		}
+		mode := "cotunnel-tables-nonadaptive"
+		if adaptive {
+			mode = "cotunnel-tables-adaptive"
+		}
+		put("solver/set", mode, seed, fpSim(s, c))
+	}
 	for _, seed := range []uint64{3, 4, 5} {
 		c, _ := NewSET(setCfg)
 		s, err := solver.New(c, solver.Options{Temp: 5, Seed: seed, Adaptive: true})
