@@ -163,31 +163,14 @@ func writeTable(out io.Writer, name string, deck *semsim.Deck, pts []semsim.Deck
 	// requested ω.
 	juncs := append([]int(nil), deck.Spec.RecordJuncs...)
 	sort.Ints(juncs)
-	type noiseCol struct {
-		j      int
-		omegas []float64
-	}
-	var ncols []noiseCol
-	{
-		seen := map[int]bool{}
-		for _, ns := range deck.Spec.NoiseJuncs {
-			seen[ns.Junc] = true
-			ncols = append(ncols, noiseCol{j: ns.Junc, omegas: ns.Omegas})
-		}
-		for _, fs := range deck.Spec.FanoJuncs {
-			if !seen[fs.Junc] {
-				seen[fs.Junc] = true
-				ncols = append(ncols, noiseCol{j: fs.Junc})
-			}
-		}
-	}
+	ncols := deck.Spec.NoiseRecords()
 	fmt.Fprintf(w, "# semsim run of %s\n", name)
 	fmt.Fprintf(w, "# temp=%g K adaptive=%v cotunnel=%v jumps=%d\n",
 		deck.Spec.Temp, deck.Spec.Adaptive, deck.Spec.Cotunnel, deck.Spec.Jumps)
 	for _, nc := range ncols {
-		if len(nc.omegas) > 0 {
-			fmt.Fprintf(w, "# noise junc%d omegas [rad/s]:", nc.j)
-			for _, om := range nc.omegas {
+		if len(nc.Omegas) > 0 {
+			fmt.Fprintf(w, "# noise junc%d omegas [rad/s]:", nc.Junc)
+			for _, om := range nc.Omegas {
 				fmt.Fprintf(w, " %g", om)
 			}
 			fmt.Fprintln(w)
@@ -203,9 +186,9 @@ func writeTable(out io.Writer, name string, deck *semsim.Deck, pts []semsim.Deck
 		fmt.Fprintf(w, " I(junc%d)", j)
 	}
 	for _, nc := range ncols {
-		fmt.Fprintf(w, " F(junc%d) dF(junc%d)", nc.j, nc.j)
-		for k := range nc.omegas {
-			fmt.Fprintf(w, " S(junc%d,w%d)", nc.j, k)
+		fmt.Fprintf(w, " F(junc%d) dF(junc%d)", nc.Junc, nc.Junc)
+		for k := range nc.Omegas {
+			fmt.Fprintf(w, " S(junc%d,w%d)", nc.Junc, k)
 		}
 	}
 	fmt.Fprintln(w)
@@ -218,9 +201,9 @@ func writeTable(out io.Writer, name string, deck *semsim.Deck, pts []semsim.Deck
 			fmt.Fprintf(w, " %.6e", p.Current[j])
 		}
 		for _, nc := range ncols {
-			st := p.Noise[nc.j]
+			st := p.Noise[nc.Junc]
 			fmt.Fprintf(w, " %.6e %.6e", st.Fano, st.FanoErr)
-			for k := range nc.omegas {
+			for k := range nc.Omegas {
 				v := math.NaN()
 				if k < len(st.S) {
 					v = st.S[k]

@@ -20,18 +20,19 @@ const followRetries = 5
 // and renders each event as one human-readable line on out, until the
 // job reaches a terminal state (done, failed, canceled or interrupted)
 // or ctx is canceled. Transport failures reconnect with the standard
-// Last-Event-ID header, so the retained ring replays whatever the
+// Last-Event-ID header, so the job's event log replays whatever the
 // client missed; after followRetries consecutive failures the last
-// error is returned. jobURL is the job resource, e.g.
+// error is returned. The first failed write to out ends the follow and
+// is returned. jobURL is the job resource, e.g.
 // http://host:8080/api/v1/jobs/j000001.
 func Follow(ctx context.Context, jobURL string, out io.Writer) error {
 	url := strings.TrimSuffix(jobURL, "/") + "/events"
 	lastID := ""
 	for attempt := 0; ; {
-		terminal, err := followOnce(ctx, url, &lastID, out)
+		stop, err := followOnce(ctx, url, &lastID, out)
 		switch {
-		case terminal:
-			return nil
+		case stop:
+			return err
 		case ctx.Err() != nil:
 			return ctx.Err()
 		case err == nil:
@@ -53,9 +54,10 @@ func Follow(ctx context.Context, jobURL string, out io.Writer) error {
 	}
 }
 
-// followOnce runs one SSE connection: it reports terminal=true when a
-// state event carried a terminal job state, and err for transport-level
-// failures worth a reconnect.
+// followOnce runs one SSE connection: it reports stop=true when a state
+// event carried a terminal job state or a write to out failed (err is
+// then the write error), and otherwise err for transport-level failures
+// worth a reconnect.
 func followOnce(ctx context.Context, url string, lastID *string, out io.Writer) (bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -86,8 +88,8 @@ func followOnce(ctx context.Context, url string, lastID *string, out io.Writer) 
 				if id != "" {
 					*lastID = id
 				}
-				if renderEvent(out, typ, data) {
-					return true, nil
+				if terminal, err := renderEvent(out, typ, data); terminal || err != nil {
+					return true, err
 				}
 			}
 			id, typ, data = "", "", ""
@@ -103,8 +105,8 @@ func followOnce(ctx context.Context, url string, lastID *string, out io.Writer) 
 }
 
 // renderEvent prints one event as a progress line and reports whether
-// it announced a terminal job state.
-func renderEvent(out io.Writer, typ, data string) bool {
+// it announced a terminal job state, and the write error.
+func renderEvent(out io.Writer, typ, data string) (terminal bool, err error) {
 	var f struct {
 		Job      string  `json:"job"`
 		State    string  `json:"state"`
@@ -124,9 +126,9 @@ func renderEvent(out io.Writer, typ, data string) bool {
 		Bytes    int     `json:"bytes"`
 	}
 	// Unparseable payloads still print raw — the stream is diagnostic.
-	if err := json.Unmarshal([]byte(data), &f); err != nil {
-		fmt.Fprintf(out, "%s %s\n", typ, data)
-		return false
+	if json.Unmarshal([]byte(data), &f) != nil {
+		_, err = fmt.Fprintf(out, "%s %s\n", typ, data)
+		return false, err
 	}
 	switch typ {
 	case "state":
@@ -134,29 +136,29 @@ func renderEvent(out io.Writer, typ, data string) bool {
 		if f.Error != "" {
 			line += " (" + f.Error + ")"
 		}
-		fmt.Fprintln(out, line)
+		_, err = fmt.Fprintln(out, line)
 		switch State(f.State) {
 		case StateDone, StateFailed, StateCanceled, StateInterrupted:
-			return true
+			terminal = true
 		}
 	case "progress":
 		eta := "?"
 		if f.ETA >= 0 {
 			eta = fmt.Sprintf("%.0fs", f.ETA)
 		}
-		fmt.Fprintf(out, "%s: %d/%d tasks, %.3g events/s, eta %s\n", f.Job, f.Done, f.Total, f.Rate, eta)
+		_, err = fmt.Fprintf(out, "%s: %d/%d tasks, %.3g events/s, eta %s\n", f.Job, f.Done, f.Total, f.Rate, eta)
 	case "task_done":
-		fmt.Fprintf(out, "%s: task p%d r%d %s (%d/%d)\n", f.Job, f.Point, f.Run, f.Outcome, f.Done, f.Total)
+		_, err = fmt.Fprintf(out, "%s: task p%d r%d %s (%d/%d)\n", f.Job, f.Point, f.Run, f.Outcome, f.Done, f.Total)
 	case "checkpoint":
-		fmt.Fprintf(out, "%s: checkpoint p%d r%d (%d bytes)\n", f.Job, f.Point, f.Run, f.Bytes)
+		_, err = fmt.Fprintf(out, "%s: checkpoint p%d r%d (%d bytes)\n", f.Job, f.Point, f.Run, f.Bytes)
 	case "retry":
-		fmt.Fprintf(out, "%s: retry p%d r%d attempt %d in %gs (%s)\n", f.Job, f.Point, f.Run, f.Attempt, f.Delay, f.ErrClass)
+		_, err = fmt.Fprintf(out, "%s: retry p%d r%d attempt %d in %gs (%s)\n", f.Job, f.Point, f.Run, f.Attempt, f.Delay, f.ErrClass)
 	case "resume":
-		fmt.Fprintf(out, "%s: resumed p%d r%d from checkpoint\n", f.Job, f.Point, f.Run)
+		_, err = fmt.Fprintf(out, "%s: resumed p%d r%d from checkpoint\n", f.Job, f.Point, f.Run)
 	case "dropped":
-		fmt.Fprintf(out, "%s: warning: %d events dropped (slow consumer)\n", f.Job, f.Dropped)
+		_, err = fmt.Fprintf(out, "%s: warning: %d events dropped (slow consumer)\n", f.Job, f.Dropped)
 	default:
-		fmt.Fprintf(out, "%s %s\n", typ, data)
+		_, err = fmt.Fprintf(out, "%s %s\n", typ, data)
 	}
-	return false
+	return terminal, err
 }

@@ -262,6 +262,28 @@ func TestHTTPRejectsCinvEpsOutOfRange(t *testing.T) {
 	}
 }
 
+// A deck with a non-finite number does not parse, so its submission is
+// refused with a 422 naming the line. An Inf conductance once parsed,
+// reached AddJunction as R = 0 and panicked in a wave-loop goroutine,
+// which ended the daemon and every job in it.
+func TestHTTPRejectsNonFiniteDeck(t *testing.T) {
+	e, srv := startServer(t, EngineConfig{Workers: 1}, nil)
+	deck, err := json.Marshal(testDeck + "junc 3 3 4 Inf 1e-18\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg := postBody(t, srv.URL, fmt.Sprintf(`{"deck": %s}`, deck))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(msg, "line 16") {
+		t.Errorf("Inf conductance: HTTP %d %s, want 422 naming line 16", code, msg)
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submission queued %d jobs", len(jobs))
+	}
+	if code := doJSON(t, "GET", srv.URL+"/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("healthz after the rejected deck: HTTP %d", code)
+	}
+}
+
 // Cancel over HTTP lands the job in canceled and the result endpoint
 // reports it.
 func TestHTTPCancel(t *testing.T) {

@@ -322,7 +322,7 @@ func foldResults(spec *netlist.Spec, pts []deckPoint, results [][]runResult) []P
 	if spec.Map != nil {
 		sort.Slice(order, func(a, b int) bool { return pts[order[a]].Fine < pts[order[b]].Fine })
 	}
-	njs := noiseJuncs(spec)
+	recs := spec.NoiseRecords()
 	out := make([]Point, len(pts))
 	for oi, i := range order {
 		p := pts[i]
@@ -338,51 +338,30 @@ func foldResults(spec *netlist.Spec, pts []deckPoint, results [][]runResult) []P
 				pt.Current[j] += r.Current[j] / float64(runs)
 			}
 		}
-		if len(njs) > 0 {
+		if len(recs) > 0 {
 			// Fold noise statistics in run order per junction — like the
 			// current fold, a fixed-order reduction of deterministic run
 			// results, so the outcome is schedule- and worker-invariant.
 			// Blockaded runs measured nothing and are skipped.
-			pt.Noise = make(map[int]noise.Stats, len(njs))
+			pt.Noise = make(map[int]noise.Stats, len(recs))
 			rs := make([]noise.RunStats, 0, runs)
-			for _, j := range njs {
+			for _, rec := range recs {
 				rs = rs[:0]
 				for run := 0; run < runs; run++ {
 					r := results[i][run]
 					if r.Blockaded || r.Noise == nil {
 						continue
 					}
-					if st, ok := r.Noise[j]; ok {
+					if st, ok := r.Noise[rec.Junc]; ok {
 						rs = append(rs, st)
 					}
 				}
-				pt.Noise[j] = noise.Fold(rs)
+				pt.Noise[rec.Junc] = noise.Fold(rs)
 			}
 		}
 		out[oi] = pt
 	}
 	return out
-}
-
-// noiseJuncs lists the deck's noise-recorded netlist junction ids in
-// deck order, deduplicated (a junction may have both a noise and a
-// fano directive).
-func noiseJuncs(spec *netlist.Spec) []int {
-	var njs []int
-	seen := map[int]bool{}
-	add := func(j int) {
-		if !seen[j] {
-			seen[j] = true
-			njs = append(njs, j)
-		}
-	}
-	for _, ns := range spec.NoiseJuncs {
-		add(ns.Junc)
-	}
-	for _, fs := range spec.FanoJuncs {
-		add(fs.Junc)
-	}
-	return njs
 }
 
 // worker is one slot of a deck pool: its index, which names the

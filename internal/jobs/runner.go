@@ -233,40 +233,18 @@ func (ds *deckSession) acquire(d *netlist.Deck, key string, opt solver.Options, 
 	return ds.sim, ds.cc, nil
 }
 
-// noiseConfig translates the deck's noise/fano directives into a
-// recorder configuration over circuit junction ids. A junction with
-// both directives gets one accumulator carrying the ω grid and the
-// fano window.
-func noiseConfig(spec *netlist.Spec, cc *netlist.Compiled) (noise.Config, error) {
+// noiseConfig translates the deck's noise records into a recorder
+// configuration over circuit junction ids, one accumulator per record.
+func noiseConfig(recs []netlist.NoiseRecord, cc *netlist.Compiled) noise.Config {
 	var cfg noise.Config
-	at := map[int]int{} // netlist junction id -> cfg.Juncs index
-	add := func(j int) (int, error) {
-		if i, ok := at[j]; ok {
-			return i, nil
-		}
-		cj, ok := cc.Junc[j]
-		if !ok {
-			return 0, fmt.Errorf("semsim: deck records noise on unknown junction %d", j)
-		}
-		at[j] = len(cfg.Juncs)
-		cfg.Juncs = append(cfg.Juncs, noise.JuncConfig{Junc: cj})
-		return at[j], nil
+	for _, r := range recs {
+		cfg.Juncs = append(cfg.Juncs, noise.JuncConfig{
+			Junc:   cc.Junc[r.Junc],
+			Omegas: append([]float64(nil), r.Omegas...),
+			Window: r.Window,
+		})
 	}
-	for _, ns := range spec.NoiseJuncs {
-		i, err := add(ns.Junc)
-		if err != nil {
-			return noise.Config{}, err
-		}
-		cfg.Juncs[i].Omegas = append([]float64(nil), ns.Omegas...)
-	}
-	for _, fs := range spec.FanoJuncs {
-		i, err := add(fs.Junc)
-		if err != nil {
-			return noise.Config{}, err
-		}
-		cfg.Juncs[i].Window = fs.Window
-	}
-	return cfg, nil
+	return cfg
 }
 
 // runDeckPoint executes one (point, run) task of a deck: install the
@@ -316,13 +294,9 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 	// Noise recording must be configured before any possible Restore:
 	// checkpoints of noise-recording runs embed accumulator state and
 	// refuse to load into a simulation without a matching recorder.
-	njs := noiseJuncs(&spec)
-	if len(njs) > 0 {
-		ncfg, err := noiseConfig(&spec, cc)
-		if err != nil {
-			return runResult{}, err
-		}
-		if err := s.EnableNoise(ncfg); err != nil {
+	recs := spec.NoiseRecords()
+	if len(recs) > 0 {
+		if err := s.EnableNoise(noiseConfig(recs, cc)); err != nil {
 			return runResult{}, err
 		}
 	}
@@ -425,17 +399,13 @@ func runDeckPoint(ctx context.Context, d *netlist.Deck, key string, pt deckPoint
 
 	res.Events = s.Stats().Events - phaseStart
 	for _, j := range spec.RecordJuncs {
-		cj, ok := cc.Junc[j]
-		if !ok {
-			return runResult{}, fmt.Errorf("semsim: deck records unknown junction %d", j)
-		}
-		res.Current[j] = s.JunctionCurrent(cj)
+		res.Current[j] = s.JunctionCurrent(cc.Junc[j])
 	}
-	if len(njs) > 0 {
-		res.Noise = make(map[int]noise.RunStats, len(njs))
-		for _, j := range njs {
-			if st, ok := s.NoiseStats(cc.Junc[j]); ok {
-				res.Noise[j] = st
+	if len(recs) > 0 {
+		res.Noise = make(map[int]noise.RunStats, len(recs))
+		for _, r := range recs {
+			if st, ok := s.NoiseStats(cc.Junc[r.Junc]); ok {
+				res.Noise[r.Junc] = st
 			}
 		}
 	}

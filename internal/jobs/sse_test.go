@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -380,6 +381,41 @@ func TestFollowClientRendersStream(t *testing.T) {
 	}
 	if !strings.Contains(out, "task p") {
 		t.Fatalf("follow output missing task lines:\n%s", out)
+	}
+}
+
+// failWriter fails every write with err and counts the attempts.
+type failWriter struct {
+	err   error
+	calls int
+}
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, w.err
+}
+
+// Follow stops at the first failed write to its output and returns it,
+// so semsim -follow into a full disk exits 1 instead of rendering the
+// rest of the stream into the void.
+func TestFollowReturnsWriteError(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 2})
+	t.Cleanup(e.Close)
+	srv := httptest.NewServer(NewHandler(e, nil))
+	t.Cleanup(srv.Close)
+
+	j, err := e.Submit(parseDeck(t, testDeck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &failWriter{err: errors.New("no space left on device")}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := Follow(ctx, srv.URL+"/api/v1/jobs/"+j.ID(), w); !errors.Is(err, w.err) {
+		t.Fatalf("Follow into a failing writer returned %v, want %v", err, w.err)
+	}
+	if w.calls != 1 {
+		t.Fatalf("Follow wrote %d times into a failing writer, want 1", w.calls)
 	}
 }
 

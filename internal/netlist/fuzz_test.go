@@ -32,6 +32,8 @@ func FuzzNetlistParse(f *testing.F) {
 	f.Add("junc 1 1 2 1e-6 1e-18\ncap 2 3 2e-18\nvdc 1 0.01\nvdc 3 0\ncinv-eps 1e-9\n")
 	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ncinv-eps 2\n")   // threshold >= 1: rejected
 	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\ncinv-eps inf\n") // non-finite: rejected
+	f.Add("junc 1 1 2 Inf 1e-18\nvdc 1 0.01\n")                // Inf conductance: rejected, not R = 0
+	f.Add("junc 1 1 2 1e-6 1e-18\nvdc 1 NaN\ntemp NaN\n")      // NaN bias and temperature: rejected
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Parse(strings.NewReader(src))
 		if err != nil {

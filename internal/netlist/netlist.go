@@ -48,6 +48,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,6 +138,37 @@ type Spec struct {
 type NoiseSpec struct {
 	Junc   int
 	Omegas []float64 // rad/s, each > 0
+}
+
+// NoiseRecord is one junction's noise recording: the ω grid of its
+// `record noise` line and the counting window of its `record fano`
+// line (0: auto-calibrated, or no fano line).
+type NoiseRecord struct {
+	Junc   int
+	Omegas []float64
+	Window float64
+}
+
+// NoiseRecords merges the `record noise` and `record fano` directives
+// into one record per junction, in deck order: the noise directives
+// first, then the junctions with only a fano directive. The noise
+// recorder's configuration, and with it every noise result and
+// checkpoint, follows this order.
+func (sp *Spec) NoiseRecords() []NoiseRecord {
+	var recs []NoiseRecord
+	at := map[int]int{} // junction id -> recs index
+	for _, ns := range sp.NoiseJuncs {
+		at[ns.Junc] = len(recs)
+		recs = append(recs, NoiseRecord{Junc: ns.Junc, Omegas: ns.Omegas})
+	}
+	for _, fs := range sp.FanoJuncs {
+		if i, ok := at[fs.Junc]; ok {
+			recs[i].Window = fs.Window
+		} else {
+			recs = append(recs, NoiseRecord{Junc: fs.Junc, Window: fs.Window})
+		}
+	}
+	return recs
 }
 
 // FanoSpec is one `record fano` directive: windowed full counting
@@ -228,7 +261,15 @@ func (d *Deck) directive(f []string, ln int) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("netlist line %d: %s", ln, fmt.Sprintf(format, args...))
 	}
-	num := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	// num parses a finite float. ParseFloat alone accepts NaN and ±Inf,
+	// which range checks such as g <= 0 let through.
+	num := func(s string) (float64, error) {
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("non-finite number %q", s)
+		}
+		return v, err
+	}
 	inum := func(s string) (int, error) { return strconv.Atoi(s) }
 	need := func(n int) error {
 		if len(f)-1 != n {
@@ -609,6 +650,13 @@ func (d *Deck) directive(f []string, ln int) error {
 func (d *Deck) validate() error {
 	if len(d.juncs) == 0 {
 		return fmt.Errorf("netlist: no junctions defined")
+	}
+	// Record lines may precede the junction lines they name, so they are
+	// checked once the whole deck is read.
+	for _, r := range d.Spec.RecordJuncs {
+		if !slices.ContainsFunc(d.juncs, func(j juncDef) bool { return j.id == r }) {
+			return fmt.Errorf("netlist: record names junction %d, which no junc line defines", r)
+		}
 	}
 	if d.declJ >= 0 && d.declJ != len(d.juncs) {
 		return fmt.Errorf("netlist: num j declares %d junctions, found %d", d.declJ, len(d.juncs))

@@ -276,6 +276,58 @@ func TestCinvEpsRange(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonFinite: strconv.ParseFloat accepts NaN, Inf and
+// infinity, and NaN passes every range check written as a comparison
+// that must fail (g <= 0, t < 0). Every numeric field rejects them at
+// its line instead: an Inf conductance reached AddJunction as R = 0 and
+// panicked, a NaN temperature or bias ran to a NaN current, and a NaN
+// sweep step ran zero points.
+func TestParseRejectsNonFinite(t *testing.T) {
+	const base = "junc 1 1 2 1e-6 1e-18\nvdc 1 0.01\nvdc 3 0\ncap 3 2 1e-18\n"
+	for _, line := range []string{
+		"junc 2 2 4 Inf 1e-18",
+		"junc 2 2 4 1e-6 NaN",
+		"cap 2 4 +Inf",
+		"charge 2 NaN",
+		"vdc 5 NaN",
+		"vac 5 0 infinity 1e9",
+		"vac 5 0 0.01 1e9 NaN",
+		"vpwl 5 0 0 1e-9 -Inf",
+		"temp NaN",
+		"super NaN 1.2",
+		"record noise 1 Inf",
+		"record fano 1 Inf",
+		"time NaN",
+		"sweep 1 NaN 0.002",
+		"map x 1 -Inf 0.1 5",
+		"refine 2 NaN",
+		"adaptive NaN",
+		"cinv-eps NaN",
+	} {
+		_, err := Parse(strings.NewReader(base + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 5") {
+			t.Errorf("%q: error %v, want a line-5 parse error", line, err)
+		}
+	}
+}
+
+// TestRecordUndefinedJunction: a record line naming a junction no junc
+// line defines fails at Parse, wherever the junc lines sit, instead of
+// failing every task of the run.
+func TestRecordUndefinedJunction(t *testing.T) {
+	const base = "junc 1 1 2 1e-6 1e-18\njunc 2 2 3 1e-6 1e-18\nvdc 1 0.01\nvdc 3 0\n"
+	for _, line := range []string{"record 9", "record 1 9", "record noise 9 1e9", "record fano 9"} {
+		_, err := Parse(strings.NewReader(base + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "junction 9") {
+			t.Errorf("%q: error %v, want one naming junction 9", line, err)
+		}
+	}
+	// A record line may come before the junction it names.
+	if _, err := Parse(strings.NewReader("record fano 2\n" + base)); err != nil {
+		t.Errorf("record before its junc line rejected: %v", err)
+	}
+}
+
 func TestParseMapDirective(t *testing.T) {
 	deck := `
 junc 1 1 3 1e-6 1e-18

@@ -35,9 +35,9 @@ const (
 	// KindFenwick is a selection-tree flush: A the staged batch size,
 	// B 1 when the flush chose a bulk rebuild over point updates.
 	KindFenwick
-	// KindSpan is a completed span: Junc is the interned name id
-	// (Journal.SpanName resolves it), Wall/Dur the start offset and
-	// duration in nanoseconds.
+	// KindSpan is a completed span: Junc is the interned name id (an
+	// index into the journal's name table, which the exports read),
+	// Wall/Dur the start offset and duration in nanoseconds.
 	KindSpan
 	// KindProgress is a periodic progress sample emitted by a Progress
 	// reporter: V1 events so far, V2 events/s.
@@ -166,16 +166,6 @@ func (j *Journal) internName(name string) int32 {
 	}
 	j.names = append(j.names, name)
 	return int32(len(j.names) - 1)
-}
-
-// SpanName resolves an interned span name id.
-func (j *Journal) SpanName(id int32) string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if id < 0 || int(id) >= len(j.names) {
-		return fmt.Sprintf("span#%d", id)
-	}
-	return j.names[id]
 }
 
 // Total returns how many events were ever recorded (including ones the

@@ -103,11 +103,8 @@ func TestSpanNameInterning(t *testing.T) {
 	if a2 := j.internName("alpha"); a2 != a {
 		t.Fatalf("re-intern gave %d, want %d", a2, a)
 	}
-	if j.SpanName(a) != "alpha" || j.SpanName(b) != "beta" {
-		t.Fatalf("SpanName mismatch: %q %q", j.SpanName(a), j.SpanName(b))
-	}
-	if got := j.SpanName(99); got != "span#99" {
-		t.Fatalf("unknown id resolved to %q", got)
+	if len(j.names) != 2 || j.names[a] != "alpha" || j.names[b] != "beta" {
+		t.Fatalf("name table %q, want alpha at %d and beta at %d", j.names, a, b)
 	}
 }
 

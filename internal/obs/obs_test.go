@@ -121,9 +121,6 @@ func TestSpanTiming(t *testing.T) {
 	o := New(Config{Trace: true, TraceCap: 4})
 	sp := o.Span("phase", 1e-9)
 	time.Sleep(2 * time.Millisecond)
-	if sp.Elapsed() <= 0 {
-		t.Fatal("Elapsed not advancing")
-	}
 	sp.End()
 	h := o.reg.Histogram("span.phase.ns", spanBuckets)
 	if h.Count() != 1 || h.Sum() < float64(time.Millisecond) {
@@ -133,8 +130,8 @@ func TestSpanTiming(t *testing.T) {
 	if len(ev) != 1 || ev[0].Kind != KindSpan || ev[0].Dur <= 0 {
 		t.Fatalf("span journal event = %+v", ev)
 	}
-	if o.Journal().SpanName(ev[0].Junc) != "phase" {
-		t.Fatalf("span name = %q", o.Journal().SpanName(ev[0].Junc))
+	if names := o.Journal().names; names[ev[0].Junc] != "phase" {
+		t.Fatalf("span name = %q", names[ev[0].Junc])
 	}
 }
 

@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // Span is an in-flight phase timing started by Observer.Span. It is a
 // value (no allocation); End records the duration into the span's
 // nanosecond histogram and, when tracing, the journal. The zero Span
@@ -54,12 +52,3 @@ func (sp Span) End() {
 //
 // With no global observer installed it is free.
 func GlobalSpan(name string) Span { return Global().Span(name, 0) }
-
-// Elapsed returns the span's running duration (zero on a disabled
-// span). It exists for progress reporting, not measurement.
-func (sp Span) Elapsed() time.Duration {
-	if sp.o == nil {
-		return 0
-	}
-	return time.Duration(sp.o.wall() - sp.start)
-}

@@ -38,7 +38,7 @@ func biasedChain(tb testing.TB, n int, v float64, gate circuit.Source) *circuit.
 	mid := -1
 	for i := 0; i < n; i++ {
 		isl := c.AddNode("", circuit.Island)
-		c.AddJunction(prev, isl, 1e6, 10*aF) // Ec ~ 8 mV: conducting at 0.03 V
+		c.AddJunction(prev, isl, 1e6, 10*aF) // Ec ~ 8 mV per island
 		if i == n/2 {
 			mid = isl
 		}
@@ -128,7 +128,7 @@ func benchRecompute(b *testing.B, opt Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.refreshAllJunctions()
+		s.recalcJunctions(s.allJunc)
 	}
 }
 

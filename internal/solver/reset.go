@@ -24,10 +24,8 @@ import (
 // bias point. The reset simulation is bit-identical to solver.New over
 // a circuit compiled with the same DC values and the same seed: the
 // substituted voltages are the exact floats the recompiled sources
-// would produce, the RNG rewinds onto NewBatch(seed)'s stream, and the
-// closing fullRefresh recomputes potentials, rates and the selection
-// tree exactly as New's does (TestResetMatchesFresh asserts this
-// trajectory-for-trajectory).
+// would produce, and New and Reset end in the same rewind
+// (TestResetMatchesFresh asserts this trajectory-for-trajectory).
 //
 // The probe set persists across Resets (recorded waveforms are
 // dropped and a fresh t = 0 sample is taken per probe, matching New
@@ -38,13 +36,28 @@ import (
 // from the restored configuration and the currently installed sources.
 // Reset must not be called concurrently with Run/Step on the same Sim.
 func (s *Sim) Reset(seed uint64, dcOverride map[int]float64) error {
-	err := s.installOverrides(dcOverride)
-	// The hash follows whatever overrides are installed, even the part
-	// of a rejected set that was.
-	s.ckptHash = s.trajectoryHash()
-	if err != nil {
+	if err := s.installOverrides(dcOverride); err != nil {
+		// The hash follows whatever overrides are installed, even the
+		// part of a rejected set that was.
+		s.ckptHash = s.trajectoryHash()
 		return err
 	}
+	if err := s.rewind(seed); err != nil {
+		return err
+	}
+	s.obs.SessionReset()
+	return nil
+}
+
+// rewind puts the simulation at t = 0 under the installed sources: it
+// hashes the trajectory-relevant state, seeds the RNG, clears the
+// electron configuration, measurement, noise accumulators, waveforms
+// and counters, picks the quasi-particle tables for the source
+// magnitudes, and refreshes every potential, rate and the selection
+// tree. New ends with it and Reset runs it after installing overrides,
+// so a reset simulation is a fresh one.
+func (s *Sim) rewind(seed uint64) error {
+	s.ckptHash = s.trajectoryHash()
 	s.rnd.Reseed(seed)
 	s.opt.Seed = seed
 	s.t = 0
@@ -67,27 +80,24 @@ func (s *Sim) Reset(seed uint64, dcOverride map[int]float64) error {
 	for node := range s.waves {
 		delete(s.waves, node)
 	}
-	// The electron configuration and sources just changed under the
-	// solver; disarm the drift invariant until the refresh below
+	// The electron configuration and sources may just have changed under
+	// the solver; disarm the drift invariant until the refresh below
 	// re-establishes a baseline, and force the static-source voltage
 	// cache to refill with the new bias.
 	s.dbgInit = false
 	s.extVFresh = false
 	if s.superOn {
 		// The quasi-particle table voltage range depends on the source
-		// magnitudes: recompute it so the table bucket matches what a
-		// fresh build at these voltages would select. Tables come from
-		// the shared qpCache, so a re-lookup is a map hit, not a rebuild.
+		// magnitudes. Tables come from the shared qpCache, so a session's
+		// re-lookup is a map hit, not a rebuild.
 		if err := s.buildSuper(); err != nil {
 			return err
 		}
 	}
-	// Stats were zeroed above, so the refresh bills its own work (one
-	// full refresh, O(channels) rate calculations) exactly as New's
-	// construction refresh does.
+	// Stats were zeroed above, so the refresh bills its own work: one
+	// full refresh, O(channels) rate calculations.
 	s.fullRefresh()
 	s.recordProbes()
-	s.obs.SessionReset()
 	return nil
 }
 

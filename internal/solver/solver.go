@@ -230,13 +230,13 @@ type Sim struct {
 	dwBw     []float64
 	secChans []int // cotunnel + Cooper channel indices
 
-	// Flat per-junction constants for the rate kernels: node ids, island
-	// or external index per endpoint (-1 for the other), the exact-mode
-	// denominator e^2 R, and the constant C^-1 self-term of dW, the A->B
-	// channel's chSelfHalfQ2.
+	// Flat per-junction constants for the rate kernels: the A node id,
+	// island or external index per endpoint (-1 for the other), the
+	// exact-mode denominator e^2 R, and the constant C^-1 self-term of
+	// dW, the A->B channel's chSelfHalfQ2.
 	//
 	//statecover:immutable per-junction constants, compiled once from the circuit
-	juncA, juncB       []int32
+	juncA              []int32
 	juncAIsl, juncBIsl []int32
 	juncAExt, juncBExt []int32
 	juncDenom          []float64
@@ -292,10 +292,6 @@ type Sim struct {
 	extIdxOf  []int32 // node id -> external index, -1 for islands
 	extVFresh bool    // static circuits: filled once, never again
 
-	// Compute-then-commit rate scratch.
-	rateFw   []float64 // per-junction scratch, compute phase
-	rateBw   []float64
-	secRate  []float64 // per-secondary-channel scratch
 	qScratch []float64 // island charge vector for the refresh solve
 	allJunc  []int     // identity index list [0, nj)
 
@@ -400,7 +396,7 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	s := &Sim{
 		c:       c,
 		opt:     opt,
-		rnd:     rng.NewBatch(opt.Seed),
+		rnd:     new(rng.Batch), // seeded by rewind
 		n:       make([]int, c.NumIslands()),
 		v:       make([]float64, c.NumIslands()),
 		vext:    c.ExternalVoltages(nil, 0),
@@ -427,11 +423,6 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	s.obs.EngineShape(pe.NNZ(), pe.TruncationRatio(), pe.Fill())
 	s.buildExternalIndex()
 	s.buildChannels()
-	if s.superOn {
-		if err := s.buildSuper(); err != nil {
-			return nil, err
-		}
-	}
 	s.buildRateEngine()
 	s.buildJunctionCache()
 	s.buildSecondaryCache()
@@ -443,8 +434,9 @@ func New(c *circuit.Circuit, opt Options) (*Sim, error) {
 	s.vextScratch = make([]float64, len(s.vext))
 	s.dvIsl = make([]float64, c.NumIslands())
 	s.dvExt = make([]float64, len(s.vext))
-	s.ckptHash = s.trajectoryHash()
-	s.fullRefresh()
+	if err := s.rewind(opt.Seed); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -477,7 +469,7 @@ func (s *Sim) cinvSelf(src, dst int) float64 {
 	return s.pe.Cinv(src, src) - 2*s.pe.Cinv(src, dst) + s.pe.Cinv(dst, dst)
 }
 
-// buildRateEngine prepares the shared rate scratch and, when enabled,
+// buildRateEngine selects the rate kernel and, when enabled, prepares
 // the tabulated normal-state kernels.
 func (s *Sim) buildRateEngine() {
 	nj := s.c.NumJunctions()
@@ -510,11 +502,6 @@ func (s *Sim) buildRateEngine() {
 	default:
 		s.kern = kernExact
 	}
-	// Compute-then-commit scratch: rates are computed into these, then
-	// staged into the selection tree in index order.
-	s.rateFw = make([]float64, nj)
-	s.rateBw = make([]float64, nj)
-	s.secRate = make([]float64, len(s.secChans))
 	s.allJunc = make([]int, nj)
 	for j := range s.allJunc {
 		s.allJunc[j] = j
@@ -571,7 +558,6 @@ func (s *Sim) buildChannels() {
 func (s *Sim) buildJunctionCache() {
 	nj := s.c.NumJunctions()
 	s.juncA = make([]int32, nj)
-	s.juncB = make([]int32, nj)
 	s.juncAIsl = make([]int32, nj)
 	s.juncBIsl = make([]int32, nj)
 	s.juncAExt = make([]int32, nj)
@@ -580,7 +566,7 @@ func (s *Sim) buildJunctionCache() {
 	s.juncSelfHalfE2 = make([]float64, nj)
 	for j := 0; j < nj; j++ {
 		jn := s.c.Junction(j)
-		s.juncA[j], s.juncB[j] = int32(jn.A), int32(jn.B)
+		s.juncA[j] = int32(jn.A)
 		s.juncAIsl[j], s.juncAExt[j] = s.nodeRef(jn.A)
 		s.juncBIsl[j], s.juncBExt[j] = s.nodeRef(jn.B)
 		s.juncDenom[j] = units.E * units.E * jn.R
@@ -752,8 +738,10 @@ func (s *Sim) collectBreakpoints() {
 				}
 			}
 		case circuit.Sine:
-			if !src.Static() && src.Freq > 0 {
-				if p := 1 / src.Freq; p < minSine {
+			// A negative frequency is the same sine mirrored in time and
+			// needs the same cap.
+			if !src.Static() && src.Freq != 0 {
+				if p := 1 / math.Abs(src.Freq); p < minSine {
 					minSine = p
 				}
 			}

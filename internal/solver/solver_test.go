@@ -493,3 +493,43 @@ func TestNewUsesBuiltEngine(t *testing.T) {
 		t.Fatal("accepted an unbuilt circuit")
 	}
 }
+
+// TestNegativeFrequencySineIsCapped: Sine{Freq: -f, Phase: π} is the
+// waveform of Sine{Freq: f}, so it must get the same step cap and as
+// many capped steps. Without a cap the solver never stopped to fold the
+// gate's motion into the island potential.
+func TestNegativeFrequencySineIsCapped(t *testing.T) {
+	run := func(gate circuit.Sine) (maxStep float64, capped uint64) {
+		c := circuit.New()
+		src := c.AddNode("s", circuit.External)
+		drn := c.AddNode("d", circuit.External)
+		g := c.AddNode("g", circuit.External)
+		isl := c.AddNode("i", circuit.Island)
+		c.SetSource(src, circuit.DC(0.02))
+		c.SetSource(drn, circuit.DC(-0.02))
+		c.SetSource(g, gate)
+		c.AddJunction(src, isl, 1e6, aF)
+		c.AddJunction(isl, drn, 1e6, aF)
+		c.AddCap(g, isl, 3*aF)
+		if err := c.Build(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(c, Options{Temp: 5, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(0, 20e-9); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		return s.maxStep, st.Steps - st.Events
+	}
+	wantStep, wantCapped := run(circuit.Sine{Amp: 0.02, Freq: 1e9})
+	gotStep, gotCapped := run(circuit.Sine{Amp: 0.02, Freq: -1e9, Phase: math.Pi})
+	if wantStep <= 0 || gotStep != wantStep {
+		t.Errorf("step cap: Freq -1e9 got %g, Freq 1e9 got %g", gotStep, wantStep)
+	}
+	if gotCapped != wantCapped {
+		t.Errorf("capped steps: Freq -1e9 got %d, Freq 1e9 got %d", gotCapped, wantCapped)
+	}
+}

@@ -88,18 +88,21 @@ func (s *Sim) refreshExtV() {
 
 // --- Rate computation ---
 //
-// Every rate kernel below reads the frozen potential state (s.v,
-// s.extV) and immutable tables, and writes only junction-owned scratch
-// slots — work counts flow through explicit accumulators. The caller
-// commits the scratch to the selection tree in index order afterwards.
+// Every rate kernel below reads the potential state (s.v, s.extV) and
+// immutable tables, and stages each rate into the selection tree where
+// it computes it, in list order. Staging writes only the channel's own
+// tree slot (the tree is committed at the next selection), so no
+// kernel reads what another stages.
 //
 // The exact-vs-table-vs-superconducting decision is made once at
 // construction (s.kern); each variant below is a monomorphic loop over
 // the flat per-junction constant arrays, with no per-rate dispatch.
 
-// computeJuncList recomputes both direction rates and dW caches for the
-// listed junctions through the kernel selected at construction.
-func (s *Sim) computeJuncList(js []int) {
+// recalcJunctions recomputes and stages both direction rates of the
+// listed junctions through the kernel selected at construction,
+// refreshing their dW caches and resetting their testing factors.
+func (s *Sim) recalcJunctions(js []int) {
+	s.stats.RateCalcs += uint64(2 * len(js))
 	switch s.kern {
 	case kernTable:
 		s.computeJuncListTable(js)
@@ -110,6 +113,19 @@ func (s *Sim) computeJuncList(js []int) {
 	case kernSuper:
 		s.computeJuncListSuper(js)
 	}
+}
+
+// stageJunction caches junction j's dW pair, resets its testing factor
+// and stages its rates fw (A->B) and bw (B->A). Electron channels sit at
+// indices 2j and 2j+1 by construction.
+//
+//semsim:hot
+func (s *Sim) stageJunction(j int, fw, bw, dwFw, dwBw float64) {
+	s.dwFw[j] = dwFw
+	s.dwBw[j] = dwBw
+	s.b0[j] = 0
+	s.fen.stage(2*j, fw)
+	s.fen.stage(2*j+1, bw)
 }
 
 // computeJuncListExact evaluates the orthodox rate exactly, with the
@@ -127,10 +143,7 @@ func (s *Sim) computeJuncListExact(js []int) {
 		denom := s.juncDenom[j]
 		dwFw := -units.E*(vB-vA) + self
 		dwBw := -units.E*(vA-vB) + self
-		s.rateFw[j] = kT * numeric.XOverExpm1(dwFw/kT) / denom
-		s.rateBw[j] = kT * numeric.XOverExpm1(dwBw/kT) / denom
-		s.dwFw[j] = dwFw
-		s.dwBw[j] = dwBw
+		s.stageJunction(j, kT*numeric.XOverExpm1(dwFw/kT)/denom, kT*numeric.XOverExpm1(dwBw/kT)/denom, dwFw, dwBw)
 	}
 }
 
@@ -151,10 +164,7 @@ func (s *Sim) computeJuncListTable(js []int) {
 		dwFw := -units.E*(vB-vA) + self
 		dwBw := -units.E*(vA-vB) + self
 		gFw, gBw := flat.EvalPair(dwFw*invKT, dwBw*invKT)
-		s.rateFw[j] = pref * gFw
-		s.rateBw[j] = pref * gBw
-		s.dwFw[j] = dwFw
-		s.dwBw[j] = dwBw
+		s.stageJunction(j, pref*gFw, pref*gBw, dwFw, dwBw)
 	}
 }
 
@@ -170,18 +180,14 @@ func (s *Sim) computeJuncListT0(js []int) {
 		denom := s.juncDenom[j]
 		dwFw := -units.E*(vB-vA) + self
 		dwBw := -units.E*(vA-vB) + self
+		fw, bw := 0.0, 0.0
 		if dwFw < 0 {
-			s.rateFw[j] = -dwFw / denom
-		} else {
-			s.rateFw[j] = 0
+			fw = -dwFw / denom
 		}
 		if dwBw < 0 {
-			s.rateBw[j] = -dwBw / denom
-		} else {
-			s.rateBw[j] = 0
+			bw = -dwBw / denom
 		}
-		s.dwFw[j] = dwFw
-		s.dwBw[j] = dwBw
+		s.stageJunction(j, fw, bw, dwFw, dwBw)
 	}
 }
 
@@ -197,118 +203,79 @@ func (s *Sim) computeJuncListSuper(js []int) {
 		self := s.juncSelfHalfE2[j]
 		dwFw := -units.E*(vB-vA) + self
 		dwBw := -units.E*(vA-vB) + self
-		s.rateFw[j] = s.qpTab[j].Rate(dwFw)
-		s.rateBw[j] = s.qpTab[j].Rate(dwBw)
-		s.dwFw[j] = dwFw
-		s.dwBw[j] = dwBw
+		s.stageJunction(j, s.qpTab[j].Rate(dwFw), s.qpTab[j].Rate(dwBw), dwFw, dwBw)
 	}
 }
 
-// applyJunction commits junction j's computed rates to the selection
-// tree and resets its testing factor. Called in index order after the
-// compute phase. Electron channels sit at indices 2j and 2j+1 by
-// construction.
-//
-//semsim:hot
-func (s *Sim) applyJunction(j int) {
-	s.b0[j] = 0
-	s.fen.stage(2*j, s.rateFw[j])
-	s.fen.stage(2*j+1, s.rateBw[j])
-}
-
-// refreshAllJunctions recomputes both rates of every junction.
-//
-//semsim:hot
-func (s *Sim) refreshAllJunctions() {
-	nj := s.c.NumJunctions()
-	s.computeJuncList(s.allJunc)
-	s.stats.RateCalcs += uint64(2 * nj)
-	for j := 0; j < nj; j++ {
-		s.applyJunction(j)
+// recalcSecondary recomputes and stages every cotunneling and
+// Cooper-pair channel (the non-adaptive solver of Fig. 3's flow). A
+// circuit has cotunneling channels or Cooper-pair channels, never both
+// (cotunneling is rejected for superconducting circuits at
+// construction).
+func (s *Sim) recalcSecondary() {
+	switch {
+	case len(s.secChans) == 0:
+	case s.superOn:
+		s.computeCooper()
+	default:
+		s.computeCotunnel()
 	}
 }
 
-// recalcFlagged batch-recomputes the junctions flagged by the adaptive
-// test.
-//
-//semsim:hot
-func (s *Sim) recalcFlagged() {
-	s.computeJuncList(s.flagged)
-	s.stats.RateCalcs += uint64(2 * len(s.flagged))
-	for _, j := range s.flagged {
-		s.applyJunction(j)
-	}
-}
-
-// computeSecRange recomputes secondary-channel rates for secChans
-// positions [lo, hi). A circuit has cotunneling channels or Cooper-pair
-// channels, never both (cotunneling is rejected for superconducting
-// circuits at construction), so one branch covers the whole range.
-func (s *Sim) computeSecRange(lo, hi int, calcs *uint64) {
-	if s.superOn {
-		s.computeCooperRange(lo, hi, calcs)
-		return
-	}
-	s.computeCotunnelRange(lo, hi, calcs)
-}
-
-// computeCotunnelRange evaluates second-order cotunneling rates from
-// the precomputed per-channel constants; the tabulated branch inlines
+// computeCotunnel evaluates second-order cotunneling rates from the
+// precomputed per-channel constants; the tabulated branch inlines
 // cotunnel.Kernel.Rate with the same float order.
 //
 //semsim:hot
-func (s *Sim) computeCotunnelRange(lo, hi int, calcs *uint64) {
+func (s *Sim) computeCotunnel() {
 	v, extV := s.v, s.extV
+	s.stats.RateCalcs += uint64(len(s.secChans))
 	if flat := s.cotFlat; flat != nil {
 		kT := s.kT
-		for i := lo; i < hi; i++ {
-			*calcs++
+		for i, ci := range s.secChans {
 			vSrc := pick(v, extV, s.secSrcIsl[i], s.secSrcExt[i])
 			vMid := pick(v, extV, s.secMidIsl[i], s.secMidExt[i])
 			vDst := pick(v, extV, s.secDstIsl[i], s.secDstExt[i])
 			e1 := -units.E*(vMid-vSrc) + s.secSelfSM[i]
 			e2 := -units.E*(vDst-vMid) + s.secSelfMD[i]
 			if e1 <= 0 || e2 <= 0 {
-				s.secRate[i] = 0 // coexistence rule, as in cotunnel.Rate
+				s.fen.stage(ci, 0) // coexistence rule, as in cotunnel.Rate
 				continue
 			}
 			dw := -units.E*(vDst-vSrc) + s.secSelfSD[i]
 			den := 1/e1 + 1/e2
 			pref := s.secPref[i] * (den * den)
-			s.secRate[i] = pref * kT * kT * kT * flat.Eval(dw/kT)
+			s.fen.stage(ci, pref*kT*kT*kT*flat.Eval(dw/kT))
 		}
 		return
 	}
 	t := s.opt.Temp
-	for i := lo; i < hi; i++ {
-		*calcs++
+	for i, ci := range s.secChans {
 		vSrc := pick(v, extV, s.secSrcIsl[i], s.secSrcExt[i])
 		vMid := pick(v, extV, s.secMidIsl[i], s.secMidExt[i])
 		vDst := pick(v, extV, s.secDstIsl[i], s.secDstExt[i])
 		dw := -units.E*(vDst-vSrc) + s.secSelfSD[i]
 		e1 := -units.E*(vMid-vSrc) + s.secSelfSM[i]
 		e2 := -units.E*(vDst-vMid) + s.secSelfMD[i]
-		s.secRate[i] = cotunnel.Rate(dw, e1, e2, s.secR1[i], s.secR2[i], t)
+		s.fen.stage(ci, cotunnel.Rate(dw, e1, e2, s.secR1[i], s.secR2[i], t))
 	}
 }
 
-// computeCooperRange evaluates incoherent resonant Cooper-pair rates.
-// The lifetime broadening gamma is the total quasi-particle escape rate
-// out of the post-tunneling state, summed over the precomputed escape
-// list (the events that complete a JQP/DJQP cycle), floored at
+// computeCooper evaluates incoherent resonant Cooper-pair rates. The
+// lifetime broadening gamma is the total quasi-particle escape rate out
+// of the post-tunneling state, summed over the precomputed escape list
+// (the events that complete a JQP/DJQP cycle), floored at
 // cpWidthFloor * gap / hbar.
 //
 //semsim:hot
-func (s *Sim) computeCooperRange(lo, hi int, calcs *uint64) {
+func (s *Sim) computeCooper() {
 	v, extV := s.v, s.extV
 	floorGamma := cpWidthFloor * s.gap / units.Hbar
-	for i := lo; i < hi; i++ {
-		*calcs++
-		ci := s.secChans[i]
-		junc := int(s.chJunc[ci])
-		ej := s.ej[junc]
+	calcs := uint64(len(s.secChans))
+	for i, ci := range s.secChans {
+		ej := s.ej[s.chJunc[ci]]
 		if ej <= 0 {
-			s.secRate[i] = 0
+			s.fen.stage(ci, 0)
 			continue
 		}
 		vSrc := pick(v, extV, s.secSrcIsl[i], s.secSrcExt[i])
@@ -322,29 +289,14 @@ func (s *Sim) computeCooperRange(lo, hi int, calcs *uint64) {
 			self := s.juncSelfHalfE2[jj]
 			gamma += s.qpTab[jj].Rate(-units.E*(vb-va) + self)
 			gamma += s.qpTab[jj].Rate(-units.E*(va-vb) + self)
-			*calcs += 2
+			calcs += 2
 		}
 		if gamma < floorGamma {
 			gamma = floorGamma
 		}
-		s.secRate[i] = super.CooperPairRate(dw2, ej, gamma)
+		s.fen.stage(ci, super.CooperPairRate(dw2, ej, gamma))
 	}
-}
-
-// recalcSecondary refreshes every cotunneling and Cooper-pair channel
-// (the non-adaptive solver of Fig. 3's flow), then stages the rates in
-// secChans order.
-//
-//semsim:hot
-func (s *Sim) recalcSecondary() {
-	n := len(s.secChans)
-	if n == 0 {
-		return
-	}
-	s.computeSecRange(0, n, &s.stats.RateCalcs)
-	for i, ci := range s.secChans {
-		s.fen.stage(ci, s.secRate[i])
-	}
+	s.stats.RateCalcs += calcs
 }
 
 // --- Refresh paths ---
@@ -394,7 +346,7 @@ func (s *Sim) fullRefresh() {
 		s.stats.CinvErrorBound = s.pe.RefreshErrorBound(qmax, vmax)
 		s.obs.CinvBound(s.stats.CinvErrorBound)
 	}
-	s.refreshAllJunctions()
+	s.recalcJunctions(s.allJunc)
 	s.recalcSecondary()
 	s.fen.rebuild()
 	if invariant.Enabled {
@@ -416,9 +368,30 @@ func (s *Sim) fullRefresh() {
 //semsim:hot
 func (s *Sim) nonAdaptiveUpdate() {
 	preCalcs := s.stats.RateCalcs
-	s.refreshAllJunctions()
+	s.recalcJunctions(s.allJunc)
 	s.recalcSecondary()
 	s.obs.RateCalcs(s.stats.RateCalcs - preCalcs)
+}
+
+// testJunction is Algorithm 1's test of junction j, whose testing
+// factor would become b: j is flagged for recalculation when
+// e|b| >= alpha * min(|dW'fw|, |dW'bw|) over its cached dW pair, and
+// otherwise keeps b. depth is the BFS spill depth (0 for an input
+// change) the trace records. It reports whether j was flagged.
+func (s *Sim) testJunction(j int, b float64, depth int) bool {
+	s.stats.Tested++
+	thr := math.Min(math.Abs(s.dwFw[j]), math.Abs(s.dwBw[j]))
+	flag := units.E*math.Abs(b) >= s.opt.Alpha*thr
+	if s.obs.Tracing() {
+		s.obs.AdaptiveTest(j, units.E*math.Abs(b), s.opt.Alpha*thr, flag, depth, s.t)
+	}
+	if flag {
+		s.stats.Flagged++
+		s.flagged = append(s.flagged, j)
+	} else {
+		s.b0[j] = b
+	}
+	return flag
 }
 
 // adaptiveUpdate implements Algorithm 1 after the event on channel ci:
@@ -431,9 +404,10 @@ func (s *Sim) nonAdaptiveUpdate() {
 // junctions are collected first and recomputed as one batch, which
 // changes nothing about which junctions flag or what their new rates
 // are.
-func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int) []int {
+func (s *Sim) adaptiveUpdate(ci int) {
 	junc := int(s.chJunc[ci])
-	queue = queue[:0]
+	visited, stamp := s.visited, s.bumpStamp()
+	queue := s.scratch[:0]
 	push := func(j int) {
 		if visited[j] != stamp {
 			visited[j] = stamp
@@ -445,7 +419,6 @@ func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int
 		push(j2)
 	}
 	preCalcs := s.stats.RateCalcs
-	tracing := s.obs.Tracing()
 	depth, levelEnd := 0, len(queue) // seeds are spill depth 0
 	s.flagged = s.flagged[:0]
 	for head := 0; head < len(queue); head++ {
@@ -455,35 +428,25 @@ func (s *Sim) adaptiveUpdate(ci int, visited []uint32, stamp uint32, queue []int
 		}
 		j := queue[head]
 		b := s.b0[j] + s.dp.At(s.juncAIsl[j]) - s.dp.At(s.juncBIsl[j])
-		s.stats.Tested++
-		thr := math.Min(math.Abs(s.dwFw[j]), math.Abs(s.dwBw[j]))
-		flag := units.E*math.Abs(b) >= s.opt.Alpha*thr
-		if tracing {
-			s.obs.AdaptiveTest(j, units.E*math.Abs(b), s.opt.Alpha*thr, flag, depth, s.t)
-		}
-		if flag {
-			s.stats.Flagged++
-			s.flagged = append(s.flagged, j)
+		if s.testJunction(j, b, depth) {
 			for _, nb := range s.c.JunctionNeighbors(j) {
 				push(nb)
 			}
-		} else {
-			s.b0[j] = b
 		}
 	}
-	s.recalcFlagged()
+	s.scratch = queue
+	s.recalcJunctions(s.flagged)
 	s.recalcSecondary()
 	s.obs.Adaptive(junc, len(queue), len(s.flagged), s.t)
 	s.obs.Recomputed(s.flagged)
 	s.obs.RateCalcs(s.stats.RateCalcs - preCalcs)
-	return queue
 }
 
 // handleInputChange reacts to source voltages moving between t0 and the
 // current time: island potentials get the exact external shift, and
 // junction rates are either all recomputed (non-adaptive) or tested
 // from the junctions in contact with the changed inputs (adaptive).
-func (s *Sim) handleInputChange(visited []uint32, stamp uint32, queue []int) []int {
+func (s *Sim) handleInputChange() {
 	vextNew := s.externalVoltages(s.vextScratch, s.t)
 	changed := false
 	for i := range vextNew {
@@ -493,7 +456,7 @@ func (s *Sim) handleInputChange(visited []uint32, stamp uint32, queue []int) []i
 		}
 	}
 	if !changed {
-		return queue
+		return
 	}
 	// Apply the external shift to every island potential (exact up to
 	// the engine's mext truncation, whose error is accounted below).
@@ -527,7 +490,7 @@ func (s *Sim) handleInputChange(visited []uint32, stamp uint32, queue []int) []i
 	if !s.opt.Adaptive {
 		s.obs.InputChange(s.c.NumJunctions(), s.t)
 		s.nonAdaptiveUpdate()
-		return queue
+		return
 	}
 	// Inputs couple to junctions through arbitrary capacitor networks
 	// (a logic gate's input is a pure capacitor), so there is no local
@@ -536,39 +499,17 @@ func (s *Sim) handleInputChange(visited []uint32, stamp uint32, queue []int) []i
 	// junction's accumulated testing factor — O(J) arithmetic with no
 	// rate evaluations — and recalculate only those over threshold.
 	preCalcs := s.stats.RateCalcs
-	tracing := s.obs.Tracing()
 	s.flagged = s.flagged[:0]
 	for j := 0; j < s.c.NumJunctions(); j++ {
-		b := s.b0[j] + s.inputDeltaP(int(s.juncA[j])) - s.inputDeltaP(int(s.juncB[j]))
-		s.stats.Tested++
-		thr := math.Min(math.Abs(s.dwFw[j]), math.Abs(s.dwBw[j]))
-		flag := units.E*math.Abs(b) >= s.opt.Alpha*thr
-		if tracing {
-			s.obs.AdaptiveTest(j, units.E*math.Abs(b), s.opt.Alpha*thr, flag, 0, s.t)
-		}
-		if flag {
-			s.stats.Flagged++
-			s.flagged = append(s.flagged, j)
-		} else {
-			s.b0[j] = b
-		}
+		b := s.b0[j] + pick(s.dvIsl, s.dvExt, s.juncAIsl[j], s.juncAExt[j]) -
+			pick(s.dvIsl, s.dvExt, s.juncBIsl[j], s.juncBExt[j])
+		s.testJunction(j, b, 0)
 	}
-	s.recalcFlagged()
+	s.recalcJunctions(s.flagged)
 	s.recalcSecondary()
 	s.obs.InputChange(len(s.flagged), s.t)
 	s.obs.Recomputed(s.flagged)
 	s.obs.RateCalcs(s.stats.RateCalcs - preCalcs)
-	return queue
-}
-
-// inputDeltaP reads the potential shift an input change imposed on a
-// node from the per-island (dvIsl) and per-external (dvExt) delta
-// arrays handleInputChange just filled.
-func (s *Sim) inputDeltaP(node int) float64 {
-	if k := s.c.IslandIndex(node); k >= 0 {
-		return s.dvIsl[k]
-	}
-	return s.dvExt[s.extIdxOf[node]]
 }
 
 // --- Event application ---
@@ -677,8 +618,7 @@ func (s *Sim) nextCap() float64 {
 }
 
 // PWLRamp is implemented by sources that need step subdivision while
-// their output is actively changing (circuit.PWL qualifies through the
-// adapter below).
+// their output is actively changing (circuit.PWL implements it).
 type PWLRamp interface {
 	RampStep(t float64) float64
 }
@@ -703,24 +643,21 @@ func (s *Sim) Step() (bool, error) {
 	}
 	total := s.fen.total()
 	cap := s.nextCap()
+	dt := math.Inf(1) // with no positive rate the step can only reach the cap
 	if total <= 0 || math.IsInf(1/total, 1) {
 		if math.IsInf(cap, 1) {
 			return false, ErrBlockaded
 		}
-		s.t = cap
-		s.refreshExtV()
-		s.scratch = s.handleInputChange(s.visited, s.bumpStamp(), s.scratch)
-		s.recordProbes()
-		return false, nil
+	} else {
+		dt = s.rnd.Exp(total)
 	}
-	dt := s.rnd.Exp(total)
 	if s.t+dt > cap {
 		// Stopping a Poisson process mid-interval and redrawing is exact
 		// (memorylessness), so capping at breakpoints, ramp subdivisions
 		// and the run horizon does not bias the dynamics.
 		s.t = cap
 		s.refreshExtV()
-		s.scratch = s.handleInputChange(s.visited, s.bumpStamp(), s.scratch)
+		s.handleInputChange()
 		s.recordProbes()
 		return false, nil
 	}
@@ -737,7 +674,7 @@ func (s *Sim) Step() (bool, error) {
 	if s.opt.RefreshEvery > 0 && s.stats.Events%uint64(s.opt.RefreshEvery) == 0 {
 		s.fullRefresh()
 	} else if s.opt.Adaptive {
-		s.scratch = s.adaptiveUpdate(idx, s.visited, s.bumpStamp(), s.scratch)
+		s.adaptiveUpdate(idx)
 	} else {
 		s.nonAdaptiveUpdate()
 	}
