@@ -46,8 +46,6 @@ type mix struct {
 	inv, nand, nor, xor int
 }
 
-func (m mix) sets() int { return 2*m.inv + 4*m.nand + 4*m.nor + 16*m.xor }
-
 // synth builds a synthetic benchmark: a spine of `spine` inverting
 // 2-input gates — alternating NAND (enabled by the high "en" input) and
 // NOR (enabled by the low "in1" input), like a mixed standard-cell path

@@ -164,18 +164,16 @@ type Circuit struct {
 	built bool
 
 	// Everything below is populated by Build.
-	islands    []int       // node ids of islands, in matrix order
-	islandIdx  []int       // node id -> island row, -1 for externals
-	externals  []int       // node ids of externals
-	extIdx     []int       // node id -> external column, -1 for islands
-	ccsr       *matrix.CSR // assembled C in CSR form (always)
-	csigma     []float64   // diagonal of C: per-island total capacitance
-	cie        [][]float64 // islands x externals coupling capacitances
-	pot        *Potentials // the potential engine
-	nodeJuncs  [][]int     // node id -> junction ids touching it
-	juncNbrs   [][]int     // junction id -> neighbouring junction ids
-	hasDynamic bool
-	allStatic  bool
+	islands   []int       // node ids of islands, in matrix order
+	islandIdx []int       // node id -> island row, -1 for externals
+	externals []int       // node ids of externals
+	extIdx    []int       // node id -> external column, -1 for islands
+	ccsr      *matrix.CSR // assembled C in CSR form (always)
+	csigma    []float64   // diagonal of C: per-island total capacitance
+	pot       *Potentials // the potential engine
+	nodeJuncs [][]int     // node id -> junction ids touching it
+	juncNbrs  [][]int     // junction id -> neighbouring junction ids
+	allStatic bool
 }
 
 // SuperParams describes the superconducting state of a circuit in which
@@ -330,9 +328,11 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 	}
 
 	ni, ne := len(c.islands), len(c.externals)
-	c.cie = make([][]float64, ni)
-	for i := range c.cie {
-		c.cie[i] = make([]float64, ne)
+	// The islands x externals coupling capacitances C_IE, needed only
+	// by the build's mext rows.
+	cie := make([][]float64, ni)
+	for i := range cie {
+		cie[i] = make([]float64, ne)
 	}
 	// Assemble C as triplets (junctions first, then capacitors, matching
 	// the historical dense accumulation order: CSRFromTriplets sums
@@ -370,10 +370,10 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 				grounded[ra] = grounded[ra] || grounded[rb]
 			}
 		case ia >= 0:
-			c.cie[ia][c.extIdx[b]] += cap
+			cie[ia][c.extIdx[b]] += cap
 			grounded[root(ia)] = true
 		case ib >= 0:
-			c.cie[ib][c.extIdx[a]] += cap
+			cie[ib][c.extIdx[a]] += cap
 			grounded[root(ib)] = true
 		}
 	}
@@ -404,7 +404,7 @@ func (c *Circuit) BuildWith(bo BuildOptions) error {
 		c.csigma[i] = c.ccsr.At(i, i)
 	}
 
-	pot, err := buildPotentials(c, bo)
+	pot, err := buildPotentials(c, bo, cieNonzeros(cie))
 	if err != nil {
 		return fmt.Errorf("circuit: capacitance matrix is singular (floating island with no capacitance?): %w", err)
 	}

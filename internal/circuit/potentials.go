@@ -354,8 +354,9 @@ func csrRows(cols [][]int32, vals [][]float64) (ptr []int, col []int32, val []fl
 // of that ordering per pass over L, O(n·nnz(L)) in total. Each row, and
 // its mext row, is truncated at ε = bo.CinvTruncation
 // (DefaultCinvTruncation when 0) as it is solved; the dense inverse is
-// never formed.
-func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
+// never formed. cie lists the nonzero coupling capacitances C_IE the
+// mext rows are formed from.
+func buildPotentials(c *Circuit, bo BuildOptions, cie couplings) (*Potentials, error) {
 	perm := matrix.RCM(c.ccsr)
 	chol, err := matrix.FactorCSR(c.ccsr, perm)
 	if err != nil {
@@ -368,7 +369,7 @@ func buildPotentials(c *Circuit, bo BuildOptions) (*Potentials, error) {
 	if l := c.ccsr.LowerNNZ(); l > 0 {
 		p.fill = float64(chol.NNZ()) / float64(l)
 	}
-	p.truncateRows(chol, perm, c.cieNonzeros())
+	p.truncateRows(chol, perm, cie)
 	return p, nil
 }
 
@@ -379,10 +380,11 @@ type couplings struct {
 	val         []float64
 }
 
-// cieNonzeros collects the nonzero entries of the assembled C_IE.
-func (c *Circuit) cieNonzeros() couplings {
+// cieNonzeros collects the nonzero entries of the dense islands x
+// externals matrix cie.
+func cieNonzeros(cie [][]float64) couplings {
 	var cp couplings
-	for k, row := range c.cie {
+	for k, row := range cie {
 		for s, v := range row {
 			if v != 0 {
 				cp.island = append(cp.island, int32(k))

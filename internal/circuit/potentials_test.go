@@ -75,10 +75,20 @@ func exactPotentials(t *testing.T, c *Circuit, ns []int, tt float64) []float64 {
 	}
 	v := c.ChargeVector(nil, ns)
 	vext := c.ExternalVoltages(nil, tt)
-	for i, row := range c.cie {
-		for s, cap := range row {
-			v[i] += cap * vext[s]
+	// Each capacitance between an island and an external node adds its
+	// C_IE coupling term.
+	couple := func(a, b int, cap float64) {
+		if ia, eb := c.IslandIndex(a), c.extIdx[b]; ia >= 0 && eb >= 0 {
+			v[ia] += cap * vext[eb]
 		}
+	}
+	for _, j := range c.junctions {
+		couple(j.A, j.B, j.C)
+		couple(j.B, j.A, j.C)
+	}
+	for _, k := range c.caps {
+		couple(k.A, k.B, k.C)
+		couple(k.B, k.A, k.C)
 	}
 	ch.Solve(v)
 	return v

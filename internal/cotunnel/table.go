@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"semsim/internal/numeric"
-	"semsim/internal/units"
 )
 
 // Like the first-order orthodox rate, the finite-temperature
@@ -18,7 +17,10 @@ import (
 // (the thermal bracket dW^2 + (2 pi kT)^2 equals kT^2 (x^2 + 4 pi^2)),
 // so one table serves every channel, resistance pair and temperature.
 // Outside |x| <= KernelXMax the asymptotic tails are evaluated (see
-// KernelXMax); at T <= 0 evaluation is exact.
+// KernelXMax). The kernel needs T > 0; callers evaluate the T <= 0
+// limit exactly, through Rate, and apply Rate's coexistence rule (no
+// rate unless both intermediate-state energies are positive)
+// themselves.
 const (
 	// KernelXMax bounds the tabulated band of x = dW/kT. As in the
 	// orthodox kernel, the tails evaluate their asymptotic expansions so
@@ -38,23 +40,18 @@ func bracketKernel(x float64) float64 {
 	return (x*x + 4*math.Pi*math.Pi) * numeric.XOverExpm1(x)
 }
 
-// Kernel is the tabulated cotunneling rate kernel. It evaluates through
-// a numeric.FlatKernel — uniform grid, constant-time panel lookup — so
-// a tabulated rate costs a handful of multiply-adds instead of a binary
-// search plus an exp.
-type Kernel struct {
-	k *numeric.FlatKernel
-}
-
 var (
 	kernelOnce sync.Once
-	kernel     *Kernel
+	kernel     *numeric.FlatKernel
 )
 
-// SharedKernel returns the process-wide tabulated kernel, building it
-// on first use. It returns nil if refinement cannot reach KernelRelTol
-// — callers must then use the exact Rate.
-func SharedKernel() *Kernel {
+// SharedKernel returns the process-wide tabulated kernel h(x),
+// building it on first use. It evaluates through a uniform grid with a
+// constant-time panel lookup, so a tabulated rate costs a handful of
+// multiply-adds instead of a binary search plus an exp. It returns nil
+// if refinement cannot reach KernelRelTol — callers must then use the
+// exact Rate.
+func SharedKernel() *numeric.FlatKernel {
 	kernelOnce.Do(func() {
 		k, err := numeric.NewFlatKernel(bracketKernel, -KernelXMax, KernelXMax, KernelRelTol)
 		if err != nil || k.MaxRelError() > KernelRelTol {
@@ -62,34 +59,7 @@ func SharedKernel() *Kernel {
 		}
 		// Asymptotic tails (see KernelXMax): h(x) = -x^3 - 4 pi^2 x
 		// below the band, 0 above it.
-		k.WithTails([4]float64{0, -4 * math.Pi * math.Pi, 0, -1}, [4]float64{})
-		kernel = &Kernel{k: k}
+		kernel = k.WithTails([4]float64{0, -4 * math.Pi * math.Pi, 0, -1}, [4]float64{})
 	})
 	return kernel
 }
-
-// Flat exposes the underlying constant-time kernel so the solver's
-// monomorphic inner loops can evaluate it without an extra call frame.
-func (k *Kernel) Flat() *numeric.FlatKernel { return k.k }
-
-// Rate is the tabulated counterpart of Rate: identical arguments and
-// semantics, relative error bounded by KernelRelTol inside the
-// tabulated band, asymptotic outside it (see KernelXMax), and exact at
-// T <= 0 and for inactive channels.
-func (k *Kernel) Rate(dw, e1, e2, r1, r2, t float64) float64 {
-	if e1 <= 0 || e2 <= 0 {
-		return 0 // coexistence rule, as in Rate
-	}
-	if t <= 0 {
-		return Rate(dw, e1, e2, r1, r2, t)
-	}
-	pref := units.Hbar / (12 * math.Pi * units.E * units.E * units.E * units.E * r1 * r2)
-	den := 1/e1 + 1/e2
-	pref *= den * den
-	kT := units.KB * t
-	return pref * kT * kT * kT * k.k.Eval(dw/kT)
-}
-
-// MaxRelError reports the measured interpolation-error bound of the
-// tabulated band.
-func (k *Kernel) MaxRelError() float64 { return k.k.MaxRelError() }

@@ -48,9 +48,6 @@ type EngineConfig struct {
 	// MaxRetries bounds per-task retries of transient failures
 	// (checkpoint I/O); < 0 disables retries, 0 means the default of 2.
 	MaxRetries int
-	// RetryBackoff is the base delay before the first retry, doubling
-	// per attempt (0 = 250ms).
-	RetryBackoff time.Duration
 	// Obs receives the engine's and its jobs' metrics (engine, runner,
 	// solver and sweep); nil falls back to the process-global observer.
 	Obs *obs.Observer
@@ -135,6 +132,9 @@ type Engine struct {
 
 	// runTask is the task executor; tests substitute a scripted one.
 	runTask taskFunc
+	// retryBackoff is the delay before a task's first retry, doubling
+	// per attempt.
+	retryBackoff time.Duration
 }
 
 // NewEngine starts an engine with a pool of cfg.Workers workers.
@@ -153,18 +153,16 @@ func newEngine(cfg EngineConfig, runTask taskFunc) *Engine {
 	} else if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
 	// The workers' compile-once sessions persist across tasks AND jobs:
 	// later tasks of the same deck (and later jobs over the same deck)
 	// re-seed the cached solver instead of rebuilding it.
 	e := &Engine{
-		cfg:     cfg,
-		drain:   make(chan struct{}),
-		pool:    newPool(cfg.Workers),
-		jobs:    map[string]*Job{},
-		logKeep: logPerWorker*cfg.Workers + logBase,
+		cfg:          cfg,
+		drain:        make(chan struct{}),
+		pool:         newPool(cfg.Workers),
+		jobs:         map[string]*Job{},
+		logKeep:      logPerWorker*cfg.Workers + logBase,
+		retryBackoff: 250 * time.Millisecond,
 	}
 	if o := e.observer(); o != nil {
 		e.eobs = newEngineObs(o, e)
@@ -405,7 +403,7 @@ func (e *Engine) runJobTask(ctx context.Context, j *Job, t task, cfg RunConfig) 
 		if m := e.eobs; m != nil {
 			m.tasksRetried.Add(1)
 		}
-		delay := e.cfg.RetryBackoff << uint(attempt)
+		delay := e.retryBackoff << uint(attempt)
 		retry := span
 		retry.kind, retry.ns = evRetry, int64(delay)
 		e.emit(j, retry)

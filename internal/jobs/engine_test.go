@@ -14,10 +14,11 @@ import (
 )
 
 // scriptedEngine builds an engine whose tasks run the given function
-// instead of a simulation.
+// instead of a simulation, retrying after 1 ms instead of 250 ms.
 func scriptedEngine(t *testing.T, cfg EngineConfig, fn func(ctx context.Context, tk task, rc RunConfig) (runResult, error)) *Engine {
 	t.Helper()
 	e := newEngine(cfg, fn)
+	e.retryBackoff = time.Millisecond
 	t.Cleanup(e.Close)
 	return e
 }
@@ -49,7 +50,7 @@ func waitState(t *testing.T, e *Engine, j *Job, want State) {
 func TestEngineRetriesTransientFailures(t *testing.T) {
 	var calls atomic.Int32
 	o := obs.New(obs.Config{})
-	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond, Obs: o},
+	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2, Obs: o},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			if tk.point == 0 && tk.run == 0 && calls.Add(1) < 3 {
 				return runResult{}, &transientError{errors.New("disk hiccup")}
@@ -75,7 +76,7 @@ func TestEngineRetriesTransientFailures(t *testing.T) {
 
 // Exhausting the retry budget fails the job with the underlying error.
 func TestEngineRetryBudgetExhausted(t *testing.T) {
-	e := scriptedEngine(t, EngineConfig{Workers: 1, MaxRetries: 1, RetryBackoff: time.Millisecond},
+	e := scriptedEngine(t, EngineConfig{Workers: 1, MaxRetries: 1},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			return runResult{}, &transientError{errors.New("disk gone")}
 		})
@@ -92,7 +93,7 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 func TestEngineDoesNotRetryPermanentFailures(t *testing.T) {
 	var calls atomic.Int32
 	broke := errors.New("physics broke")
-	e := scriptedEngine(t, EngineConfig{Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond},
+	e := scriptedEngine(t, EngineConfig{Workers: 1, MaxRetries: 3},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			calls.Add(1)
 			return runResult{}, broke
@@ -302,7 +303,7 @@ func TestEngineRealRunsMatchExecuteDeck(t *testing.T) {
 		strings.Replace(testDeck, "seed 11", "seed 31", 1),
 		strings.Replace(testDeck, "seed 11", "seed 41", 1),
 	}
-	o := obs.New(obs.Config{Trace: true, TraceCap: 1 << 12})
+	o := obs.New(obs.Config{Trace: true})
 	e := NewEngine(EngineConfig{Workers: 4, CheckpointDir: t.TempDir(), CheckpointEvery: 1, Obs: o})
 	t.Cleanup(e.Close)
 

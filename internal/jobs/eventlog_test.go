@@ -258,7 +258,7 @@ func jobTrace(t *testing.T, e *Engine, j *Job) []traceEvent {
 // dropped.
 func TestJobTraceSpansAttemptsCheckpointsAndDrops(t *testing.T) {
 	var calls atomic.Int32
-	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond},
+	e := scriptedEngine(t, EngineConfig{Workers: 2, MaxRetries: 2},
 		func(ctx context.Context, tk task, rc RunConfig) (runResult, error) {
 			rc.hooks.checkpoint(ckptStats{bytes: 4096, fsyncNS: 700, totalNS: 2000})
 			if tk.point == 0 && tk.run == 0 && calls.Add(1) == 1 {

@@ -187,17 +187,3 @@ func Solve(c *circuit.Circuit, temp float64, nmin, nmax int) (*Result, error) {
 	}
 	return res, nil
 }
-
-// WindowFor suggests a charge-state window wide enough for a SET at the
-// given operating point: the mean induced charge plus margin.
-func WindowFor(c *circuit.Circuit, margin int) (nmin, nmax int) {
-	if margin < 3 {
-		margin = 3
-	}
-	island := c.Islands()[0]
-	// Induced charge at n = 0 sets the center of the occupied states.
-	v := c.IslandPotentials(nil, []int{0}, 0)
-	q := v[0] * c.SumCapacitance(island)
-	center := int(q / units.E)
-	return center - margin, center + margin
-}

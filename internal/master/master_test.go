@@ -218,23 +218,6 @@ func TestSuperconductingGapSuppression(t *testing.T) {
 	}
 }
 
-func TestWindowFor(t *testing.T) {
-	// Strong gate bias pulls many electrons; the window must follow.
-	c, _ := circuit.NewSET(circuit.SETConfig{
-		R1: 1e6, C1: aF, R2: 1e6, C2: aF, Cg: 3 * aF,
-		Vg: 10 * units.E / (3 * aF), // ten electrons worth of gate charge
-	})
-	lo, hi := WindowFor(c, 3)
-	// The island accommodates ~+10 electrons (n = Cg*Vg/e); the window
-	// must be centered near there and at least 2*margin wide.
-	if lo > 8 || hi < 11 {
-		t.Fatalf("window [%d, %d] did not follow the gate-induced charge (~10)", lo, hi)
-	}
-	if hi-lo < 6 {
-		t.Fatalf("window too narrow: [%d, %d]", lo, hi)
-	}
-}
-
 func TestSolveErrors(t *testing.T) {
 	// Two islands are out of scope.
 	c := circuit.New()

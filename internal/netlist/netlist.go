@@ -661,10 +661,6 @@ func (d *Deck) validate() error {
 	if d.declJ >= 0 && d.declJ != len(d.juncs) {
 		return fmt.Errorf("netlist: num j declares %d junctions, found %d", d.declJ, len(d.juncs))
 	}
-	ext := len(d.sources)
-	if _, hasGnd := d.sources[0]; !hasGnd && d.nodeUsed(0) {
-		ext++ // implicit ground
-	}
 	if d.declExt >= 0 && d.declExt != len(d.sources) {
 		return fmt.Errorf("netlist: num ext declares %d sources, found %d", d.declExt, len(d.sources))
 	}
@@ -712,20 +708,6 @@ func (d *Deck) validate() error {
 		}
 	}
 	return nil
-}
-
-func (d *Deck) nodeUsed(n int) bool {
-	for _, j := range d.juncs {
-		if j.a == n || j.b == n {
-			return true
-		}
-	}
-	for _, c := range d.caps {
-		if c.a == n || c.b == n {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Deck) maxNode() int {

@@ -96,11 +96,14 @@ func writeChromeEvent(w io.Writer, e *Event, spanNames []string) {
 		fmt.Fprintf(w, `{"ph":"i","pid":%d,"tid":%d,"name":"full refresh","cat":"refresh","s":"p","ts":%.6f,"args":{}}`,
 			chromePID, chromeSimTID, simTS(e.Sim))
 	case KindInputChange:
-		fmt.Fprintf(w, `{"ph":"i","pid":%d,"tid":%d,"name":"input change","cat":"input","s":"p","ts":%.6f,"args":{"flagged":%d}}`,
-			chromePID, chromeSimTID, simTS(e.Sim), e.A)
+		fmt.Fprintf(w, `{"ph":"i","pid":%d,"tid":%d,"name":"input change","cat":"input","s":"p","ts":%.6f,"args":{"tested":%d,"flagged":%d}}`,
+			chromePID, chromeSimTID, simTS(e.Sim), e.B, e.A)
 	case KindFenwick:
 		fmt.Fprintf(w, `{"ph":"i","pid":%d,"tid":%d,"name":"fenwick flush","cat":"fenwick","s":"t","ts":%.6f,"args":{"batch":%d,"rebuilt":%d}}`,
 			chromePID, chromeSimTID, simTS(e.Sim), e.A, e.B)
+	case KindNoiseWindow:
+		fmt.Fprintf(w, `{"ph":"i","pid":%d,"tid":%d,"name":"noise window","cat":"noise","s":"t","ts":%.6f,"args":{"junction":%d,"windows":%d,"charge_e":%g}}`,
+			chromePID, chromeSimTID, simTS(e.Sim), e.Junc, e.A, e.V1)
 	case KindProgress:
 		fmt.Fprintf(w, `{"ph":"C","pid":%d,"name":"events_per_sec","ts":%.3f,"args":{"rate":%g}}`,
 			chromePID, float64(e.Wall)/1e3, e.V2)

@@ -24,9 +24,10 @@ func fixedTraceEvents() ([]Event, []string) {
 		{Kind: KindFenwick, A: 6, B: 0, Sim: 1.25e-9, Wall: 1500},
 		{Kind: KindCotunnel, Junc: 7, Sim: 2.5e-9, V1: -1e-21, Wall: 2600},
 		{Kind: KindCooper, Junc: 2, Sim: 3e-9, V1: -5e-22, Wall: 3100},
-		{Kind: KindInputChange, A: 12, Sim: 4e-9, Wall: 4100},
+		{Kind: KindInputChange, A: 12, B: 40, Sim: 4e-9, Wall: 4100},
 		{Kind: KindFenwick, A: 40, B: 1, Sim: 4e-9, Wall: 4200},
 		{Kind: KindSpan, Junc: 0, Sim: 5e-9, Wall: 5000, Dur: 750},
+		{Kind: KindNoiseWindow, Junc: 3, A: 2, Sim: 5.5e-9, V1: 1.5, Wall: 5600},
 		{Kind: KindProgress, Sim: 5e-9, V1: 1000, V2: 250000, Wall: 6000},
 		{Kind: KindSpan, Junc: 1, Sim: 0, Wall: 100, Dur: 9000},
 	}
@@ -76,12 +77,24 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if want := 2 + len(events); len(doc.TraceEvents) != want {
 		t.Fatalf("traceEvents = %d, want %d", len(doc.TraceEvents), want)
 	}
+	seen := map[Kind]bool{}
+	for _, e := range events {
+		seen[e.Kind] = true
+	}
+	for k := KindTunnel; k <= KindNoiseWindow; k++ {
+		if !seen[k] {
+			t.Errorf("fixedTraceEvents omits kind %v", k)
+		}
+	}
 	phases := map[string]int{}
 	for _, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		phases[ph]++
 		if ph == "" || ev["pid"] == nil {
 			t.Fatalf("malformed record: %v", ev)
+		}
+		if ev["name"] == "unknown" {
+			t.Errorf("record exported without a name: %v", ev)
 		}
 	}
 	if phases["M"] != 2 {
@@ -96,7 +109,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 }
 
 func TestChromeTraceFromJournal(t *testing.T) {
-	o := New(Config{Trace: true, TraceCap: 16})
+	o := New(Config{Trace: true})
 	o.Event(KindTunnel, 2, 1e-9, -1e-21)
 	sp := o.Span("fullRefresh", 1e-9)
 	sp.End()

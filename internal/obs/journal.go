@@ -30,7 +30,8 @@ const (
 	// KindRefresh is a periodic full refresh boundary.
 	KindRefresh
 	// KindInputChange is a source-voltage change boundary; A is the
-	// number of junctions flagged by the fold-in test.
+	// number of junctions flagged by the adaptive fold-in test, B the
+	// number it tested (both 0 on a non-adaptive run).
 	KindInputChange
 	// KindFenwick is a selection-tree flush: A the staged batch size,
 	// B 1 when the flush chose a bulk rebuild over point updates.

@@ -32,11 +32,9 @@ import (
 // Config selects the observability features of an Observer. The zero
 // value enables metrics only.
 type Config struct {
-	// Trace enables the structured event journal.
+	// Trace enables the structured event journal, a ring of the newest
+	// 1 << 16 events; older events are overwritten.
 	Trace bool
-	// TraceCap bounds the in-memory journal ring (default 1 << 16
-	// events); older events are overwritten.
-	TraceCap int
 	// TraceJSONL, when non-nil, additionally receives every journal
 	// event as one JSON line (unbounded; the caller owns the writer).
 	TraceJSONL io.Writer
@@ -81,15 +79,15 @@ type Observer struct {
 	heat   []uint32
 }
 
+// traceCap is the journal ring's capacity in events (56 B each, so a
+// full ring holds 3.7 MB).
+const traceCap = 1 << 16
+
 // New creates an Observer with a fresh registry.
 func New(cfg Config) *Observer {
 	o := &Observer{reg: NewRegistry(), epoch: time.Now()}
 	if cfg.Trace {
-		capN := cfg.TraceCap
-		if capN <= 0 {
-			capN = 1 << 16
-		}
-		o.journal = NewJournal(capN, cfg.TraceJSONL)
+		o.journal = NewJournal(traceCap, cfg.TraceJSONL)
 		// Ring wraparound must never be silent: the registry counts every
 		// overwritten event, and trace exports carry a journal_dropped note.
 		o.journal.CountDrops(o.reg.Counter("obs.journal_dropped_events"))
@@ -247,15 +245,20 @@ func (o *Observer) FullRefresh(simT float64) {
 	}
 }
 
-// InputChange records a source-voltage change boundary and how many
-// junctions it flagged for recomputation.
-func (o *Observer) InputChange(flagged int, simT float64) {
+// InputChange records a source-voltage change boundary: tested and
+// flagged count the junctions the adaptive fold-in test read and
+// flagged for recomputation, and feed the adaptive counters as
+// Adaptive's do. A non-adaptive run tests nothing (it recomputes every
+// junction) and passes zeros.
+func (o *Observer) InputChange(tested, flagged int, simT float64) {
 	if o == nil {
 		return
 	}
 	o.inputChanges.Add(1)
+	o.tested.Add(uint64(tested))
+	o.flagged.Add(uint64(flagged))
 	if o.journal != nil {
-		o.journal.Record(Event{Kind: KindInputChange, A: int32(flagged), Sim: simT, Wall: o.wall()})
+		o.journal.Record(Event{Kind: KindInputChange, A: int32(flagged), B: int32(tested), Sim: simT, Wall: o.wall()})
 	}
 }
 

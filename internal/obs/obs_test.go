@@ -20,7 +20,7 @@ func TestObserverNilSafety(t *testing.T) {
 	o.Adaptive(1, 3, 1, 0)
 	o.Recomputed([]int{1, 2})
 	o.FullRefresh(0)
-	o.InputChange(2, 0)
+	o.InputChange(2, 1, 0)
 	o.FenwickFlush(5, true, 0)
 	o.Span("x", 0).End()
 	if o.Registry() != nil || o.Journal() != nil || o.Tracing() || o.Heatmap() != nil {
@@ -37,7 +37,7 @@ func TestObserverCounters(t *testing.T) {
 	o.Adaptive(1, 5, 2, 3e-9)
 	o.Recomputed([]int{4, 4, 9})
 	o.FullRefresh(3e-9)
-	o.InputChange(7, 3e-9)
+	o.InputChange(7, 3, 3e-9)
 	o.FenwickFlush(12, true, 3e-9)
 	o.FenwickFlush(0, false, 3e-9) // empty flush: not recorded
 
@@ -47,8 +47,8 @@ func TestObserverCounters(t *testing.T) {
 		"solver.cotunnel_events":     1,
 		"solver.cooper_events":       1,
 		"solver.rate_calcs":          100,
-		"solver.adaptive_tested":     5,
-		"solver.adaptive_flagged":    2,
+		"solver.adaptive_tested":     12, // 5 by the spill, 7 by the input-change fold
+		"solver.adaptive_flagged":    5,
 		"solver.adaptive_recomputes": 3,
 		"solver.full_refreshes":      1,
 		"solver.input_changes":       1,
@@ -76,7 +76,7 @@ func TestObserverCounters(t *testing.T) {
 }
 
 func TestObserverTracingJournal(t *testing.T) {
-	o := New(Config{Trace: true, TraceCap: 32})
+	o := New(Config{Trace: true})
 	if !o.Tracing() {
 		t.Fatal("Tracing() false with journal on")
 	}
@@ -118,7 +118,7 @@ func TestGlobalObserver(t *testing.T) {
 }
 
 func TestSpanTiming(t *testing.T) {
-	o := New(Config{Trace: true, TraceCap: 4})
+	o := New(Config{Trace: true})
 	sp := o.Span("phase", 1e-9)
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
@@ -155,7 +155,7 @@ func TestHeatmapSummary(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	o := New(Config{Trace: true, TraceCap: 8})
+	o := New(Config{Trace: true})
 	o.Event(KindTunnel, 1, 1e-9, -1e-21)
 	o.Recomputed([]int{0, 1, 1})
 	srv, err := Serve("127.0.0.1:0", o)
@@ -220,7 +220,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestProgressReporter(t *testing.T) {
-	o := New(Config{Trace: true, TraceCap: 8})
+	o := New(Config{Trace: true})
 	var buf bytes.Buffer
 	p := StartProgress(o, &buf, 5*time.Millisecond, 2e-6)
 	o.Event(KindTunnel, 0, 1e-6, 0) // 50% of target

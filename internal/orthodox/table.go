@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"semsim/internal/numeric"
-	"semsim/internal/units"
 )
 
 // The normal-state orthodox rate factors into a junction-independent
@@ -17,7 +16,8 @@ import (
 // (R, gaps, T) and is cached per junction. The kernel is built once per
 // process with a measured relative-error bound; outside the tabulated
 // band |x| <= KernelXMax it evaluates the asymptotic tails — see
-// KernelXMax — and the T <= 0 limit is always computed exactly.
+// KernelXMax. The kernel needs T > 0; callers evaluate the T <= 0 limit
+// exactly, through Rate.
 const (
 	// KernelXMax bounds the tabulated band of x = dW/kT. The tails are
 	// evaluated by their asymptotic expansions, which cost the same
@@ -35,24 +35,20 @@ const (
 	KernelRelTol = 1e-7
 )
 
-// Kernel is the tabulated normal-state rate kernel. It evaluates
-// through a numeric.FlatKernel — uniform grid, constant-time panel
-// lookup — so a tabulated rate costs a handful of multiply-adds instead
-// of a binary search plus an exp.
-type Kernel struct {
-	k *numeric.FlatKernel
-}
-
 var (
 	kernelOnce sync.Once
-	kernel     *Kernel
+	kernel     *numeric.FlatKernel
 )
 
-// SharedKernel returns the process-wide tabulated kernel, building it
-// on first use (a few thousand exp evaluations). It returns nil if the
-// refinement cannot reach KernelRelTol — callers must then use the
-// exact Rate.
-func SharedKernel() *Kernel {
+// SharedKernel returns the process-wide tabulated kernel g(x),
+// interpolated inside |x| <= KernelXMax and asymptotic outside (-x
+// below, 0 above), building it on first use (a few thousand exp
+// evaluations). It evaluates through a uniform grid with a
+// constant-time panel lookup, so a tabulated rate costs a handful of
+// multiply-adds instead of a binary search plus an exp. It returns nil
+// if the refinement cannot reach KernelRelTol — callers must then use
+// the exact Rate.
+func SharedKernel() *numeric.FlatKernel {
 	kernelOnce.Do(func() {
 		k, err := numeric.NewFlatKernel(numeric.XOverExpm1, -KernelXMax, KernelXMax, KernelRelTol)
 		if err != nil || k.MaxRelError() > KernelRelTol {
@@ -60,31 +56,7 @@ func SharedKernel() *Kernel {
 		}
 		// Asymptotic tails (see KernelXMax): g(x) = -x below the band,
 		// 0 above it.
-		k.WithTails([4]float64{0, -1, 0, 0}, [4]float64{})
-		kernel = &Kernel{k: k}
+		kernel = k.WithTails([4]float64{0, -1, 0, 0}, [4]float64{})
 	})
 	return kernel
 }
-
-// G evaluates the dimensionless kernel g(x) = x/(exp(x)-1), interpolated
-// inside |x| <= KernelXMax and asymptotic outside (-x below, 0 above).
-func (k *Kernel) G(x float64) float64 { return k.k.Eval(x) }
-
-// Flat exposes the underlying constant-time kernel so the solver's
-// monomorphic inner loops can evaluate it without an extra call frame.
-func (k *Kernel) Flat() *numeric.FlatKernel { return k.k }
-
-// Rate is the tabulated counterpart of Rate: identical arguments and
-// semantics, relative error bounded by KernelRelTol (the prefactor and
-// both fallback paths are exact).
-func (k *Kernel) Rate(dw, r, t float64) float64 {
-	if t <= 0 {
-		return Rate(dw, r, t)
-	}
-	kT := units.KB * t
-	return kT / (units.E * units.E * r) * k.k.Eval(dw/kT)
-}
-
-// MaxRelError reports the measured interpolation-error bound of the
-// tabulated band.
-func (k *Kernel) MaxRelError() float64 { return k.k.MaxRelError() }

@@ -126,13 +126,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// Split returns a new Source deterministically derived from this one
-// (consuming one value from the parent stream). Useful for giving
-// independent reproducible streams to parallel sweep points.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // batchSize is the refill granularity of Batch. Two draws per Monte
 // Carlo event (waiting time + selection) means one refill per ~128
 // events; the buffer is one page of uint64s, small enough to stay

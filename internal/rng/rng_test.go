@@ -101,15 +101,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(11)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children start identically")
-	}
-}
-
 func TestIntnUnbiasedSmallRanges(t *testing.T) {
 	// Property: for any seed and any n in [1, 64], Intn(n) stays in range.
 	f := func(seed uint64, nRaw uint8) bool {

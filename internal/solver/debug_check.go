@@ -120,7 +120,7 @@ func (s *Sim) debugCheckPotentialDrift() {
 // e^-KernelXMax of the junction's thermal rate scale. Rates too small
 // to ever be selected are skipped.
 func (s *Sim) debugCheckKernels() {
-	if s.normK == nil {
+	if s.flatK == nil {
 		return
 	}
 	nj := s.c.NumJunctions()
@@ -131,7 +131,7 @@ func (s *Sim) debugCheckKernels() {
 	for j := 0; j < nj; j += stride {
 		dw := s.dwFw[j]
 		x := dw * s.invKT
-		tab := s.ratePref[j] * s.normK.G(x)
+		tab := s.ratePref[j] * s.flatK.Eval(x)
 		exact := orthodox.Rate(dw, s.c.Junction(j).R, s.opt.Temp)
 		if x > orthodox.KernelXMax {
 			floor := s.ratePref[j] * (x + 1) * math.Exp(-orthodox.KernelXMax)

@@ -1,26 +1,23 @@
 package solver
 
 // fenwick is a binary indexed tree over non-negative channel rates. It
-// supports O(log n) point updates, O(n) bulk (re)construction, and
-// O(log n) sampling of an index by cumulative rate, which is what lets
-// the adaptive solver pay only for the channels it actually recomputed.
+// supports O(n) bulk (re)construction and O(log n) sampling of an index
+// by cumulative rate, which is what lets the adaptive solver pay only
+// for the channels it actually recomputed.
 //
-// Updates come in two flavours:
+// Updates are batched: stage(i, v) records the new value (vals is
+// current immediately, the tree is not) and flush commits the whole
+// batch, choosing between incremental point updates and a bulk O(n)
+// rebuild, whichever is cheaper. The non-adaptive solver stages every
+// channel each event, so its selection-tree maintenance costs O(n)
+// instead of O(n log n).
 //
-//   - set(i, v): immediate point update, O(log n);
-//   - stage(i, v) ... flush(): batched updates. stage records the new
-//     value (vals is current immediately, the tree is not); flush
-//     commits the whole batch, choosing between incremental point
-//     updates and a bulk O(n) rebuild, whichever is cheaper. The
-//     non-adaptive solver stages every channel each event, so its
-//     selection-tree maintenance costs O(n) instead of O(n log n).
-//
-// Staged deltas live in parallel index/delta arrays with an epoch-
-// stamped dedup table: staging the same index twice in one batch
-// accumulates into a single slot, so a batch never exceeds n entries
-// no matter how many capped steps pile up between selections. Callers
-// may defer flush() until just before total()/find() — both refuse a
-// non-empty batch in debug builds.
+// Staged deltas live in parallel index/delta arrays preallocated at n
+// entries. The solver flushes at the top of every Step, so a batch is
+// one update, and one update stages each channel at most once; a full
+// refresh drops any batch a stopped run left behind before it stages
+// every channel again. Callers may defer flush() until just before
+// total()/find().
 type fenwick struct {
 	n    int
 	tree []float64 // 1-based BIT partial sums
@@ -28,13 +25,9 @@ type fenwick struct {
 	log2 int       // ceil(log2(n)), the per-update tree cost
 
 	// Staged batch, struct-of-arrays: pendIdx[k] gets tree delta
-	// pendDelta[k]. slot/stamp dedup staged indices per epoch: index i
-	// has a live slot iff stamp[i] == epoch.
+	// pendDelta[k].
 	pendIdx   []int32
 	pendDelta []float64
-	slot      []int32
-	stamp     []uint32
-	epoch     uint32
 }
 
 func newFenwick(n int) *fenwick {
@@ -49,23 +42,7 @@ func newFenwick(n int) *fenwick {
 		log2:      log2,
 		pendIdx:   make([]int32, 0, n),
 		pendDelta: make([]float64, 0, n),
-		slot:      make([]int32, n),
-		stamp:     make([]uint32, n),
-		epoch:     1,
 	}
-}
-
-// newFenwickFrom builds a tree over the given weights in O(n); negative
-// weights clamp to zero. The slice is copied.
-func newFenwickFrom(weights []float64) *fenwick {
-	f := newFenwick(len(weights))
-	for i, v := range weights {
-		if v > 0 {
-			f.vals[i] = v
-		}
-	}
-	f.build()
-	return f
 }
 
 // build recomputes the tree from vals in O(n): each node accumulates
@@ -82,24 +59,8 @@ func (f *fenwick) build() {
 	}
 }
 
-// set assigns value v (>= 0) to index i, updating the tree immediately.
-func (f *fenwick) set(i int, v float64) {
-	if v < 0 {
-		v = 0
-	}
-	d := v - f.vals[i]
-	if d == 0 {
-		return
-	}
-	f.vals[i] = v
-	for j := i + 1; j <= f.n; j += j & (-j) {
-		f.tree[j] += d
-	}
-}
-
 // stage assigns value v (>= 0) to index i without updating the tree;
-// the caller must flush (or rebuild) before total() or find(). Staging
-// the same index twice in one batch accumulates into one slot.
+// the caller must flush (or rebuild) before total() or find().
 //
 //semsim:hot
 func (f *fenwick) stage(i int, v float64) {
@@ -111,30 +72,17 @@ func (f *fenwick) stage(i int, v float64) {
 		return
 	}
 	f.vals[i] = v
-	if f.stamp[i] == f.epoch {
-		f.pendDelta[f.slot[i]] += d
-		return
-	}
-	f.stamp[i] = f.epoch
-	f.slot[i] = int32(len(f.pendIdx))
-	f.pendIdx = append(f.pendIdx, int32(i)) //hotalloc:ok capacity n preallocated, dedup bounds length
-	f.pendDelta = append(f.pendDelta, d)    //hotalloc:ok capacity n preallocated, dedup bounds length
+	f.pendIdx = append(f.pendIdx, int32(i)) //hotalloc:ok capacity n preallocated, a batch stages each channel at most once
+	f.pendDelta = append(f.pendDelta, d)    //hotalloc:ok capacity n preallocated, a batch stages each channel at most once
 }
 
-// clearPending drops the staged batch and opens a new dedup epoch.
+// clearPending drops the staged batch.
 func (f *fenwick) clearPending() {
 	f.pendIdx = f.pendIdx[:0]
 	f.pendDelta = f.pendDelta[:0]
-	f.epoch++
-	if f.epoch == 0 { // uint32 wrap: stamps from the old cycle must not alias
-		for i := range f.stamp {
-			f.stamp[i] = 0
-		}
-		f.epoch = 1
-	}
 }
 
-// pendingCount reports the number of distinct staged indices.
+// pendingCount reports the number of staged updates.
 func (f *fenwick) pendingCount() int { return len(f.pendIdx) }
 
 // flush commits the staged batch: incremental O(k log n) point updates
@@ -161,9 +109,6 @@ func (f *fenwick) flush() (batch int, rebuilt bool) {
 	f.clearPending()
 	return batch, false
 }
-
-// at returns the current value at index i.
-func (f *fenwick) at(i int) float64 { return f.vals[i] }
 
 // total returns the sum of all values.
 //

@@ -7,18 +7,24 @@ import (
 	"semsim/internal/rng"
 )
 
+// put assigns v to index i as a one-entry batch, committed at once.
+func put(f *fenwick, i int, v float64) {
+	f.stage(i, v)
+	f.flush()
+}
+
 func TestFenwickBasics(t *testing.T) {
 	f := newFenwick(5)
-	f.set(0, 1)
-	f.set(2, 3)
-	f.set(4, 0.5)
+	put(f, 0, 1)
+	put(f, 2, 3)
+	put(f, 4, 0.5)
 	if got := f.total(); math.Abs(got-4.5) > 1e-12 {
 		t.Fatalf("total = %g, want 4.5", got)
 	}
-	if f.at(2) != 3 {
-		t.Fatalf("at(2) = %g", f.at(2))
+	if f.vals[2] != 3 {
+		t.Fatalf("vals[2] = %g", f.vals[2])
 	}
-	f.set(2, 1)
+	put(f, 2, 1)
 	if got := f.total(); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("total after update = %g, want 2.5", got)
 	}
@@ -26,18 +32,18 @@ func TestFenwickBasics(t *testing.T) {
 
 func TestFenwickNegativeClamped(t *testing.T) {
 	f := newFenwick(3)
-	f.set(1, -5)
-	if f.total() != 0 || f.at(1) != 0 {
+	put(f, 1, -5)
+	if f.total() != 0 || f.vals[1] != 0 {
 		t.Fatal("negative rates must clamp to zero")
 	}
 }
 
 func TestFenwickFind(t *testing.T) {
 	f := newFenwick(4)
-	f.set(0, 1)
-	f.set(1, 0)
-	f.set(2, 2)
-	f.set(3, 1)
+	put(f, 0, 1)
+	put(f, 1, 0)
+	put(f, 2, 2)
+	put(f, 3, 1)
 	cases := []struct {
 		u    float64
 		want int
@@ -53,12 +59,12 @@ func TestFenwickFind(t *testing.T) {
 
 func TestFenwickFindNeverZeroRate(t *testing.T) {
 	f := newFenwick(6)
-	f.set(1, 1e-20)
-	f.set(4, 2e-20)
+	put(f, 1, 1e-20)
+	put(f, 4, 2e-20)
 	r := rng.New(1)
 	for i := 0; i < 10000; i++ {
 		idx := f.find(r.Float64() * f.total())
-		if f.at(idx) <= 0 {
+		if f.vals[idx] <= 0 {
 			t.Fatalf("selected zero-rate channel %d", idx)
 		}
 	}
@@ -66,9 +72,9 @@ func TestFenwickFindNeverZeroRate(t *testing.T) {
 
 func TestFenwickSamplingDistribution(t *testing.T) {
 	f := newFenwick(3)
-	f.set(0, 1)
-	f.set(1, 2)
-	f.set(2, 7)
+	put(f, 0, 1)
+	put(f, 1, 2)
+	put(f, 2, 7)
 	r := rng.New(42)
 	counts := [3]int{}
 	const n = 200000
@@ -88,7 +94,7 @@ func TestFenwickRebuildMatchesIncremental(t *testing.T) {
 	f := newFenwick(64)
 	r := rng.New(7)
 	for i := 0; i < 1000; i++ {
-		f.set(r.Intn(64), r.Float64()*1e12)
+		put(f, r.Intn(64), r.Float64()*1e12)
 	}
 	before := f.total()
 	f.rebuild()
@@ -100,26 +106,30 @@ func TestFenwickRebuildMatchesIncremental(t *testing.T) {
 
 func TestFenwickFromBulkBuild(t *testing.T) {
 	weights := []float64{0.5, 0, 3, -2, 1e-9, 7}
-	f := newFenwickFrom(weights)
+	f := newFenwick(len(weights))
 	g := newFenwick(len(weights))
 	for i, w := range weights {
-		g.set(i, w)
+		f.stage(i, w)
+		put(g, i, w)
 	}
+	f.rebuild()
 	if f.total() != g.total() {
 		t.Fatalf("bulk total %g != incremental total %g", f.total(), g.total())
 	}
 	for i := range weights {
-		if f.at(i) != g.at(i) {
-			t.Fatalf("at(%d): bulk %g != incremental %g", i, f.at(i), g.at(i))
+		if f.vals[i] != g.vals[i] {
+			t.Fatalf("vals[%d]: bulk %g != incremental %g", i, f.vals[i], g.vals[i])
 		}
 	}
-	if f.at(3) != 0 {
+	if f.vals[3] != 0 {
 		t.Fatal("negative weight must clamp to zero in bulk build")
 	}
 }
 
 func TestFenwickSingleChannel(t *testing.T) {
-	f := newFenwickFrom([]float64{2.5})
+	f := newFenwick(1)
+	f.stage(0, 2.5)
+	f.rebuild()
 	if f.total() != 2.5 {
 		t.Fatalf("total = %g, want 2.5", f.total())
 	}
@@ -134,7 +144,7 @@ func TestFenwickSingleChannel(t *testing.T) {
 }
 
 func TestFenwickAllZeroWeights(t *testing.T) {
-	f := newFenwickFrom(make([]float64, 8))
+	f := newFenwick(8)
 	if f.total() != 0 {
 		t.Fatalf("total = %g, want 0", f.total())
 	}
@@ -146,9 +156,9 @@ func TestFenwickAllZeroWeights(t *testing.T) {
 }
 
 func TestFenwickBulkBuildVsIncrementalRandom(t *testing.T) {
-	// Interleave stage/flush batches with immediate sets on one tree and
-	// mirror every assignment onto a plain incremental tree: totals and
-	// prefix structure must agree to rounding at every checkpoint.
+	// Stage random batches on one tree and mirror every assignment onto
+	// a tree committed one entry at a time: totals and prefix structure
+	// must agree to rounding at every checkpoint.
 	const n = 257 // off power-of-two size
 	a := newFenwick(n)
 	b := newFenwick(n)
@@ -162,15 +172,15 @@ func TestFenwickBulkBuildVsIncrementalRandom(t *testing.T) {
 				v = 0 // exercise zeroing channels
 			}
 			a.stage(i, v)
-			b.set(i, v)
+			put(b, i, v)
 		}
 		a.flush()
 		if math.Abs(a.total()-b.total()) > 1e-6*(1+b.total()) {
 			t.Fatalf("round %d: staged total %g != incremental %g", round, a.total(), b.total())
 		}
 		for i := 0; i < n; i++ {
-			if a.at(i) != b.at(i) {
-				t.Fatalf("round %d: at(%d) %g != %g", round, i, a.at(i), b.at(i))
+			if a.vals[i] != b.vals[i] {
+				t.Fatalf("round %d: vals[%d] %g != %g", round, i, a.vals[i], b.vals[i])
 			}
 		}
 		// Both trees must sample identically for the same u after a
@@ -190,57 +200,21 @@ func TestFenwickStageSameIndexTwice(t *testing.T) {
 	f := newFenwick(4)
 	f.stage(2, 5)
 	f.stage(2, 1) // second stage in the same batch must win
-	if f.pendingCount() != 1 {
-		t.Fatalf("pendingCount = %d, want 1 (same index dedups)", f.pendingCount())
-	}
 	f.flush()
-	if f.at(2) != 1 || math.Abs(f.total()-1) > 1e-12 {
-		t.Fatalf("at(2)=%g total=%g, want 1, 1", f.at(2), f.total())
-	}
-}
-
-func TestFenwickPendingDedupAcrossBatches(t *testing.T) {
-	// The dedup table is epoch-stamped: a slot from a flushed batch must
-	// not be reused by a later batch, across many flush/rebuild cycles.
-	const n = 16
-	f := newFenwick(n)
-	g := newFenwick(n)
-	r := rng.New(4)
-	for round := 0; round < 500; round++ {
-		for k := 0; k < 3; k++ {
-			i := r.Intn(n)
-			v := r.Float64()
-			f.stage(i, v)
-			g.set(i, v)
-		}
-		if f.pendingCount() > 3 {
-			t.Fatalf("round %d: pendingCount %d > 3 staged", round, f.pendingCount())
-		}
-		if round%7 == 0 {
-			f.rebuild()
-		} else {
-			f.flush()
-		}
-		for i := 0; i < n; i++ {
-			if f.at(i) != g.at(i) {
-				t.Fatalf("round %d: at(%d) %g != %g", round, i, f.at(i), g.at(i))
-			}
-		}
-		if math.Abs(f.total()-g.total()) > 1e-9*(1+g.total()) {
-			t.Fatalf("round %d: total %g != %g", round, f.total(), g.total())
-		}
+	if f.vals[2] != 1 || math.Abs(f.total()-1) > 1e-12 {
+		t.Fatalf("vals[2]=%g total=%g, want 1, 1", f.vals[2], f.total())
 	}
 }
 
 func TestFenwickDeferredFlush(t *testing.T) {
-	// Staged values are visible through at() immediately; the tree only
+	// Staged values are visible in vals immediately; the tree only
 	// catches up at flush. This is the contract the solver's deferred
 	// per-event flush relies on.
 	f := newFenwick(8)
 	f.stage(1, 2)
 	f.stage(5, 3)
-	if f.at(1) != 2 || f.at(5) != 3 {
-		t.Fatal("staged values must be visible through at() before flush")
+	if f.vals[1] != 2 || f.vals[5] != 3 {
+		t.Fatal("staged values must be visible in vals before flush")
 	}
 	if f.pendingCount() != 2 {
 		t.Fatalf("pendingCount = %d, want 2", f.pendingCount())

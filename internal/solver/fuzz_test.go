@@ -43,8 +43,8 @@ func FuzzFenwick(f *testing.F) {
 		}
 		checkTotals := func(op string) {
 			for i, v := range model {
-				if got := fen.at(i); got != v {
-					t.Fatalf("after %s: at(%d) = %g, model %g", op, i, got, v)
+				if got := fen.vals[i]; got != v {
+					t.Fatalf("after %s: vals[%d] = %g, model %g", op, i, got, v)
 				}
 			}
 			if got, want := fen.total(), naiveTotal(); got != want {
@@ -62,11 +62,12 @@ func FuzzFenwick(f *testing.F) {
 				mval = 0
 			}
 			switch op {
-			case 0: // immediate point update
+			case 0: // one-entry batch, committed at once
 				if !staged {
-					fen.set(idx, val)
+					fen.stage(idx, val)
+					fen.flush()
 					model[idx] = mval
-					checkTotals("set")
+					checkTotals("stage+flush")
 				}
 			case 1: // staged update, tree stale until flush
 				fen.stage(idx, val)

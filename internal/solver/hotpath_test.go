@@ -18,11 +18,12 @@ import (
 // coming out slower than closed-form evaluation, as the old
 // searched-PCHIP kernel did) fails TestTablesNotSlowerThanExact.
 
-// hotChain builds a conducting chain of n islands between two biased
-// leads — every junction live, so a non-adaptive Step recomputes 2(n+1)
-// rates, which is the workload shape of the large benchmarks.
+// hotChain builds a conducting chain of n islands between leads at
+// +-0.2 V, above its Coulomb-blockade threshold as the T = 0 chain is —
+// every junction live, so a non-adaptive Step recomputes 2(n+1) rates,
+// which is the workload shape of the large benchmarks.
 func hotChain(tb testing.TB, n int) *circuit.Circuit {
-	return biasedChain(tb, n, 0.03, nil)
+	return biasedChain(tb, n, 0.2, nil)
 }
 
 // biasedChain builds a chain of n islands between leads at +v and -v;

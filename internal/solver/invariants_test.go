@@ -243,7 +243,7 @@ func TestFenwickMatchesLinearScan(t *testing.T) {
 		if r.Intn(5) == 0 {
 			v = 0
 		}
-		f.set(i, v)
+		put(f, i, v)
 		vals[i] = v
 		total := 0.0
 		for _, x := range vals {

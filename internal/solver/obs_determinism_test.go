@@ -32,7 +32,7 @@ func TestObsDoesNotPerturbTrajectory(t *testing.T) {
 	requireIdentical(t, "metrics-only", plain, metrics)
 
 	tracingOpt := opt
-	tracingOpt.Obs = obs.New(obs.Config{Trace: true, TraceCap: 1 << 12})
+	tracingOpt.Obs = obs.New(obs.Config{Trace: true})
 	traced := runWorkload(t, ex, b, tracingOpt, events)
 	requireIdentical(t, "full-tracing", plain, traced)
 
@@ -62,6 +62,41 @@ func TestObsDoesNotPerturbTrajectory(t *testing.T) {
 	// Adaptive runs must populate the recompute heatmap.
 	if heat := tracingOpt.Obs.Heatmap(); obs.SummarizeHeatmap(heat).Total == 0 {
 		t.Error("adaptive run left the recompute heatmap empty")
+	}
+}
+
+// TestObsMirrorsAdaptiveCountersAcrossInputStep: the registry's
+// adaptive counters bill every test and flag Stats counts, including
+// the input-change fold, which tests every junction whenever the
+// sources move. The c432 run above ends before the workload's input
+// step; this one crosses it.
+func TestObsMirrorsAdaptiveCountersAcrossInputStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MC workload in -short mode")
+	}
+	ex, _ := workload(t, "74LS153")
+	o := obs.New(obs.Config{})
+	s, err := solver.New(ex.Circuit, solver.Options{Temp: bench.WorkloadTemp, Seed: 5, Adaptive: true, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(0, bench.SettleTime+50e-9); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	snap := o.Registry().Snapshot()
+	if snap.Counters["solver.input_changes"] == 0 {
+		t.Fatal("the run never crossed the input step")
+	}
+	mirrors := map[string]uint64{
+		"solver.adaptive_tested":     st.Tested,
+		"solver.adaptive_flagged":    st.Flagged,
+		"solver.adaptive_recomputes": st.Flagged,
+	}
+	for name, want := range mirrors {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("registry %s = %d, Stats says %d", name, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"semsim/internal/circuit"
@@ -208,6 +209,75 @@ func TestResetThenRestoreMatchesFresh(t *testing.T) {
 	}
 	if got, want := fingerprint(t, sess), fingerprint(t, ref); got != want {
 		t.Fatalf("restore-into-reused-session diverged from uninterrupted fresh run\nreused: %s\nfresh:  %s", got, want)
+	}
+}
+
+// TestTreeAfterStoppedRunMatchesFresh: a Run returns right after an
+// event's update, so that update is still staged. A Reset, or a
+// Restore, then refreshes everything; it must leave the selection tree
+// exactly as a fresh build leaves it, with the stale batch dropped
+// rather than appended to, so the staged arrays keep their
+// preallocated capacity.
+func TestTreeAfterStoppedRunMatchesFresh(t *testing.T) {
+	for _, opt := range []Options{
+		{Temp: 5, Seed: 31, Cotunneling: true},
+		{Temp: 5, Seed: 31, Adaptive: true, RateTables: true},
+	} {
+		mk := func() *Sim {
+			c, _ := resetSET(0.018, -0.021, 0.004, circuit.SuperParams{})
+			s, err := New(c, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		stop := func(s *Sim) {
+			t.Helper()
+			if _, err := s.Run(100, 0); err != nil {
+				t.Fatal(err)
+			}
+			if s.fen.pendingCount() == 0 {
+				t.Fatal("the run stopped with nothing staged")
+			}
+		}
+		requireFresh := func(what string, got, want *fenwick) {
+			t.Helper()
+			if got.pendingCount() != 0 || cap(got.pendIdx) != cap(want.pendIdx) || cap(got.pendDelta) != cap(want.pendDelta) {
+				t.Fatalf("%s (adaptive %v): %d staged at capacity %d/%d, want 0 at %d/%d", what, opt.Adaptive,
+					got.pendingCount(), cap(got.pendIdx), cap(got.pendDelta), cap(want.pendIdx), cap(want.pendDelta))
+			}
+			for i := range want.vals {
+				if math.Float64bits(got.vals[i]) != math.Float64bits(want.vals[i]) {
+					t.Fatalf("%s (adaptive %v): channel %d rate %g, fresh %g", what, opt.Adaptive, i, got.vals[i], want.vals[i])
+				}
+			}
+			for i := range want.tree {
+				if math.Float64bits(got.tree[i]) != math.Float64bits(want.tree[i]) {
+					t.Fatalf("%s (adaptive %v): tree node %d %g, fresh %g", what, opt.Adaptive, i, got.tree[i], want.tree[i])
+				}
+			}
+		}
+
+		s := mk()
+		cp, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop(s)
+		if err := s.Reset(opt.Seed, nil); err != nil {
+			t.Fatal(err)
+		}
+		requireFresh("Reset", s.fen, mk().fen)
+
+		stop(s)
+		if err := s.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		fresh := mk()
+		if err := fresh.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		requireFresh("Restore", s.fen, fresh.fen)
 	}
 }
 

@@ -295,10 +295,9 @@ type Sim struct {
 	qScratch []float64 // island charge vector for the refresh solve
 	allJunc  []int     // identity index list [0, nj)
 
-	// Tabulated normal-state kernels (nil when exact or superconducting).
-	normK    *orthodox.Kernel
-	cotK     *cotunnel.Kernel //statecover:immutable rate table, a pure function of Options
-	ratePref []float64        // per-junction kT/(e^2 R)
+	// Tabulated normal-state prefactors (nil when exact or
+	// superconducting).
+	ratePref []float64 // per-junction kT/(e^2 R)
 	invKT    float64
 
 	// Superconducting machinery (nil/empty when normal).
@@ -475,8 +474,7 @@ func (s *Sim) buildRateEngine() {
 	nj := s.c.NumJunctions()
 	if s.opt.RateTables && !s.superOn && s.opt.Temp > 0 {
 		if k := orthodox.SharedKernel(); k != nil {
-			s.normK = k
-			s.flatK = k.Flat()
+			s.flatK = k
 			kT := units.KB * s.opt.Temp
 			s.invKT = 1 / kT
 			s.ratePref = make([]float64, nj)
@@ -485,10 +483,7 @@ func (s *Sim) buildRateEngine() {
 			}
 		}
 		if s.opt.Cotunneling {
-			if k := cotunnel.SharedKernel(); k != nil {
-				s.cotK = k
-				s.cotFlat = k.Flat()
-			}
+			s.cotFlat = cotunnel.SharedKernel()
 		}
 	}
 	s.kT = units.KB * s.opt.Temp

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semsim/internal/circuit"
+	"semsim/internal/cotunnel"
 	"semsim/internal/units"
 )
 
@@ -236,6 +237,121 @@ func TestCotunnelingCarriesBlockadeCurrent(t *testing.T) {
 	iCot := setCurrent(t, c2, nd2, Options{Temp: 0.5, Seed: 10, Cotunneling: true}, 4000)
 	if iCot < 5*math.Abs(iSeq) {
 		t.Fatalf("cotunneling current %g not dominant over sequential %g in blockade", iCot, iSeq)
+	}
+}
+
+// TestCotunnelTablesMatchExact is the cotunneling counterpart of
+// TestRateTablesMatchExactStatistically: on a SET biased below its
+// threshold, where most events cotunnel, the same seed through exact
+// and tabulated rates runs the same event sequence, and the drain
+// currents agree far inside the tables' 1e-6 rate bound.
+func TestCotunnelTablesMatchExact(t *testing.T) {
+	run := func(tables bool) (*Sim, circuit.SETNodes) {
+		c, nd := paperSET(0.03, 0)
+		s, err := New(c, Options{Temp: 5, Seed: 6, Cotunneling: true, RateTables: tables})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.cotFlat != nil; got != tables {
+			t.Fatalf("RateTables %v: tabulated cotunneling %v", tables, got)
+		}
+		if _, err := s.Run(5000, 0); err != nil {
+			t.Fatal(err)
+		}
+		return s, nd
+	}
+	exact, nd := run(false)
+	tab, _ := run(true)
+	if exact.stats.Events != tab.stats.Events || exact.stats.CotunnelEvents != tab.stats.CotunnelEvents {
+		t.Fatalf("event sequences diverged: exact %d events (%d cotunnel), tables %d (%d)",
+			exact.stats.Events, exact.stats.CotunnelEvents, tab.stats.Events, tab.stats.CotunnelEvents)
+	}
+	if exact.stats.CotunnelEvents < exact.stats.Events/2 {
+		t.Fatalf("only %d of %d events cotunneled; the bias no longer exercises the kernel",
+			exact.stats.CotunnelEvents, exact.stats.Events)
+	}
+	ie, it := exact.JunctionCurrent(nd.JuncDrain), tab.JunctionCurrent(nd.JuncDrain)
+	if math.Abs(ie-it) > 1e-6*math.Abs(ie) {
+		t.Fatalf("drain current: exact %g vs tables %g", ie, it)
+	}
+}
+
+// TestCotunnelTablesCoexistenceRule checks the solver's tabulated
+// cotunneling rates channel by channel against cotunnel.Rate: a channel
+// whose intermediate state is not blockaded (E1 <= 0 or E2 <= 0) stages
+// exactly zero, above the tabulated band the rate truncates to zero,
+// and every other rate is within the tables' 1e-6 bound. Just below
+// threshold, the few thermally activated sequential hops change the
+// island charge, and with it which channels are blockaded.
+func TestCotunnelTablesCoexistenceRule(t *testing.T) {
+	c, _ := paperSET(0.03, 0)
+	s, err := New(c, Options{Temp: 5, Seed: 6, Cotunneling: true, RateTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kT := units.KB * s.opt.Temp
+	forbidden, inBand := 0, 0
+	for step := 0; step < 400; step++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for i, ci := range s.secChans {
+			vSrc := pick(s.v, s.extV, s.secSrcIsl[i], s.secSrcExt[i])
+			vMid := pick(s.v, s.extV, s.secMidIsl[i], s.secMidExt[i])
+			vDst := pick(s.v, s.extV, s.secDstIsl[i], s.secDstExt[i])
+			dw := -units.E*(vDst-vSrc) + s.secSelfSD[i]
+			e1 := -units.E*(vMid-vSrc) + s.secSelfSM[i]
+			e2 := -units.E*(vDst-vMid) + s.secSelfMD[i]
+			exact := cotunnel.Rate(dw, e1, e2, s.secR1[i], s.secR2[i], s.opt.Temp)
+			got := s.fen.vals[ci]
+			switch {
+			case e1 <= 0 || e2 <= 0:
+				forbidden++
+				if got != 0 || exact != 0 {
+					t.Fatalf("step %d channel %d: E1 %g, E2 %g: tables %g, exact %g, want 0", step, ci, e1, e2, got, exact)
+				}
+			case dw/kT > cotunnel.KernelXMax:
+				if got != 0 {
+					t.Fatalf("step %d channel %d: x %g above the band: tables %g, want 0", step, ci, dw/kT, got)
+				}
+			default:
+				inBand++
+				if math.Abs(got-exact) > 1e-6*exact {
+					t.Fatalf("step %d channel %d: tables %g vs exact %g", step, ci, got, exact)
+				}
+			}
+		}
+	}
+	if forbidden == 0 || inBand == 0 {
+		t.Fatalf("%d forbidden and %d in-band channel rates seen: the bias no longer exercises both", forbidden, inBand)
+	}
+}
+
+// TestRateTablesZeroTemperatureExact: the kernels are functions of
+// dW/kT, so at T = 0 RateTables must leave the exact T = 0 kernels in
+// charge, bit for bit the run without tables.
+func TestRateTablesZeroTemperatureExact(t *testing.T) {
+	run := func(tables bool) *Sim {
+		s, err := New(biasedChain(t, 3, 0.2, nil), Options{Seed: 7, Cotunneling: true, RateTables: tables})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.kern != kernExactT0 || s.flatK != nil || s.cotFlat != nil {
+			t.Fatalf("RateTables %v at T = 0: kernel %d, tables %v/%v", tables, s.kern, s.flatK != nil, s.cotFlat != nil)
+		}
+		if _, err := s.Run(2000, 0); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := run(false), run(true)
+	if a.stats != b.stats || a.t != b.t {
+		t.Fatalf("T = 0 runs diverged: %+v at %g vs %+v at %g", a.stats, a.t, b.stats, b.t)
+	}
+	for j := range a.charge {
+		if a.charge[j] != b.charge[j] {
+			t.Fatalf("junction %d charge: %g vs %g", j, a.charge[j], b.charge[j])
+		}
 	}
 }
 

@@ -223,8 +223,9 @@ func (s *Sim) recalcSecondary() {
 }
 
 // computeCotunnel evaluates second-order cotunneling rates from the
-// precomputed per-channel constants; the tabulated branch inlines
-// cotunnel.Kernel.Rate with the same float order.
+// precomputed per-channel constants; the tabulated branch evaluates
+// cotunnel.Rate's prefactor and coexistence rule with the shared
+// bracket kernel in place of the exact thermal bracket.
 //
 //semsim:hot
 func (s *Sim) computeCotunnel() {
@@ -316,10 +317,13 @@ func (s *Sim) refreshPotentials() {
 // junction count its amortized cost is O(islands) per event), all
 // channel rates, and the selection tree. The tree is rebuilt bottom-up
 // in O(n), which also clears accumulated floating-point drift from
-// incremental updates.
+// incremental updates. A Run that stopped after an update leaves that
+// update staged; the rebuild supersedes it, so it is dropped before
+// every channel is staged again.
 func (s *Sim) fullRefresh() {
 	sp := s.obs.Span("solver.fullRefresh", s.t)
 	preCalcs := s.stats.RateCalcs
+	s.fen.clearPending()
 	if invariant.Enabled && s.dbgInit {
 		// Audit the incremental potentials against a fresh solve (with
 		// the pre-refresh external voltages) before overwriting them.
@@ -488,7 +492,7 @@ func (s *Sim) handleInputChange() {
 	s.vext, s.vextScratch = vextNew, s.vext
 
 	if !s.opt.Adaptive {
-		s.obs.InputChange(s.c.NumJunctions(), s.t)
+		s.obs.InputChange(0, 0, s.t)
 		s.nonAdaptiveUpdate()
 		return
 	}
@@ -507,7 +511,7 @@ func (s *Sim) handleInputChange() {
 	}
 	s.recalcJunctions(s.flagged)
 	s.recalcSecondary()
-	s.obs.InputChange(len(s.flagged), s.t)
+	s.obs.InputChange(s.c.NumJunctions(), len(s.flagged), s.t)
 	s.obs.Recomputed(s.flagged)
 	s.obs.RateCalcs(s.stats.RateCalcs - preCalcs)
 }
