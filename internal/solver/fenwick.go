@@ -45,20 +45,6 @@ func newFenwick(n int) *fenwick {
 	}
 }
 
-// build recomputes the tree from vals in O(n): each node accumulates
-// its own value plus its children's partial sums, then pushes the total
-// to its parent.
-func (f *fenwick) build() {
-	for i := 1; i <= f.n; i++ {
-		f.tree[i] = f.vals[i-1]
-	}
-	for i := 1; i <= f.n; i++ {
-		if j := i + i&(-i); j <= f.n {
-			f.tree[j] += f.tree[i]
-		}
-	}
-}
-
 // stage assigns value v (>= 0) to index i without updating the tree;
 // the caller must flush (or rebuild) before total() or find().
 //
@@ -123,10 +109,19 @@ func (f *fenwick) total() float64 {
 
 // rebuild recomputes the tree from vals in O(n), discarding any staged
 // deltas (vals already holds the staged values) and clearing
-// accumulated floating-point drift from incremental updates.
+// accumulated floating-point drift from incremental updates: each node
+// accumulates its own value plus its children's partial sums, then
+// pushes the total to its parent.
 func (f *fenwick) rebuild() {
 	f.clearPending()
-	f.build()
+	for i := 1; i <= f.n; i++ {
+		f.tree[i] = f.vals[i-1]
+	}
+	for i := 1; i <= f.n; i++ {
+		if j := i + i&(-i); j <= f.n {
+			f.tree[j] += f.tree[i]
+		}
+	}
 }
 
 // find returns the smallest index i such that the cumulative sum
